@@ -46,19 +46,16 @@ from .measures import (
     variance,
 )
 from .noise import (
-    GaussianNoiseRealization,
     LevyNoiseRealization,
     auto_inner_cutoff,
     dump_atoms,
     eta_for_atom_budget,
     load_atoms,
-    simulate_gaussian_noise,
     simulate_levy_noise,
 )
 from .quadrature import QuadratureConfig
 from .sobolev import (
     SmoothBump,
-    SobolevVector,
     dual_norm,
     h_ij_closed_form,
     h_ij_quadrature,
@@ -89,7 +86,6 @@ from .stats import (
     MartingaleProbe,
     SampleSet,
     TerminalFunctional,
-    PathFunctional,
     bump_functional,
     characteristics_estimate,
     characteristics_sample,

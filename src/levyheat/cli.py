@@ -32,8 +32,9 @@ from .measures import (
     SymmetricStable,
     ar_scan,
 )
-from .sobolev import SmoothBump, space_time_parseval
+from .sobolev import SmoothBump, h_ij_closed_form, h_ij_quadrature, space_time_parseval
 from .solver import (
+    FieldPath,
     GaussianNoiseSpec,
     LevyNoiseSpec,
     SimConfig,
@@ -45,7 +46,6 @@ from .solver import (
     mode_decomposition_check,
     simulate_path,
 )
-from .sobolev import h_ij_closed_form, h_ij_quadrature
 from . import noise as noise_mod
 from . import stats as stats_mod
 from .streams import stream
@@ -253,7 +253,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
         )
     sim = _sim_config(cfg, noise_spec)
     for i in range(cfg["simulate.paths"]):
-        path = simulate_path(sim, stream(seed, i, "simulate"), stream_label=(seed, i, "simulate"))
+        path = simulate_path(sim, stream(seed, i, "simulate"))
         out = out_dir / f"path_{i}.csv"
         with out.open("w") as fh:
             fh.write(_header(cfg, "simulate", seed))
@@ -296,7 +296,7 @@ def cmd_compare(cfg: dict, out_dir: Path, seed: int) -> int:
     report = stats_mod.dichotomy_experiment(
         [model], grid, _functional_battery(cfg), sim, cfg["paths"], seed,
         kappa_ref=cfg["compare.kappa_ref"],
-        ecf_grid=cfg.get("compare.ecf_grid", list(np.linspace(0.25, 5.0, 20))),
+        ecf_grid=cfg.get("compare.ecf_grid", stats_mod._DEFAULT_ECF_GRID),
         workers=cfg["workers"],
     )
     out = out_dir / "compare.csv"
@@ -309,8 +309,6 @@ def cmd_compare(cfg: dict, out_dir: Path, seed: int) -> int:
 
 def _band_limited_path(sim: SimConfig, amplitudes: dict):
     """Synthetic FieldPath u = sum a_ij psi_ij for exact-transform checks."""
-    from .solver import FieldPath
-
     times = sim.times()
     modes = np.zeros((len(times), sim.modes))
     T = sim.T

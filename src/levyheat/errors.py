@@ -7,6 +7,13 @@ CLI) can report failures without guessing where they came from.
 
 from __future__ import annotations
 
+__all__ = [
+    "LevyHeatError", "ZeroVarianceError", "NonIntegrableError", "EmptyRestrictionError",
+    "InfiniteActivityError", "BudgetExceededError", "AtomCapExceededError", "NonFiniteStateError",
+    "MissingAtomLogError", "InvalidDeltaError", "OutOfRangeError", "ConfigMismatchError",
+    "EmptySampleError", "ConfigError",
+]
+
 
 class LevyHeatError(Exception):
     """Base class for all library errors."""

@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 _TABLE_NODES = 4096
+# |z| beyond which the remark family's outer tail carries < 1e-14 of its mass
+_TAIL_CAP = 1e8
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +357,12 @@ class _View:
             inner = lambda z: 0.5 / z ** 2
             e2 = eps ** 2
             outer = lambda z: e2 / (2.0 * C * np.abs(z) ** 3 * np.log1p(np.abs(z)) ** 2)
-            hi_cap = self._remark_tail_cap()
             if floor < eps:
                 segs.append(_Segment(-eps, -floor, inner))
                 segs.append(_Segment(floor, eps, inner))
             lo = max(floor, 1.0)
-            segs.insert(0, _Segment(-hi_cap, -lo, outer))
-            segs.append(_Segment(lo, hi_cap, outer))
+            segs.insert(0, _Segment(-_TAIL_CAP, -lo, outer))
+            segs.append(_Segment(lo, _TAIL_CAP, outer))
         elif isinstance(b, CustomDensity):
             lo, hi = b.support
             lo_eff, hi_eff = max(lo, -eps), min(hi, eps)
@@ -370,10 +371,6 @@ class _View:
             if hi_eff > floor:
                 segs.append(_Segment(max(floor, max(lo_eff, 0.0)), hi_eff, b.density))
         return [s for s in segs if s.lo < s.hi]
-
-    def _remark_tail_cap(self) -> float:
-        """|z| beyond which the outer tail carries < 1e-14 of the tail mass."""
-        return 1e8
 
     def _quad_abs_moment(self, p: float, a: float) -> float:
         total = 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,9 +25,7 @@ from . import measures
 
 __all__ = [
     "LevyNoiseRealization",
-    "GaussianNoiseRealization",
     "simulate_levy_noise",
-    "simulate_gaussian_noise",
     "auto_inner_cutoff",
     "eta_for_atom_budget",
     "dump_atoms",
@@ -54,21 +53,9 @@ class LevyNoiseRealization:
     def __len__(self) -> int:
         return len(self.t)
 
-
-@dataclass
-class GaussianNoiseRealization:
-    """Grid of independent centered normals with variance dt * dx."""
-
-    increments: np.ndarray            # (time_steps, space_cells)
-    T: float
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.increments.shape[0]
-
-    @property
-    def dx(self) -> float:
-        return math.pi / self.increments.shape[1]
+    def jump_scale(self, normalization: str) -> float:
+        """Divisor of the marks: sigma(eps) for "model", sigma_retained for "retained"."""
+        return self.sigma if normalization == "model" else self.sigma_retained
 
 
 def simulate_levy_noise(
@@ -149,28 +136,19 @@ def auto_inner_cutoff(
     if not 0.0 < rho_budget < 1.0:
         raise ValueError("auto selection needs a dropped-variance budget in (0, 1)")
     var = measures.variance(model, eps)
+
+    def within(eta: float) -> bool:
+        return max(0.0, 1.0 - measures.restricted_moment2(model, eps, eta) / var) <= rho_budget
+
     sup = model.view(eps).support_sup
-
-    def dropped(eta: float) -> float:
-        return max(0.0, 1.0 - measures.restricted_moment2(model, eps, eta) / var)
-
-    hi = sup if math.isfinite(sup) else max(eps, 1.0)
-    lo = hi * 1e-18
-    if dropped(lo) > rho_budget:
-        raise BudgetExceededError(
-            f"even eta={lo:.3g} drops more variance than the budget {rho_budget:.3g}",
-            operation="auto_inner_cutoff",
-        )
-    if dropped(hi) <= rho_budget:
-        eta = hi
-    else:
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if dropped(mid) <= rho_budget:
-                lo = mid
-            else:
-                hi = mid
-        eta = lo
+    eta = sup if math.isfinite(sup) else max(eps, 1.0)
+    if not within(eta):
+        eta, _ = _log_bisect(within, eta)
+        if not within(eta):
+            raise BudgetExceededError(
+                f"even eta={eta:.3g} drops more variance than the budget {rho_budget:.3g}",
+                operation="auto_inner_cutoff",
+            )
     lam = measures.restricted_mass(model, eps, eta)
     if lam * T * math.pi > atom_cap:
         raise AtomCapExceededError(
@@ -199,30 +177,26 @@ def eta_for_atom_budget(
     if math.isfinite(lam(0.0)) and lam(0.0) <= target:
         return 0.0
     sup = model.view(eps).support_sup
-    hi = sup if math.isfinite(sup) else max(eps, 1.0)
+    return _log_bisect(lambda eta: lam(eta) > target, sup if math.isfinite(sup) else max(eps, 1.0))[1]
+
+
+def _log_bisect(below: Callable[[float], bool], hi: float) -> tuple[float, float]:
+    """Bracket (lo, hi) of the point where `below` turns from True to False.
+
+    `below` must be True for small eta and False at `hi`. The bracket starts
+    at lo = hi * 1e-18 and is halved 200 times on log eta. If `below(lo)` is
+    already False, both ends are lo.
+    """
     lo = hi * 1e-18
-    if lam(lo) <= target:
-        return lo
+    if not below(lo):
+        return lo, lo
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if lam(mid) > target:
+        if below(mid):
             lo = mid
         else:
             hi = mid
-    return hi
-
-
-def simulate_gaussian_noise(
-    T: float, time_steps: int, space_cells: int, rng: np.random.Generator
-) -> GaussianNoiseRealization:
-    """Grid of i.i.d. N(0, dt*dx) cell increments of space-time white noise."""
-    if time_steps < 1 or space_cells < 1:
-        raise ValueError("grid dimensions must be positive")
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    sd = math.sqrt((T / time_steps) * (math.pi / space_cells))
-    inc = rng.normal(0.0, sd, size=(time_steps, space_cells))
-    return GaussianNoiseRealization(increments=inc, T=T)
+    return lo, hi
 
 
 def dump_atoms(realization: LevyNoiseRealization, path: str) -> None:

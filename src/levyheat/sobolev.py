@@ -9,20 +9,17 @@ phibar_i(t) = sqrt(2/T) sin(i pi t / T).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import OutOfRangeError
 from .quadrature import gauss_legendre
-from .solver import FieldPath, phi_values
+from .solver import FieldPath, fit_coefficients, grid_index, phi_values
 
 __all__ = [
-    "SobolevVector",
     "dual_norm",
     "sobolev_norm",
-    "truncation_tail_bound",
     "pairing",
     "h_ij_closed_form",
     "h_ij_quadrature",
@@ -30,17 +27,6 @@ __all__ = [
     "space_time_parseval",
     "SmoothBump",
 ]
-
-
-@dataclass(frozen=True)
-class SobolevVector:
-    """Sine-coefficient vector tagged with its Sobolev order."""
-
-    coefficients: tuple[float, ...]
-    order: float
-
-    def norm(self) -> float:
-        return sobolev_norm(np.asarray(self.coefficients), self.order)
 
 
 def sobolev_norm(coefficients: np.ndarray, r: float) -> float:
@@ -59,32 +45,10 @@ def dual_norm(coefficients: np.ndarray, r: float) -> float:
     return sobolev_norm(coefficients, -r)
 
 
-def truncation_tail_bound(coefficients: np.ndarray, r: float, sup_tail: float) -> float:
-    """Bound on the dual-norm error of truncating at K, given |c_k| <= sup_tail for k > K."""
-    K = len(np.asarray(coefficients))
-    k = np.arange(K + 1, K + 100001, dtype=float)
-    return float(sup_tail * math.sqrt(np.sum((1.0 + k * k) ** (-r))))
-
-
 def pairing(path: FieldPath, t: float, phi_coefficients: np.ndarray) -> float:
     """<u(t, .), phi> = sum_k u_k(t) phihat_k for a stored instant t."""
-    c = np.asarray(phi_coefficients, dtype=float)
-    K = path.n_modes
-    if len(c) < K:
-        c = np.pad(c, (0, K - len(c)))
-    idx = _time_index(path, t)
-    return float(path.modes[idx] @ c[:K])
-
-
-def _time_index(path: FieldPath, t: float) -> int:
-    times = path.times
-    if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-        raise OutOfRangeError(f"t={t} outside the stored grid", operation="pairing")
-    idx = int(round((t - times[0]) / (times[1] - times[0])))
-    idx = min(max(idx, 0), len(times) - 1)
-    if abs(times[idx] - t) > 1e-9 * max(1.0, times[-1]):
-        raise OutOfRangeError(f"t={t} is not a grid instant", operation="pairing")
-    return idx
+    idx = grid_index(path, t, "pairing")
+    return float(path.modes[idx] @ fit_coefficients(phi_coefficients, path.n_modes))
 
 
 # ---------------------------------------------------------------------------

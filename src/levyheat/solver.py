@@ -49,10 +49,13 @@ __all__ = [
     "green_kernel",
     "simulate_path",
     "evaluate",
+    "grid_index",
+    "jump_log",
     "mode_decomposition_check",
     "factorization_check",
     "phi_values",
     "flat_coefficients",
+    "fit_coefficients",
     "flat_projection",
     "sine_series",
 ]
@@ -193,7 +196,6 @@ class FieldPath:
     times: np.ndarray                 # (steps+1,)
     modes: np.ndarray                 # (steps+1, K)
     config: SimConfig
-    stream_label: tuple = ()
     atom_log: "noise_mod.LevyNoiseRealization | None" = None
     f_at_atoms: np.ndarray | None = None  # f(u(t_j-, x_j)) recorded per atom
 
@@ -217,6 +219,14 @@ def flat_coefficients(n_modes: int) -> np.ndarray:
     """Sine coefficients of the constant function 1 on [0, pi]."""
     k = np.arange(1, n_modes + 1)
     return np.sqrt(2.0 / np.pi) * (1.0 - np.cos(k * np.pi)) / k
+
+
+def fit_coefficients(coefficients, n_modes: int) -> np.ndarray:
+    """Sine coefficients zero-padded or truncated to exactly `n_modes` entries."""
+    c = np.asarray(coefficients, dtype=float)
+    if len(c) < n_modes:
+        c = np.pad(c, (0, n_modes - len(c)))
+    return c[:n_modes]
 
 
 def sine_series(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -277,11 +287,11 @@ def green_kernel(t, x, y, n_modes: int):
 # path simulation
 # ---------------------------------------------------------------------------
 
-def simulate_path(config: SimConfig, rng: np.random.Generator, *, stream_label: tuple = ()) -> FieldPath:
+def simulate_path(config: SimConfig, rng: np.random.Generator) -> FieldPath:
     """Simulate one mild-solution path on the configured grid."""
     if config.noise.kind == "gaussian":
-        return _gaussian_path(config, rng, stream_label)
-    return _levy_path(config, rng, stream_label)
+        return _gaussian_path(config, rng)
+    return _levy_path(config, rng)
 
 
 def _initial_state(config: SimConfig) -> np.ndarray:
@@ -290,7 +300,7 @@ def _initial_state(config: SimConfig) -> np.ndarray:
     return np.asarray(config.initial, dtype=float).copy()
 
 
-def _gaussian_path(config, rng, stream_label):
+def _gaussian_path(config, rng):
     K, M, N = config.modes, config.collocation, config.steps
     dt = config.dt
     k2 = np.arange(1, K + 1, dtype=float) ** 2
@@ -320,10 +330,10 @@ def _gaussian_path(config, rng, stream_label):
             out[n + 1] = m
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError("non-finite mode in Gaussian path", operation="simulate_path")
-    return FieldPath(config.times(), out, config, stream_label, None, None)
+    return FieldPath(config.times(), out, config)
 
 
-def _levy_path(config, rng, stream_label):
+def _levy_path(config, rng):
     spec: LevyNoiseSpec = config.noise
     eta = spec.resolve_eta(config.T)
     real = noise_mod.simulate_levy_noise(
@@ -331,17 +341,16 @@ def _levy_path(config, rng, stream_label):
         rho_budget=spec.rho_budget, atom_cap=spec.atom_cap,
     )
     if config.f.is_constant:
-        return _levy_path_additive(config, real, stream_label)
-    return _levy_path_general(config, real, stream_label)
+        return _levy_path_additive(config, real)
+    return _levy_path_general(config, real)
 
 
-def _levy_path_additive(config, real, stream_label):
+def _levy_path_additive(config, real):
     """Constant-f branch: modes between atoms are pure exponential decay,
     so the grid trajectory is assembled per atom interval (vectorized), and
     the compensator drift telescopes to its closed form."""
-    spec: LevyNoiseSpec = config.noise
-    sigma_used = real.sigma if spec.normalization == "model" else real.sigma_retained
-    K, N = config.modes, config.steps
+    sigma_used = real.jump_scale(config.noise.normalization)
+    K = config.modes
     kvec = np.arange(1, K + 1, dtype=float)
     k2 = kvec**2
     times = config.times()
@@ -365,12 +374,11 @@ def _levy_path_additive(config, real, stream_label):
         out = out - rate * cval * flat[None, :] * (1.0 - np.exp(-np.outer(times, k2))) / k2[None, :]
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError("non-finite mode in Levy path", operation="simulate_path")
-    return FieldPath(times, out, config, stream_label, real, np.full(J, cval))
+    return FieldPath(times, out, config, real, np.full(J, cval))
 
 
-def _levy_path_general(config, real, stream_label):
-    spec: LevyNoiseSpec = config.noise
-    sigma_used = real.sigma if spec.normalization == "model" else real.sigma_retained
+def _levy_path_general(config, real):
+    sigma_used = real.jump_scale(config.noise.normalization)
     K, M, N = config.modes, config.collocation, config.steps
     dt = config.dt
     kvec = np.arange(1, K + 1, dtype=float)
@@ -386,15 +394,11 @@ def _levy_path_general(config, real, stream_label):
     out[0] = m
     t_atoms, x_atoms, z_atoms = real.t, real.x, real.z
     f_at = np.empty(len(t_atoms))
-    const_f = config.f.is_constant
-    if const_f:
-        cval = config.f.constant_value
-        D_flat = cval * flat_projection(K, M)
     j = 0
     times = config.times()
     for n in range(N):
         t0, t1 = times[n], times[n + 1]
-        if drift_rate != 0.0 and not const_f:
+        if drift_rate != 0.0:
             D = S @ (config.f(m @ S) * dx)  # step-start projection of f(u)
         t_cur = t0
         while j < len(t_atoms) and t_atoms[j] <= t1:
@@ -403,35 +407,33 @@ def _levy_path_general(config, real, stream_label):
                 m = m * np.exp(-k2 * (ta - t_cur))
                 t_cur = ta
             phik = np.sqrt(2.0 / np.pi) * np.sin(kvec * x_atoms[j])
-            if const_f:
-                fval = cval
-            else:
-                fval = float(config.f(float(m @ phik)))  # left limit u(t_j-, x_j)
+            fval = float(config.f(float(m @ phik)))  # left limit u(t_j-, x_j)
             f_at[j] = fval
             m = m + fval * (z_atoms[j] / sigma_used) * phik
             j += 1
         if t1 > t_cur:
             m = m * np.exp(-k2 * (t1 - t_cur))
         if drift_rate != 0.0:
-            m = m - drift_rate * (D_flat if const_f else D) * conv
+            m = m - drift_rate * D * conv
         if not np.all(np.isfinite(m)):
             raise NonFiniteStateError(f"non-finite mode at step {n + 1}", operation="simulate_path")
         out[n + 1] = m
-    return FieldPath(times, out, config, stream_label, real, f_at)
+    return FieldPath(times, out, config, real, f_at)
 
 
 # ---------------------------------------------------------------------------
 # evaluation and identity checks
 # ---------------------------------------------------------------------------
 
-def _grid_index(path: FieldPath, t: float, nearest: bool) -> int:
+def grid_index(path: FieldPath, t: float, operation: str, *, nearest: bool = False) -> int:
+    """Index of the stored instant t (or of the nearest one); errors name `operation`."""
     times = path.times
     if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-        raise OutOfRangeError(f"t={t} outside [0, {times[-1]}]", operation="evaluate")
+        raise OutOfRangeError(f"t={t} outside [0, {times[-1]}]", operation=operation)
     idx = int(round((t - times[0]) / (times[1] - times[0])))
     idx = min(max(idx, 0), len(times) - 1)
     if not nearest and abs(times[idx] - t) > 1e-9 * max(1.0, times[-1]):
-        raise OutOfRangeError(f"t={t} is not a grid instant", operation="evaluate")
+        raise OutOfRangeError(f"t={t} is not a grid instant", operation=operation)
     return idx
 
 
@@ -440,31 +442,28 @@ def evaluate(path: FieldPath, t: float, x, *, nearest: bool = False):
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0) or np.any(x_arr > np.pi):
         raise OutOfRangeError(f"x={x} outside [0, pi]", operation="evaluate")
-    idx = _grid_index(path, t, nearest)
+    idx = grid_index(path, t, "evaluate", nearest=nearest)
     coeff = path.modes[idx]
     vals = coeff @ phi_values(np.arange(1, path.n_modes + 1), x_arr)
     return vals if vals.shape else float(vals)
 
 
-def _atom_jump_scale(path: FieldPath):
+def jump_log(path: FieldPath, operation: str):
+    """(atom log, jump scale) of a Levy path; errors name `operation`."""
     real = path.atom_log
     if real is None:
-        raise MissingAtomLogError("operation requires a Levy path with an atom log")
-    spec: LevyNoiseSpec = path.config.noise
-    sigma_used = real.sigma if spec.normalization == "model" else real.sigma_retained
-    return real, sigma_used
+        raise MissingAtomLogError("needs a Levy path with an atom log", operation=operation)
+    return real, real.jump_scale(path.config.noise.normalization)
 
 
-def mode_decomposition_check(path: FieldPath, k: int, noise_log=None) -> float:
+def mode_decomposition_check(path: FieldPath, k: int) -> float:
     """Residual of  u_k(t) = X_t - k^2 int_0^t X_s e^{-k^2 (t-s)} ds.
 
     X is the compensated jump integral of f(u) phi_k against the driving
     noise, rebuilt from the atom log; the convolution uses trapezoidal
     quadrature on the stored grid, so the residual is O(dt).
     """
-    if noise_log is not None and path.atom_log is None:
-        path = replace_atom_log(path, noise_log)
-    real, sigma_used = _atom_jump_scale(path)
+    real, sigma_used = jump_log(path, "mode_decomposition_check")
     if not (1 <= k <= path.n_modes):
         raise ValueError(f"mode index {k} outside 1..{path.n_modes}")
     times = path.times
@@ -495,10 +494,6 @@ def mode_decomposition_check(path: FieldPath, k: int, noise_log=None) -> float:
     return float(np.max(np.abs(recon - path.modes[:, k - 1])))
 
 
-def replace_atom_log(path: FieldPath, noise_log) -> FieldPath:
-    return FieldPath(path.times, path.modes, path.config, path.stream_label, noise_log, path.f_at_atoms)
-
-
 def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, time_nodes: int = 256) -> float:
     """|factorization reconstruction - stored field| at (t, x).
 
@@ -510,15 +505,14 @@ def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, ti
     """
     if not (0.0 < delta < 0.25):
         raise InvalidDeltaError(f"delta must lie in (0, 1/4), got {delta}", operation="factorization_check")
-    real, sigma_used = _atom_jump_scale(path)
+    real, sigma_used = jump_log(path, "factorization_check")
     cfg = path.config
     if real.m_restricted != 0.0 and not cfg.f.is_constant:
         raise ConfigMismatchError(
             "factorization check supports asymmetric compensators only for constant f",
             operation="factorization_check",
         )
-    idx = _grid_index(path, t, nearest=False)
-    t = path.times[idx]
+    t = path.times[grid_index(path, t, "factorization_check")]
     if not 0.0 < t <= path.times[-1]:
         raise OutOfRangeError("need 0 < t <= T", operation="factorization_check")
     K = path.n_modes

@@ -29,16 +29,18 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import kolmogorov
 
-from .errors import ConfigMismatchError, EmptySampleError, MissingAtomLogError
-from .measures import LevyModel, ar_statistic
+from .errors import ConfigMismatchError, EmptySampleError
+from .measures import _TAIL_CAP, LevyModel, ar_statistic
 from .quadrature import gauss_legendre
 from .sobolev import SmoothBump
 from .solver import (
     FieldPath,
     LevyNoiseSpec,
     SimConfig,
+    fit_coefficients,
+    grid_index,
+    jump_log,
     phi_values,
-    simulate_path,
 )
 from . import noise as noise_mod
 from . import solver as solver_mod
@@ -55,7 +57,6 @@ __all__ = [
     "characteristics_estimate",
     "characteristics_sample",
     "TerminalFunctional",
-    "PathFunctional",
     "mode_functional",
     "point_functional",
     "bump_functional",
@@ -147,10 +148,7 @@ class MartingaleProbe:
     def coefficients(self, n_modes: int) -> np.ndarray:
         if isinstance(self.phi, SmoothBump):
             return self.phi.sine_coefficients(n_modes)
-        c = np.asarray(self.phi, dtype=float)
-        if len(c) < n_modes:
-            c = np.pad(c, (0, n_modes - len(c)))
-        return c[:n_modes]
+        return fit_coefficients(self.phi, n_modes)
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,7 @@ def _compensator_psi(model: LevyModel, eps: float, eta: float, amp_of_x: Callabl
     for seg in view._segments(floor=eta):
         neg = seg.hi <= 0
         lo, hi = (abs(seg.hi), abs(seg.lo)) if neg else (seg.lo, seg.hi)
-        hi = min(hi, 1e8)
+        hi = min(hi, _TAIL_CAP)
         n_panels = max(8, int(np.ceil(np.log10(hi / lo) * 8)))
         cuts = np.geomspace(lo, hi, n_panels + 1)
         zg, zw = np.polynomial.legendre.leggauss(16)
@@ -210,15 +208,6 @@ def _compensator_psi(model: LevyModel, eps: float, eta: float, amp_of_x: Callabl
     return complex(total)
 
 
-def _levy_meta(path: FieldPath):
-    real = path.atom_log
-    if real is None:
-        raise MissingAtomLogError("martingale diagnostics need Levy paths with atom logs")
-    spec: LevyNoiseSpec = path.config.noise
-    sigma_used = real.sigma if spec.normalization == "model" else real.sigma_retained
-    return real, spec, sigma_used
-
-
 def _probe_values_one_path(path: FieldPath, probe: MartingaleProbe, psi: complex,
                            coeffs: np.ndarray, coeffs_dd: np.ndarray):
     """Per-path (M_t - M_s, <u_s, phi>) for one probe.
@@ -227,7 +216,7 @@ def _probe_values_one_path(path: FieldPath, probe: MartingaleProbe, psi: complex
     containing atoms are re-integrated piecewise at the exact jump times by
     replaying the step from the recorded mode state.
     """
-    real, spec, sigma_used = _levy_meta(path)
+    real, sigma_used = jump_log(path, "martingale_residual")
     cfg = path.config
     times = path.times
     dt = times[1] - times[0]
@@ -271,11 +260,8 @@ def _probe_values_one_path(path: FieldPath, probe: MartingaleProbe, psi: complex
             acc += 0.5 * (t1 - t_cur) * (v_cur + v_new)
             piece[n] = acc
     cum = np.concatenate(([0.0 + 0.0j], np.cumsum(piece)))
-    i_s = int(round(probe.s / dt))
-    i_t = int(round(probe.t / dt))
-    for idx, tau in ((i_s, probe.s), (i_t, probe.t)):
-        if abs(times[idx] - tau) > 1e-9 * max(1.0, times[-1]):
-            raise ConfigMismatchError(f"probe time {tau} is not on the path grid")
+    i_s = grid_index(path, probe.s, "martingale_residual")
+    i_t = grid_index(path, probe.t, "martingale_residual")
     M_s = np.exp(1j * xi * F[i_s]) - cum[i_s]
     M_t = np.exp(1j * xi * F[i_t]) - cum[i_t]
     return M_t - M_s, F[i_s]
@@ -295,38 +281,30 @@ def martingale_residual(
     probes = list(probes)
     acc: list[list[list[complex]]] = [[[] for _ in p.conditioners] for p in probes]
     cfg_ref = None
-    psi_cache: dict[tuple, complex] = {}
-    coeffs = coeffs_dd = None
     n_paths = 0
     for path in paths:
         if cfg_ref is None:
+            # Psi depends on the shared configuration and the probe only
             cfg_ref = path.config
+            real, sigma_used = jump_log(path, "martingale_residual")
+            if not cfg_ref.f.is_constant:
+                raise ConfigMismatchError(
+                    "martingale_residual currently supports constant multipliers; "
+                    "use small path counts with the generic solver otherwise"
+                )
             K = path.n_modes
             coeffs = [p.coefficients(K) for p in probes]
             k2 = np.arange(1, K + 1, dtype=float) ** 2
             coeffs_dd = [-(k2) * c for c in coeffs]
+            cval = cfg_ref.f.constant_value
+            psis = [
+                _compensator_psi(cfg_ref.noise.model, real.eps, real.eta,
+                                 lambda x, c=c, xi=p.xi: xi * cval * (c @ phi_values(np.arange(1, K + 1), x))
+                                 / sigma_used)
+                for p, c in zip(probes, coeffs)
+            ]
         elif path.config != cfg_ref:
             raise ConfigMismatchError("all paths must share one configuration")
-        real, spec, sigma_used = _levy_meta(path)
-        psis = []
-        for p, c in zip(probes, coeffs):
-            key = (id(spec.model), real.eps, real.eta, p.xi, id(p.phi), sigma_used,
-                   cfg_ref.f.is_constant and cfg_ref.f.constant_value)
-            if key not in psi_cache:
-                if not cfg_ref.f.is_constant:
-                    raise ConfigMismatchError(
-                        "martingale_residual currently supports constant multipliers; "
-                        "use small path counts with the generic solver otherwise"
-                    )
-                cval = cfg_ref.f.constant_value
-                K = path.n_modes
-
-                def amp(x, c=c, cval=cval, su=sigma_used, p=p, K=K):
-                    phiK = c @ phi_values(np.arange(1, K + 1), x)
-                    return p.xi * cval * phiK / su
-
-                psi_cache[key] = _compensator_psi(spec.model, real.eps, real.eta, amp)
-            psis.append(psi_cache[key])
         per_probe = [
             _probe_values_one_path(path, p, psi, c, cd)
             for p, c, cd, psi in zip(probes, coeffs, coeffs_dd, psis)
@@ -366,12 +344,9 @@ def characteristics_estimate(path: FieldPath, phi_coefficients, h: float) -> Cha
     """Truncated quadratic variation, drift and big-jump count of <u, phi>."""
     if h <= 0:
         raise ValueError("truncation level h must be positive")
-    real, spec, sigma_used = _levy_meta(path)
+    real, sigma_used = jump_log(path, "characteristics_estimate")
     K = path.n_modes
-    c = np.asarray(phi_coefficients, dtype=float)
-    if len(c) < K:
-        c = np.pad(c, (0, K - len(c)))
-    c = c[:K]
+    c = fit_coefficients(phi_coefficients, K)
     phiK_at = c @ phi_values(np.arange(1, K + 1), real.x) if len(real.t) else np.empty(0)
     jumps = path.f_at_atoms * phiK_at * real.z / sigma_used if len(real.t) else np.empty(0)
     small = np.abs(jumps) <= h
@@ -382,7 +357,7 @@ def characteristics_estimate(path: FieldPath, phi_coefficients, h: float) -> Cha
     # drift: -int_0^t int x 1{|x|>h} nu(ds, dx), computed from the simulated measure
     if path.config.f.is_constant:
         cval = path.config.f.constant_value
-        rate = _big_jump_drift_rate(spec.model, real.eps, real.eta, c, cval / sigma_used, h)
+        rate = _big_jump_drift_rate(path.config.noise.model, real.eps, real.eta, c, cval / sigma_used, h)
         drift = -rate * path.times
     else:
         drift = np.full_like(path.times, np.nan)  # needs the random field; not estimated
@@ -410,12 +385,7 @@ def characteristics_sample(
     if spec.kind != "levy":
         raise ConfigMismatchError("characteristics need Levy noise")
     eta = spec.resolve_eta(config.T)
-    K = config.modes
-    c = np.asarray(phi_coefficients, dtype=float)
-    if len(c) < K:
-        c = np.pad(c, (0, K - len(c)))
-    c = c[:K]
-    kvec = np.arange(1, K + 1, dtype=float)
+    c = fit_coefficients(phi_coefficients, config.modes)
     cval = config.f.constant_value
     quad = np.empty(n_paths)
     bigs = np.empty(n_paths, dtype=int)
@@ -425,7 +395,7 @@ def characteristics_sample(
             spec.model, spec.eps, eta, config.T, rng,
             rho_budget=spec.rho_budget, atom_cap=spec.atom_cap,
         )
-        sigma_used = real.sigma if spec.normalization == "model" else real.sigma_retained
+        sigma_used = real.jump_scale(spec.normalization)
         if len(real.t):
             phiK = solver_mod.sine_series(c, real.x)
             jumps = cval * phiK * real.z / sigma_used
@@ -469,14 +439,6 @@ class TerminalFunctional:
 
     name: str
     coefficients: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class PathFunctional:
-    """Generic functional of a full path (slow route)."""
-
-    name: str
-    fn: Callable[[FieldPath], float]
 
 
 def mode_functional(k: int, n_modes: int, name: str | None = None) -> TerminalFunctional:
@@ -611,7 +573,7 @@ def _terminal_block(args) -> dict[str, np.ndarray]:
             spec.model, spec.eps, eta, T, rng,
             rho_budget=spec.rho_budget, atom_cap=spec.atom_cap,
         )
-        sigma_used = real.sigma if spec.normalization == "model" else real.sigma_retained
+        sigma_used = real.jump_scale(spec.normalization)
         rate = real.m_restricted / sigma_used
         for f, c, dr, it in zip(functionals, coeff_rows, drifts, init_terms):
             w = _terminal_kernel_weights(c, T, real.t, real.x)
@@ -622,7 +584,7 @@ def _terminal_block(args) -> dict[str, np.ndarray]:
 def dichotomy_experiment(
     models: Sequence[LevyModel],
     eps_grid: Sequence[float],
-    functionals: Sequence[TerminalFunctional | PathFunctional],
+    functionals: Sequence[TerminalFunctional],
     config: SimConfig,
     path_count: int,
     seed: int,
@@ -636,33 +598,21 @@ def dichotomy_experiment(
     `config` provides the solver resolution, multiplier and noise budgets;
     its noise model/eps are replaced per cell.
     """
-    gauss_cfg = replace(config, noise=solver_mod.GaussianNoiseSpec())
-    terminal = [f for f in functionals if isinstance(f, TerminalFunctional)]
-    path_fns = [f for f in functionals if isinstance(f, PathFunctional)]
-    ref: dict[str, np.ndarray] = {}
-    if terminal:
-        ref.update(collect_terminal_samples(gauss_cfg, terminal, path_count, seed,
-                                            purpose="gauss_ref", workers=workers))
-    if path_fns:
-        ref.update(_path_fn_samples(gauss_cfg, path_fns, path_count, seed, "gauss_ref_path"))
-    rows = []
     base_spec: LevyNoiseSpec = config.noise
     if base_spec.kind != "levy":
         raise ConfigMismatchError("dichotomy config must carry a Levy noise spec as template")
+    gauss_cfg = replace(config, noise=solver_mod.GaussianNoiseSpec())
+    ref = collect_terminal_samples(gauss_cfg, functionals, path_count, seed,
+                                   purpose="gauss_ref", workers=workers)
+    rows = []
     for model in models:
         for eps in eps_grid:
             spec = replace(base_spec, model=model, eps=eps)
             cell_cfg = replace(config, noise=spec)
             ar_val = ar_statistic(model, eps, kappa_ref)
-            samples: dict[str, np.ndarray] = {}
-            if terminal:
-                samples.update(collect_terminal_samples(
-                    cell_cfg, terminal, path_count, seed,
-                    purpose=f"levy:{model.name}:{eps:.6g}", workers=workers))
-            if path_fns:
-                samples.update(_path_fn_samples(cell_cfg, path_fns, path_count, seed,
-                                                f"levy_path:{model.name}:{eps:.6g}"))
-            for f in list(terminal) + list(path_fns):
+            samples = collect_terminal_samples(cell_cfg, functionals, path_count, seed,
+                                               purpose=f"levy:{model.name}:{eps:.6g}", workers=workers)
+            for f in functionals:
                 d, p = ks_two_sample(samples[f.name], ref[f.name])
                 e = ecf_distance(samples[f.name], ref[f.name], ecf_grid)
                 n, m = len(samples[f.name]), len(ref[f.name])
@@ -670,11 +620,3 @@ def dichotomy_experiment(
                 rows.append(DichotomyRow(model.name, eps, kappa_ref, ar_val, f.name, d, p, e, n, se))
     return ComparisonReport(rows)
 
-
-def _path_fn_samples(config, path_fns, n_paths, seed, purpose) -> dict[str, np.ndarray]:
-    out = {f.name: np.empty(n_paths) for f in path_fns}
-    for i in range(n_paths):
-        path = simulate_path(config, stream(seed, i, purpose), stream_label=(seed, i, purpose))
-        for f in path_fns:
-            out[f.name][i] = f.fn(path)
-    return out

@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+__all__ = ["stream"]
+
 
 def _tag_to_int(tag: str) -> int:
     return int.from_bytes(hashlib.blake2s(tag.encode("utf-8"), digest_size=8).digest(), "little")
@@ -22,8 +24,3 @@ def stream(base_seed: int, path_index: int = 0, purpose: str = "") -> np.random.
     ss = np.random.SeedSequence(entropy=[int(base_seed) & (2**64 - 1), int(path_index), _tag_to_int(purpose)])
     return np.random.Generator(np.random.Philox(ss))
 
-
-def substream_seeds(base_seed: int, purpose: str, count: int) -> np.ndarray:
-    """Derive `count` child seeds for worker fan-out (one per path block)."""
-    root = np.random.SeedSequence(entropy=[int(base_seed) & (2**64 - 1), _tag_to_int(purpose)])
-    return root.generate_state(count, dtype=np.uint64)

@@ -114,42 +114,6 @@ def test_eta_for_atom_budget(stable_model):
     assert lh.eta_for_atom_budget(cp, 2.0, 1.0, 100.0) == 0.0
 
 
-def test_gaussian_noise_invariants():
-    rng = stream(77, 0, "gauss")
-    real = lh.simulate_gaussian_noise(1.0, 64, 32, rng)
-    inc = real.increments
-    assert inc.shape == (64, 32)
-    var_target = real.dt * real.dx
-    n = inc.size
-    assert abs(inc.mean()) <= 3.0 * math.sqrt(var_target / n)
-    assert inc.var() == pytest.approx(var_target, rel=0.15)
-    # determinism
-    real2 = lh.simulate_gaussian_noise(1.0, 64, 32, stream(77, 0, "gauss"))
-    assert np.array_equal(inc, real2.increments)
-
-
-def test_gaussian_single_cell_variance():
-    # one cell of size 1 x pi -> single normal with variance pi
-    n = 20_000
-    vals = np.array([
-        lh.simulate_gaussian_noise(1.0, 1, 1, stream(78, i, "gauss")).increments[0, 0]
-        for i in range(n)
-    ])
-    se = math.sqrt(2.0 / (n - 1)) * math.pi
-    assert vals.var(ddof=1) == pytest.approx(math.pi, abs=3 * se)
-
-
-def test_gaussian_disjoint_cells_uncorrelated():
-    n = 10_000
-    a = np.empty(n)
-    b = np.empty(n)
-    for i in range(n):
-        inc = lh.simulate_gaussian_noise(1.0, 1, 2, stream(79, i, "gauss")).increments
-        a[i], b[i] = inc[0, 0], inc[0, 1]
-    r = np.corrcoef(a, b)[0, 1]
-    assert abs(r) <= 3.0 / math.sqrt(n)
-
-
 def test_atom_dump_roundtrip(tmp_path, gamma_model):
     real = lh.simulate_levy_noise(gamma_model, 0.1, 2e-3, 1.0, stream(5, 0, "atoms"))
     fp = tmp_path / "atoms.bin"

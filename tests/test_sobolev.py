@@ -56,15 +56,6 @@ def test_embedding_chain():
         assert lh.sobolev_norm(v, -r) <= l2 <= lh.sobolev_norm(v, q)
 
 
-def test_sobolev_vector_container():
-    vec = lh.SobolevVector((1.0, 0.5), order=-1.0)
-    assert vec.norm() == pytest.approx(lh.sobolev_norm(np.array([1.0, 0.5]), -1.0))
-
-
-# ---------------------------------------------------------------------------
-# pairing
-# ---------------------------------------------------------------------------
-
 def test_pairing_orthonormality(cp_symmetric):
     cfg = small_sim(cp_symmetric, 2.0, 0.0)
     path = lh.simulate_path(cfg, stream(8, 0, "t"))
