@@ -545,21 +545,20 @@ class LevyModel:
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_lock", threading.RLock())
 
+    def memo(self, key: tuple, build: Callable[[], object]):
+        """The value cached for this model under `key`; `build()` runs once per key."""
+        with self._lock:
+            if key not in self._cache:
+                self._cache[key] = build()
+            return self._cache[key]
+
     def view(self, eps: float) -> _View:
         if not eps > 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
-        key = ("view", eps)
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = _View(self, eps)
-            return self._cache[key]
+        return self.memo(("view", eps), lambda: _View(self, eps))
 
     def sampler(self, eps: float, eta: float) -> _MarkSampler:
-        key = ("sampler", eps, eta)
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = _MarkSampler(self.view(eps), eta)
-            return self._cache[key]
+        return self.memo(("sampler", eps, eta), lambda: _MarkSampler(self.view(eps), eta))
 
 
 def variance(model: LevyModel, eps: float, method: str = "auto") -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import gammainc, gamma as gamma_fn
@@ -145,13 +145,15 @@ class LevyNoiseSpec:
             raise ValueError(f"string eta must look like 'atoms:<count>', got {self.eta!r}")
 
     def resolve_eta(self, T: float) -> float:
+        """Inner cutoff at horizon T; a searched cutoff is computed once per spec value."""
         if self.eta is None:
-            return noise_mod.auto_inner_cutoff(
-                self.model, self.eps, T, rho_budget=self.rho_budget, atom_cap=self.atom_cap
-            )
-        if isinstance(self.eta, str):
-            return noise_mod.eta_for_atom_budget(self.model, self.eps, T, float(self.eta[6:]))
-        return float(self.eta)
+            search = partial(noise_mod.auto_inner_cutoff, self.model, self.eps, T,
+                             rho_budget=self.rho_budget, atom_cap=self.atom_cap)
+        elif isinstance(self.eta, str):
+            search = partial(noise_mod.eta_for_atom_budget, self.model, self.eps, T, float(self.eta[6:]))
+        else:
+            return float(self.eta)
+        return self.model.memo(("eta", self.eps, self.eta, self.rho_budget, self.atom_cap, T), search)
 
 
 @dataclass(frozen=True)
@@ -520,19 +522,13 @@ def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, ti
     k2 = kvec**2
 
     s_grid = np.linspace(0.0, t, time_nodes + 1)
-    # Y modes on the sub-grid: jump part
-    tj, xj, zj = real.t, real.x, real.z
-    keep = tj < t
-    tj, xj, zj, fj = tj[keep], xj[keep], zj[keep], path.f_at_atoms[keep]
+    # Y modes on the sub-grid, one node at a time (memory O(K J)): jump part
+    # over the atoms before each node, which form a prefix of the sorted log
+    amp = path.f_at_atoms * real.z / sigma_used * phi_values(kvec, real.x)  # (K, J)
     Y = np.zeros((len(s_grid), K))
-    if len(tj):
-        gaps = s_grid[:, None] - tj[None, :]          # (S, J)
-        mask = gaps > 0.0
-        gp = np.where(mask, gaps, 1.0)
-        kern = np.exp(-np.einsum("k,sj->skj", k2, gp, optimize=True))
-        sing = np.where(mask, gp**(-delta), 0.0)
-        amp = fj * zj / sigma_used * phi_values(kvec, xj)  # (K, J)
-        Y = np.einsum("skj,sj,kj->sk", kern, sing * mask, amp, optimize=True)
+    for i, n in enumerate(np.searchsorted(real.t, s_grid, side="left")):
+        gap = s_grid[i] - real.t[:n]
+        Y[i] = (amp[:, :n] * np.exp(-np.outer(k2, gap))) @ gap ** -delta
     if real.m_restricted != 0.0:
         # closed-form compensator part for constant f:
         # (m/sigma) c <1, phi_k> int_0^s e^{-k^2 (s-r)} (s-r)^{-delta} dr

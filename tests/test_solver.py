@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gamma as gamma_fn, gammainc
 
 import levyheat as lh
+from levyheat import noise
 from levyheat.errors import (
     InvalidDeltaError,
     MissingAtomLogError,
@@ -268,3 +271,72 @@ def test_factorization_refines(gamma_model):
     r1 = lh.factorization_check(path, 0.2, 0.75, 1.3, time_nodes=192)
     r2 = lh.factorization_check(path, 0.2, 0.75, 1.3, time_nodes=384)
     assert r1 / r2 >= 1.5
+
+
+def _factorization_tensor_reference(path, delta, t, x, time_nodes):
+    """The factorization check as one (time_nodes+1) x K x J tensor (the former formula)."""
+    real, sigma = path.atom_log, path.atom_log.sigma
+    K = path.n_modes
+    kvec = np.arange(1, K + 1, dtype=float)
+    k2 = kvec ** 2
+    s_grid = np.linspace(0.0, t, time_nodes + 1)
+    keep = real.t < t
+    tj, xj, zj, fj = real.t[keep], real.x[keep], real.z[keep], path.f_at_atoms[keep]
+    gaps = s_grid[:, None] - tj[None, :]
+    mask = gaps > 0.0
+    gp = np.where(mask, gaps, 1.0)
+    kern = np.exp(-np.einsum("k,sj->skj", k2, gp, optimize=True))
+    sing = np.where(mask, gp ** (-delta), 0.0)
+    amp = fj * zj / sigma * phi_values(kvec, xj)
+    Y = np.einsum("skj,sj,kj->sk", kern, sing * mask, amp, optimize=True)
+    cflat = path.config.f.constant_value * flat_projection(K, path.config.collocation)
+    sc = s_grid[:, None] * k2[None, :]
+    part = gamma_fn(1.0 - delta) * gammainc(1.0 - delta, sc) * k2[None, :] ** (delta - 1.0)
+    Y = Y - real.m_restricted / sigma * cflat[None, :] * part
+    a, b = t - s_grid[:-1], t - s_grid[1:]
+    g = np.exp(-np.outer(t - s_grid[:-1], k2)) * Y[:-1]
+    recon_modes = (math.sin(delta * math.pi) / math.pi) * (((a ** delta - b ** delta) / delta) @ g)
+    recon = float(recon_modes @ phi_values(kvec, np.atleast_1d(x))[:, 0])
+    return abs(recon - lh.evaluate(path, t, x))
+
+
+def test_factorization_matches_tensor_reference(gamma_model):
+    # asymmetric gamma noise, so the compensator part is exercised too; ~430 atoms
+    cfg = small_sim(gamma_model, 0.5, 1e-60, steps=1024, modes=32, collocation=128, rho=1.0)
+    path = lh.simulate_path(cfg, stream(2, 0, "atoms"))
+    assert len(path.atom_log) > 200
+    for t, x in ((0.75, 1.3), (0.5, 2.0), (1.0, 0.9)):
+        for nodes in (64, 192):
+            want = _factorization_tensor_reference(path, 0.2, t, x, nodes)
+            got = lh.factorization_check(path, 0.2, t, x, time_nodes=nodes)
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_factorization_memory_bounded_in_atoms(stable_model):
+    cfg = small_sim(stable_model, 0.1, "atoms:4000", steps=1024, modes=32, collocation=128, rho=1.0)
+    path = lh.simulate_path(cfg, stream(3, 0, "big"))
+    assert len(path.atom_log) > 3500
+    tracemalloc.start()
+    try:
+        lh.factorization_check(path, 0.2, 0.75, 1.3, time_nodes=384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the tensor form needs ~300 MB here
+    assert peak < 50e6
+
+
+def test_eta_resolved_once_per_spec(monkeypatch):
+    calls = []
+    search = noise.eta_for_atom_budget
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return search(*args, **kw)
+
+    monkeypatch.setattr(noise, "eta_for_atom_budget", counted)
+    model = lh.LevyModel(lh.GammaSubordinator())  # a fresh model caches nothing yet
+    cfg = small_sim(model, 0.1, "atoms:50", steps=64, modes=8, collocation=32)
+    for i in range(3):
+        lh.simulate_path(cfg, stream(4, i, "atoms"))
+    assert len(calls) == 1
