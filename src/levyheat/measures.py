@@ -291,8 +291,6 @@ class _View:
                 if a == 0.0:
                     return math.inf
                 return float(exp1(a) - exp1(eps))
-            if p == 2.0:
-                return (1.0 + a) * math.exp(-a) - (1.0 + eps) * math.exp(-eps)
             # int_a^eps z^(p-1) e^-z dz via regularized lower incomplete gamma
             return float(gamma_fn(p) * (gammainc(p, eps) - gammainc(p, a)))
         if isinstance(b, SymmetricStable):

@@ -10,6 +10,7 @@ come from the tabulated inverse CDF of the normalized restriction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -184,12 +185,16 @@ def _log_bisect(below: Callable[[float], bool], hi: float) -> tuple[float, float
     """Bracket (lo, hi) of the point where `below` turns from True to False.
 
     `below` must be True for small eta and False at `hi`. The bracket starts
-    at lo = hi * 1e-18 and is halved 200 times on log eta. If `below(lo)` is
-    already False, both ends are lo.
+    at lo = hi * 1e-18; while `below(lo)` is False, lo moves down by that
+    factor, stopping at the smallest normal double. The bracket is then
+    halved 200 times on log eta. If `below` is False even at the smallest
+    normal double, both ends are that double.
     """
     lo = hi * 1e-18
-    if not below(lo):
-        return lo, lo
+    while not below(lo):
+        if lo == sys.float_info.min:
+            return lo, lo
+        lo = max(lo * 1e-18, sys.float_info.min)
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         if below(mid):

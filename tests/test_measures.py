@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 import levyheat as lh
 from levyheat.errors import (
@@ -34,6 +35,11 @@ def test_variance_gamma_closed_vs_quadrature(gamma_model):
         closed = lh.variance(gamma_model, eps)
         assert closed == pytest.approx(1.0 - math.exp(-eps) * (1.0 + eps), rel=1e-12)
         assert lh.variance(gamma_model, eps, method="quadrature") == pytest.approx(closed, rel=1e-8)
+
+
+def test_variance_gamma_small_eps_no_cancellation(gamma_model):
+    # int_0^eps z e^{-z} dz is the regularized lower incomplete gamma P(2, eps)
+    assert lh.variance(gamma_model, 1e-5) == pytest.approx(gammainc(2.0, 1e-5), rel=1e-12, abs=0.0)
 
 
 def test_variance_compound_poisson_single_atom(cp_unit):

@@ -114,6 +114,13 @@ def test_eta_for_atom_budget(stable_model):
     assert lh.eta_for_atom_budget(cp, 2.0, 1.0, 100.0) == 0.0
 
 
+def test_eta_for_atom_budget_below_search_floor(gamma_model):
+    # gamma needs eta ~ 2e-28 * eps for 200 atoms, below the initial bracket eps * 1e-18
+    for eps in (1e-1, 1e-2, 1e-3):
+        eta = lh.eta_for_atom_budget(gamma_model, eps, 1.0, 200.0)
+        assert math.pi * lh.restricted_mass(gamma_model, eps, eta) == pytest.approx(200.0, rel=1e-9)
+
+
 def test_atom_dump_roundtrip(tmp_path, gamma_model):
     real = lh.simulate_levy_noise(gamma_model, 0.1, 2e-3, 1.0, stream(5, 0, "atoms"))
     fp = tmp_path / "atoms.bin"

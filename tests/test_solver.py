@@ -309,7 +309,7 @@ def test_factorization_matches_tensor_reference(gamma_model):
         for nodes in (64, 192):
             want = _factorization_tensor_reference(path, 0.2, t, x, nodes)
             got = lh.factorization_check(path, 0.2, t, x, time_nodes=nodes)
-            assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_factorization_memory_bounded_in_atoms(stable_model):
