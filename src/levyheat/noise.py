@@ -178,7 +178,8 @@ def eta_for_atom_budget(
     if math.isfinite(lam(0.0)) and lam(0.0) <= target:
         return 0.0
     sup = model.view(eps).support_sup
-    return _log_bisect(lambda eta: lam(eta) > target, sup if math.isfinite(sup) else max(eps, 1.0))[1]
+    hi = sup if math.isfinite(sup) else max(eps, 1.0)
+    return _log_bisect(lambda eta: lam(eta) > target, hi)[1]
 
 
 def _log_bisect(below: Callable[[float], bool], hi: float) -> tuple[float, float]:
