@@ -14,6 +14,11 @@ phi_k(x) = sqrt(2/pi) sin(kx).  The heat semigroup acts diagonally
   evaluated by the truncated sine series. Asymmetric measures subtract the
   restricted-mean compensator once per step using the step-start field.
 
+For constant f the field is linear in the atoms,
+u_k(t) = sum_{t_j <= t} a_j phi_k(x_j) e^{-k^2 (t - t_j)} minus the drift, and
+one atom kernel (_mode_rows, _atom_kernel, _atom_states) evaluates it for the
+additive path, the terminal pairings and the martingale replay.
+
 Identity checks (semimartingale mode decomposition, factorization-method
 reconstruction) replay the recorded atom log.
 """
@@ -58,7 +63,15 @@ __all__ = [
     "fit_coefficients",
     "flat_projection",
     "sine_series",
+    "atom_steps",
 ]
+
+# atoms per block of the atom kernels (_atom_kernel, _atom_states): their
+# temporaries are O(K * _ATOM_BLOCK) floats whatever the atom count
+_ATOM_BLOCK = 2**14
+# largest exponent k^2 (t_i - t_c) inside one scan chunk of _atom_states
+# (e^512 ~ 1e222, far from overflow)
+_SCAN_GROWTH = 512.0
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +250,119 @@ def sine_series(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
     Equivalent to coefficients @ phi_values(...) but O(K) numpy passes instead
     of K x len(x) transcendental calls; rounding differs at ~1e-14.
     """
-    c = np.asarray(coefficients, dtype=float)
-    x = np.asarray(x, dtype=float)
-    s_prev = np.zeros_like(x)
-    s_cur = np.sin(x)
-    two_cos = 2.0 * np.cos(x)
-    out = c[0] * s_cur if len(c) else np.zeros_like(x)
-    for k in range(1, len(c)):
-        s_prev, s_cur = s_cur, two_cos * s_cur - s_prev
-        if c[k] != 0.0:
-            out = out + c[k] * s_cur
-    return np.sqrt(2.0 / np.pi) * out
+    return _atom_kernel(coefficients, np.asarray(x, dtype=float), None)[0]
+
+
+def _mode_rows(x, tau, kmax: int):
+    """Yield sin(kx) e^{-k^2 tau} for k = 1..kmax, elementwise over atoms.
+
+    Either factor may be left out by passing None. sin(kx) follows the
+    two-term recurrence sin((k+1)x) = 2 cos(x) sin(kx) - sin((k-1)x), and
+    e^{-k^2 tau} = e^{-(k-1)^2 tau} e^{-(2k-1) tau} with e^{-(2k-1) tau}
+    advanced by the factor e^{-2 tau}: three transcendental calls per atom
+    for any number of modes. A yielded row is overwritten by the next one.
+    """
+    if x is not None:
+        s_prev = np.zeros_like(x)
+        s_cur = np.sin(x)
+        two_cos = 2.0 * np.cos(x) if kmax > 1 else None
+    if tau is not None:
+        odd = np.exp(-tau)                  # e^{-(2k-1) tau}
+        decay = odd.copy() if kmax > 1 else odd  # e^{-k^2 tau}
+        step = odd * odd if kmax > 1 else None
+    for k in range(1, kmax + 1):
+        if k > 1:
+            if x is not None:
+                s_prev, s_cur = s_cur, two_cos * s_cur - s_prev
+            if tau is not None:
+                odd *= step
+                decay *= odd
+        if tau is None:
+            yield s_cur
+        elif x is None:
+            yield decay
+        else:
+            yield s_cur * decay
+
+
+def _atom_kernel(coeffs, x, tau) -> np.ndarray:
+    """w[p, j] = sum_k coeffs[p, k-1] phi_k(x_j) e^{-k^2 tau_j} for every atom j.
+
+    `coeffs` holds one row of sine coefficients per output row; modes above
+    the highest nonzero column are never formed. Passing x or tau as None
+    leaves out phi_k(x) or e^{-k^2 tau}. Atoms are taken _ATOM_BLOCK at a
+    time, so the temporaries are O(rows * _ATOM_BLOCK) floats.
+    """
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    n = len(x if tau is None else tau)
+    out = np.zeros((len(coeffs), n))
+    nonzero = coeffs.any(axis=0)
+    if not nonzero.any():
+        return out
+    kmax = np.flatnonzero(nonzero)[-1] + 1
+    for lo in range(0, n, _ATOM_BLOCK):
+        part = slice(lo, lo + _ATOM_BLOCK)
+        block = out[:, part]
+        modes = _mode_rows(None if x is None else x[part], None if tau is None else tau[part], kmax)
+        for k, row in enumerate(modes):
+            if nonzero[k]:
+                block += coeffs[:, k, None] * row
+    if x is not None:
+        out *= np.sqrt(2.0 / np.pi)
+    return out
+
+
+def _atom_states(t, x, a, m0, proj=None) -> np.ndarray:
+    """Mode states of the atom field m(t) = e^{-k^2 t} m0 + sum_{t_j <= t} a_j phi_k(x_j) e^{-k^2 (t - t_j)}.
+
+    Column 0 is m0 (time 0) and column j + 1 the state right after atom j,
+    so the result is (K, J + 1); with `proj` (K x P) every state is
+    projected, proj.T @ state. Atoms (sorted by time) are scanned in chunks:
+    inside a chunk that starts at atom c,
+    m(t_j) = e^{-k^2 (t_j - t_c)} (m(t_c-) + sum_{c <= i <= j} a_i phi_k(x_i) e^{k^2 (t_i - t_c)}).
+    A chunk ends after _ATOM_BLOCK atoms, or before K^2 (t_i - t_c) exceeds
+    _SCAN_GROWTH, so no growth factor exceeds e^{_SCAN_GROWTH}; the state is
+    carried from chunk to chunk by decay factors only.
+    """
+    m = np.asarray(m0, dtype=float)
+    K = len(m)
+    k2 = np.arange(1, K + 1, dtype=float) ** 2
+    J = len(t)
+    out = np.empty((K if proj is None else proj.shape[1], J + 1))
+    out[:, 0] = m if proj is None else m @ proj
+    t_prev = 0.0
+    span = _SCAN_GROWTH / (K * K)
+    for lo in range(0, J, _ATOM_BLOCK):
+        part = slice(lo, lo + _ATOM_BLOCK)
+        tb = t[part]
+        starts = [0]
+        while (nxt := int(np.searchsorted(tb, tb[starts[-1]] + span, side="right"))) < len(tb):
+            starts.append(nxt)
+        ends = starts[1:] + [len(tb)]
+        since = tb - np.repeat(tb[starts], np.subtract(ends, starts))  # time since the chunk start
+        acc = out[:, lo + 1:lo + 1 + len(tb)] if proj is None else np.empty((K, len(tb)))
+        amp = np.sqrt(2.0 / np.pi) * a[part]
+        for row, grow in zip(acc, _mode_rows(x[part], -since, K)):
+            np.multiply(grow, amp, out=row)
+        for c0, c1 in zip(starts, ends):
+            chunk = acc[:, c0:c1]
+            np.cumsum(chunk, axis=1, out=chunk)
+            m = m * np.exp(-k2 * (tb[c0] - t_prev))  # carried state at the chunk start
+            chunk += m[:, None]
+            m, t_prev = chunk[:, -1] * np.exp(-k2 * since[c1 - 1]), tb[c1 - 1]
+        for row, decay in zip(acc, _mode_rows(None, since, K)):
+            row *= decay
+        if proj is not None:
+            out[:, lo + 1:lo + 1 + len(tb)] = proj.T @ acc
+    return out
+
+
+def atom_steps(times: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Grid step n of each atom time, times[n] < t <= times[n+1] (t = times[0] in step 0).
+
+    The one step-assignment rule of the solver, the kernel and the replay.
+    """
+    return np.clip(np.searchsorted(times, t, side="left") - 1, 0, len(times) - 2)
 
 
 @lru_cache(maxsize=16)
@@ -348,32 +463,30 @@ def _levy_path(config, rng):
 
 
 def _levy_path_additive(config, real):
-    """Constant-f branch: modes between atoms are pure exponential decay,
-    so the grid trajectory is assembled per atom interval (vectorized), and
-    the compensator drift telescopes to its closed form."""
+    """Constant-f branch: the states right after each atom come from the atom
+    kernel, the grid trajectory decays them to the grid instants, and the
+    compensator drift telescopes to its closed form."""
     sigma_used = real.jump_scale(config.noise.normalization)
     K = config.modes
-    kvec = np.arange(1, K + 1, dtype=float)
-    k2 = kvec**2
+    k2 = np.arange(1, K + 1, dtype=float) ** 2
     times = config.times()
     cval = config.f.constant_value
-    tj, xj, zj = real.t, real.x, real.z
+    tj = real.t
     J = len(tj)
-    # states right after each atom (index 0 = initial state at time 0)
-    states = np.empty((J + 1, K))
-    states[0] = _initial_state(config)
-    ev_times = np.concatenate(([0.0], tj))
-    for j in range(J):
-        gap = ev_times[j + 1] - ev_times[j]
-        phik = np.sqrt(2.0 / np.pi) * np.sin(kvec * xj[j])
-        states[j + 1] = states[j] * np.exp(-k2 * gap) + cval * (zj[j] / sigma_used) * phik
+    # states right after each atom (column 0 = initial state at time 0)
+    states = _atom_states(tj, real.x, cval * (real.z / sigma_used), _initial_state(config))
+    # each grid instant takes the last state before it, decayed by the gap
     last = np.searchsorted(tj, times, side="right")
-    gaps = times - ev_times[last]
-    out = states[last] * np.exp(-np.outer(gaps, k2))
+    gaps = times - np.concatenate(([0.0], tj))[last]
+    grid = states[:, last]
+    for row, decay in zip(grid, _mode_rows(None, gaps, K)):
+        row *= decay
     if real.m_restricted != 0.0:
         rate = real.m_restricted / sigma_used
-        flat = flat_projection(K, config.collocation)
-        out = out - rate * cval * flat[None, :] * (1.0 - np.exp(-np.outer(times, k2))) / k2[None, :]
+        drift = rate * cval * flat_projection(K, config.collocation) / k2
+        for row, d, decay in zip(grid, drift, _mode_rows(None, times, K)):
+            row -= d * (1.0 - decay)
+    out = np.ascontiguousarray(grid.T)
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError("non-finite mode in Levy path", operation="simulate_path")
     return FieldPath(times, out, config, real, np.full(J, cval))
@@ -398,12 +511,14 @@ def _levy_path_general(config, real):
     f_at = np.empty(len(t_atoms))
     j = 0
     times = config.times()
+    # first atom after each step
+    step_end = np.searchsorted(atom_steps(times, t_atoms), np.arange(N), side="right")
     for n in range(N):
         t0, t1 = times[n], times[n + 1]
         if drift_rate != 0.0:
             D = S @ (config.f(m @ S) * dx)  # step-start projection of f(u)
         t_cur = t0
-        while j < len(t_atoms) and t_atoms[j] <= t1:
+        while j < step_end[n]:
             ta = t_atoms[j]
             if ta > t_cur:
                 m = m * np.exp(-k2 * (ta - t_cur))

@@ -208,63 +208,68 @@ def _compensator_psi(model: LevyModel, eps: float, eta: float, amp_of_x: Callabl
     return complex(total)
 
 
-def _probe_values_one_path(path: FieldPath, probe: MartingaleProbe, psi: complex,
-                           coeffs: np.ndarray, coeffs_dd: np.ndarray):
-    """Per-path (M_t - M_s, <u_s, phi>) for one probe.
+def _probe_values(path: FieldPath, probes: Sequence[MartingaleProbe], psis: Sequence[complex],
+                  coeffs: Sequence[np.ndarray], coeffs_dd: Sequence[np.ndarray]):
+    """Per-path (M_t - M_s, <u_s, phi>) for each probe.
 
     The ds-integral uses trapezoidal quadrature on the stored grid; steps
-    containing atoms are re-integrated piecewise at the exact jump times by
-    replaying the step from the recorded mode state.
+    containing atoms are integrated piecewise at the exact jump times, from
+    the left and right limits of <u, phi> and <u, phi''> at the atoms. The
+    atom kernel gives the limits in one pass for all probes; as in the solver,
+    a step's compensator drift is subtracted at its end.
     """
     real, sigma_used = jump_log(path, "martingale_residual")
     cfg = path.config
     times = path.times
     dt = times[1] - times[0]
-    kvec = np.arange(1, path.n_modes + 1, dtype=float)
-    k2 = kvec**2
-    F = path.modes @ coeffs
-    D = path.modes @ coeffs_dd
-    fvals = path.f_at_atoms
-    drift_rate = real.m_restricted / sigma_used
-    drift_vec = None
-    if drift_rate != 0.0 and cfg.f.is_constant:
-        drift_vec = (drift_rate * cfg.f.constant_value
-                     * solver_mod.flat_projection(path.n_modes, cfg.collocation)
-                     * (1.0 - np.exp(-k2 * dt)) / k2)
-    xi = probe.xi
-    vals = np.exp(1j * xi * F) * (1j * xi * D + psi)
-    piece = 0.5 * dt * (vals[:-1] + vals[1:])
-    if len(real.t):
-        steps = np.clip(np.ceil(real.t / dt).astype(int) - 1, 0, len(times) - 2)
-        for n in np.unique(steps):
-            sel = np.nonzero(steps == n)[0]
-            m = path.modes[n].copy()
-            t_cur = times[n]
-            acc = 0.0 + 0.0j
-            v_cur = vals[n]
-            for j in sel:
-                ta = real.t[j]
-                if ta > t_cur:
-                    m = m * np.exp(-k2 * (ta - t_cur))
-                    v_new = np.exp(1j * xi * (m @ coeffs)) * (1j * xi * (m @ coeffs_dd) + psi)
-                    acc += 0.5 * (ta - t_cur) * (v_cur + v_new)
-                    t_cur, v_cur = ta, v_new
-                m = m + fvals[j] * (real.z[j] / sigma_used) * np.sqrt(2.0 / np.pi) * np.sin(kvec * real.x[j])
-                v_cur = np.exp(1j * xi * (m @ coeffs)) * (1j * xi * (m @ coeffs_dd) + psi)
-            t1 = times[n + 1]
-            if t1 > t_cur:
-                m = m * np.exp(-k2 * (t1 - t_cur))
-            if drift_vec is not None:
-                m = m - drift_vec
-            v_new = np.exp(1j * xi * (m @ coeffs)) * (1j * xi * (m @ coeffs_dd) + psi)
-            acc += 0.5 * (t1 - t_cur) * (v_cur + v_new)
-            piece[n] = acc
-    cum = np.concatenate(([0.0 + 0.0j], np.cumsum(piece)))
-    i_s = grid_index(path, probe.s, "martingale_residual")
-    i_t = grid_index(path, probe.t, "martingale_residual")
-    M_s = np.exp(1j * xi * F[i_s]) - cum[i_s]
-    M_t = np.exp(1j * xi * F[i_t]) - cum[i_t]
-    return M_t - M_s, F[i_s]
+    proj = np.column_stack([v for c, cd in zip(coeffs, coeffs_dd) for v in (c, cd)])  # (K, 2P)
+    grid = proj.T @ path.modes.T
+    t = real.t
+    if len(t):
+        a = path.f_at_atoms * (real.z / sigma_used)
+        steps = solver_mod.atom_steps(times, t)
+        right = solver_mod._atom_states(t, real.x, a, path.modes[0], proj)[:, 1:]
+        drift_rate = real.m_restricted / sigma_used
+        if drift_rate != 0.0:
+            # inside step n the state carries the grid drift D(t_n) decayed to t,
+            # D_k(t_n) e^{-k^2 (t - t_n)} = r_k (e^{-k^2 (t - t_n)} - e^{-k^2 t})
+            k2 = np.arange(1, path.n_modes + 1, dtype=float) ** 2
+            r = (drift_rate * cfg.f.constant_value
+                 * solver_mod.flat_projection(path.n_modes, cfg.collocation) / k2)
+            decays = solver_mod._atom_kernel(proj.T * r, None, np.concatenate((t - times[steps], t)))
+            right -= decays[:, :len(t)] - decays[:, len(t):]
+        left = right - solver_mod._atom_kernel(proj.T, real.x, None) * a
+        # trapezoid segments: step start (or previous atom of the step) -> atom,
+        # and last atom of a step -> step end
+        first = np.concatenate(([True], steps[1:] != steps[:-1]))
+        last = np.concatenate((steps[1:] != steps[:-1], [True]))
+        t_from = np.where(first, times[steps], np.concatenate(([0.0], t[:-1])))
+        n_last = steps[last]
+        span_in = 0.5 * (t - t_from)
+        span_out = 0.5 * (times[n_last + 1] - t[last])
+    out = []
+    for p, (probe, psi) in enumerate(zip(probes, psis)):
+        xi = probe.xi
+
+        def v(values):
+            return np.exp(1j * xi * values[2 * p]) * (1j * xi * values[2 * p + 1] + psi)
+
+        vals = v(grid)
+        piece = 0.5 * dt * (vals[:-1] + vals[1:])
+        if len(t):
+            v_right = v(right)
+            v_from = np.where(first, vals[steps], np.concatenate(([0.0], v_right[:-1])))
+            seg = span_in * (v_from + v(left))
+            piece[n_last] = (np.add.reduceat(seg, np.flatnonzero(first))
+                             + span_out * (v_right[last] + vals[n_last + 1]))
+        cum = np.concatenate(([0.0 + 0.0j], np.cumsum(piece)))
+        F = grid[2 * p]
+        i_s = grid_index(path, probe.s, "martingale_residual")
+        i_t = grid_index(path, probe.t, "martingale_residual")
+        M_s = np.exp(1j * xi * F[i_s]) - cum[i_s]
+        M_t = np.exp(1j * xi * F[i_t]) - cum[i_t]
+        out.append((M_t - M_s, F[i_s]))
+    return out
 
 
 def martingale_residual(
@@ -305,10 +310,7 @@ def martingale_residual(
             ]
         elif path.config != cfg_ref:
             raise ConfigMismatchError("all paths must share one configuration")
-        per_probe = [
-            _probe_values_one_path(path, p, psi, c, cd)
-            for p, c, cd, psi in zip(probes, coeffs, coeffs_dd, psis)
-        ]
+        per_probe = _probe_values(path, probes, psis, coeffs, coeffs_dd)
         for pi, (dM, F_s) in enumerate(per_probe):
             for gi, g in enumerate(probes[pi].conditioners):
                 gval = 1.0 if g == "one" else (math.cos(F_s) if g == "cos" else math.sin(F_s))
@@ -347,8 +349,7 @@ def characteristics_estimate(path: FieldPath, phi_coefficients, h: float) -> Cha
     real, sigma_used = jump_log(path, "characteristics_estimate")
     K = path.n_modes
     c = fit_coefficients(phi_coefficients, K)
-    phiK_at = c @ phi_values(np.arange(1, K + 1), real.x) if len(real.t) else np.empty(0)
-    jumps = path.f_at_atoms * phiK_at * real.z / sigma_used if len(real.t) else np.empty(0)
+    jumps = path.f_at_atoms * solver_mod.sine_series(c, real.x) * real.z / sigma_used
     small = np.abs(jumps) <= h
     idx = np.searchsorted(real.t, path.times, side="right")
     cum = np.concatenate(([0.0], np.cumsum(np.where(small, jumps**2, 0.0))))
@@ -491,16 +492,6 @@ class ComparisonReport:
         raise KeyError((model, epsilon, functional))
 
 
-def _terminal_kernel_weights(coeffs: np.ndarray, T: float, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w(t_j, x_j) = sum_k c_k e^{-k^2 (T - t_j)} phi_k(x_j), sparse over modes."""
-    nz = np.nonzero(coeffs)[0]
-    out = np.zeros_like(t)
-    for k_idx in nz:
-        k = k_idx + 1
-        out += coeffs[k_idx] * np.exp(-(k * k) * (T - t)) * np.sqrt(2.0 / np.pi) * np.sin(k * x)
-    return out
-
-
 def _terminal_drift(coeffs: np.ndarray, T: float, collocation: int) -> float:
     """Compensator weight matching the solver's per-step discrete projection."""
     K = len(coeffs)
@@ -567,18 +558,55 @@ def _terminal_block(args) -> dict[str, np.ndarray]:
         k = np.arange(1, K + 1, dtype=float)
         decayed = np.asarray(config.initial) * np.exp(-k * k * T)
         init_terms = [float(decayed @ c) for c in coeff_rows]
+    coeffs = np.array([fit_coefficients(c, max(map(len, coeff_rows), default=0)) for c in coeff_rows])
+
+    def flush(batch):
+        # one kernel pass over the gathered atoms, summed per path
+        sums = _terminal_sums([real for _, real in batch], coeffs, T)
+        for (i, real), path_sums in zip(batch, sums.T):
+            sigma_used = real.jump_scale(spec.normalization)
+            rate = real.m_restricted / sigma_used
+            for f, s, dr, it in zip(functionals, path_sums, drifts, init_terms):
+                out[f.name][i - lo] = it + cval * float(s) / sigma_used - rate * dr
+        batch.clear()
+
+    # consecutive paths share one atom block; a path is never split, and a
+    # path larger than the block is flushed alone
+    batch, n_atoms = [], 0
     for i in range(lo, hi):
         rng = stream(base_seed, i, purpose)
         real = noise_mod.simulate_levy_noise(
             spec.model, spec.eps, eta, T, rng,
             rho_budget=spec.rho_budget, atom_cap=spec.atom_cap,
         )
-        sigma_used = real.jump_scale(spec.normalization)
-        rate = real.m_restricted / sigma_used
-        for f, c, dr, it in zip(functionals, coeff_rows, drifts, init_terms):
-            w = _terminal_kernel_weights(c, T, real.t, real.x)
-            out[f.name][i - lo] = it + cval * float(w @ real.z) / sigma_used - rate * dr
+        if batch and n_atoms + len(real) > solver_mod._ATOM_BLOCK:
+            flush(batch)
+            n_atoms = 0
+        batch.append((i, real))
+        n_atoms += len(real)
+        if n_atoms >= solver_mod._ATOM_BLOCK:
+            flush(batch)
+            n_atoms = 0
+    flush(batch)
     return out
+
+
+def _terminal_sums(reals, coeffs: np.ndarray, T: float) -> np.ndarray:
+    """sum_j w_p(t_j, x_j) z_j per realization, w_p(t, x) = sum_k c_pk e^{-k^2 (T - t)} phi_k(x)."""
+    counts = np.array([len(r) for r in reals])
+    sums = np.zeros((len(coeffs), len(reals)))
+    if not counts.any():
+        return sums
+
+    def gather(name):
+        parts = [getattr(r, name) for r in reals]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    w = solver_mod._atom_kernel(coeffs, gather("x"), T - gather("t"))
+    w *= gather("z")
+    filled = counts > 0
+    sums[:, filled] = np.add.reduceat(w, (np.cumsum(counts) - counts)[filled], axis=1)
+    return sums
 
 
 def dichotomy_experiment(

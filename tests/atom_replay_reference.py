@@ -1,0 +1,127 @@
+"""Per-atom loop forms of the three constant-f replays, kept as test references.
+
+These are the loops that the atom kernel (`solver._atom_kernel`,
+`solver._atom_states`) replaced: the per-functional terminal weights, the
+per-atom additive path and the step-by-step martingale replay. The replay
+assigns atoms to steps with `solver.atom_steps`, the rule that the solver's
+general branch uses.
+"""
+
+import numpy as np
+
+from levyheat import noise, solver, stats
+from levyheat.streams import stream
+
+
+def terminal_kernel_weights(coeffs, T, t, x):
+    """w(t_j, x_j) = sum_k c_k e^{-k^2 (T - t_j)} phi_k(x_j), sparse over modes."""
+    nz = np.nonzero(coeffs)[0]
+    out = np.zeros_like(t)
+    for k_idx in nz:
+        k = k_idx + 1
+        out += coeffs[k_idx] * np.exp(-(k * k) * (T - t)) * np.sqrt(2.0 / np.pi) * np.sin(k * x)
+    return out
+
+
+def terminal_samples(config, functionals, n_paths, base_seed, purpose="atoms"):
+    """<u_T, phi> per path, one weight evaluation per path and functional."""
+    spec = config.noise
+    K, T = config.modes, config.T
+    cval = config.f.constant_value
+    eta = spec.resolve_eta(T)
+    coeff_rows = [np.asarray(f.coefficients, dtype=float) for f in functionals]
+    drifts = [cval * stats._terminal_drift(c, T, config.collocation) for c in coeff_rows]
+    init_terms = [0.0] * len(coeff_rows)
+    if config.initial is not None:
+        k = np.arange(1, K + 1, dtype=float)
+        decayed = np.asarray(config.initial) * np.exp(-k * k * T)
+        init_terms = [float(decayed @ c) for c in coeff_rows]
+    out = {f.name: np.empty(n_paths) for f in functionals}
+    for i in range(n_paths):
+        real = noise.simulate_levy_noise(spec.model, spec.eps, eta, T, stream(base_seed, i, purpose),
+                                         rho_budget=spec.rho_budget, atom_cap=spec.atom_cap)
+        sigma_used = real.jump_scale(spec.normalization)
+        rate = real.m_restricted / sigma_used
+        for f, c, dr, it in zip(functionals, coeff_rows, drifts, init_terms):
+            w = terminal_kernel_weights(c, T, real.t, real.x)
+            out[f.name][i] = it + cval * float(w @ real.z) / sigma_used - rate * dr
+    return out
+
+
+def additive_modes(config, real):
+    """Grid modes of the constant-f path, replaying the atoms one at a time."""
+    sigma_used = real.jump_scale(config.noise.normalization)
+    K = config.modes
+    kvec = np.arange(1, K + 1, dtype=float)
+    k2 = kvec ** 2
+    times = config.times()
+    cval = config.f.constant_value
+    tj, xj, zj = real.t, real.x, real.z
+    states = np.empty((len(tj) + 1, K))
+    states[0] = solver._initial_state(config)
+    ev_times = np.concatenate(([0.0], tj))
+    for j in range(len(tj)):
+        gap = ev_times[j + 1] - ev_times[j]
+        phik = np.sqrt(2.0 / np.pi) * np.sin(kvec * xj[j])
+        states[j + 1] = states[j] * np.exp(-k2 * gap) + cval * (zj[j] / sigma_used) * phik
+    last = np.searchsorted(tj, times, side="right")
+    gaps = times - ev_times[last]
+    out = states[last] * np.exp(-np.outer(gaps, k2))
+    if real.m_restricted != 0.0:
+        rate = real.m_restricted / sigma_used
+        flat = solver.flat_projection(K, config.collocation)
+        out = out - rate * cval * flat[None, :] * (1.0 - np.exp(-np.outer(times, k2))) / k2[None, :]
+    return out
+
+
+def probe_values(path, probe, psi, coeffs, coeffs_dd):
+    """(M_t - M_s, <u_s, phi>) with every step that holds atoms replayed from its stored start state."""
+    real, sigma_used = solver.jump_log(path, "martingale_residual")
+    cfg = path.config
+    times = path.times
+    dt = times[1] - times[0]
+    kvec = np.arange(1, path.n_modes + 1, dtype=float)
+    k2 = kvec ** 2
+    F = path.modes @ coeffs
+    D = path.modes @ coeffs_dd
+    fvals = path.f_at_atoms
+    drift_rate = real.m_restricted / sigma_used
+    drift_vec = None
+    if drift_rate != 0.0 and cfg.f.is_constant:
+        drift_vec = (drift_rate * cfg.f.constant_value
+                     * solver.flat_projection(path.n_modes, cfg.collocation)
+                     * (1.0 - np.exp(-k2 * dt)) / k2)
+    xi = probe.xi
+    vals = np.exp(1j * xi * F) * (1j * xi * D + psi)
+    piece = 0.5 * dt * (vals[:-1] + vals[1:])
+    if len(real.t):
+        steps = solver.atom_steps(times, real.t)
+        for n in np.unique(steps):
+            sel = np.nonzero(steps == n)[0]
+            m = path.modes[n].copy()
+            t_cur = times[n]
+            acc = 0.0 + 0.0j
+            v_cur = vals[n]
+            for j in sel:
+                ta = real.t[j]
+                if ta > t_cur:
+                    m = m * np.exp(-k2 * (ta - t_cur))
+                    v_new = np.exp(1j * xi * (m @ coeffs)) * (1j * xi * (m @ coeffs_dd) + psi)
+                    acc += 0.5 * (ta - t_cur) * (v_cur + v_new)
+                    t_cur, v_cur = ta, v_new
+                m = m + fvals[j] * (real.z[j] / sigma_used) * np.sqrt(2.0 / np.pi) * np.sin(kvec * real.x[j])
+                v_cur = np.exp(1j * xi * (m @ coeffs)) * (1j * xi * (m @ coeffs_dd) + psi)
+            t1 = times[n + 1]
+            if t1 > t_cur:
+                m = m * np.exp(-k2 * (t1 - t_cur))
+            if drift_vec is not None:
+                m = m - drift_vec
+            v_new = np.exp(1j * xi * (m @ coeffs)) * (1j * xi * (m @ coeffs_dd) + psi)
+            acc += 0.5 * (t1 - t_cur) * (v_cur + v_new)
+            piece[n] = acc
+    cum = np.concatenate(([0.0 + 0.0j], np.cumsum(piece)))
+    i_s = solver.grid_index(path, probe.s, "martingale_residual")
+    i_t = solver.grid_index(path, probe.t, "martingale_residual")
+    M_s = np.exp(1j * xi * F[i_s]) - cum[i_s]
+    M_t = np.exp(1j * xi * F[i_t]) - cum[i_t]
+    return M_t - M_s, F[i_s]

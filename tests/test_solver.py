@@ -340,3 +340,39 @@ def test_eta_resolved_once_per_spec(monkeypatch):
     for i in range(3):
         lh.simulate_path(cfg, stream(4, i, "atoms"))
     assert len(calls) == 1
+
+
+def test_atom_steps_shared_at_grid_times(cp_symmetric):
+    # steps = 1000: t / dt rounds across an integer for some grid times, where
+    # the former replay rule ceil(t / dt) - 1 picked the neighbouring step
+    cfg = small_sim(cp_symmetric, 2.0, 0.0, f=lh.affine_f(0.0, 1.0), modes=4, collocation=8, steps=1000)
+    times = cfg.times()
+    inner = times[1:-1]
+    t = np.concatenate((np.nextafter(inner, 0.0), inner, np.nextafter(inner, 2.0)))
+    steps = lh.solver.atom_steps(times, t)
+    ceil_rule = np.clip(np.ceil(t / cfg.dt).astype(int) - 1, 0, cfg.steps - 1)
+    picked = np.flatnonzero(ceil_rule != steps)
+    assert len(picked) > 0
+    picked = np.concatenate((picked, np.arange(0, len(t), 331)))  # and some where both rules agree
+
+    def realization(ts):
+        n = len(ts)
+        return noise.LevyNoiseRealization(t=np.sort(ts), x=np.full(n, 1.0), z=np.ones(n), T=1.0, eps=2.0,
+                                          eta=0.0, sigma=1.0, sigma_retained=1.0, m_restricted=0.0,
+                                          dropped_variance_fraction=0.0, intensity=1.0)
+
+    # the general branch: the first grid state that holds the atom closes its step
+    for j in picked:
+        modes = lh.solver._levy_path_general(cfg, realization(t[j:j + 1])).modes
+        assert np.flatnonzero(np.any(modes != 0.0, axis=1))[0] - 1 == steps[j]
+
+    # the martingale replay assigns the same atoms with atom_steps, as the step-by-step replay does
+    import atom_replay_reference as ref
+    const_cfg = small_sim(cp_symmetric, 2.0, 0.0, modes=4, collocation=8, steps=1000)
+    path = lh.solver._levy_path_additive(const_cfg, realization(t[picked]))
+    probe = lh.MartingaleProbe(1.0, lh.SmoothBump(), 0.0, 1.0)
+    c = probe.coefficients(4)
+    cdd = -(np.arange(1.0, 5.0) ** 2) * c
+    [(dM, _)] = lh.stats._probe_values(path, [probe], [0.2j], [c], [cdd])
+    want, _ = ref.probe_values(path, probe, 0.2j, c, cdd)
+    assert abs(dM - want) <= 1e-12 * max(1.0, abs(want))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -122,7 +123,7 @@ def test_martingale_second_moment_bounded_across_eps(gamma_model):
             psi = st._compensator_psi(
                 gamma_model, eps, path.atom_log.eta,
                 lambda x: probe.xi * st.phi_values(np.arange(1, 33), x).T @ coeffs)
-            dM, _ = st._probe_values_one_path(path, probe, psi, coeffs, cdd)
+            [(dM, _)] = st._probe_values(path, [probe], [psi], [coeffs], [cdd])
             vals.append(abs(dM) ** 2)
         bounds.append(np.mean(vals))
     assert max(bounds) < 4.0
@@ -174,6 +175,12 @@ def test_characteristics_fast_route_agreement(gamma_model):
         est = lh.characteristics_estimate(path, phihat, 0.5)
         assert est.quadratic_sum[-1] == pytest.approx(quad[i], abs=1e-10)
         assert est.big_jump_count == bigs[i]
+        # both routes evaluate <phi, basis> with sine_series: the jump sizes agree
+        # exactly, so the fast route's sum is reproduced bit for bit from them
+        jumps = est.jump_sizes
+        assert quad[i] == float(np.sum(np.where(np.abs(jumps) <= 0.5, jumps**2, 0.0)))
+        real = path.atom_log
+        assert np.array_equal(jumps, lh.solver.sine_series(phihat, real.x) * real.z / real.sigma)
 
 
 def test_characteristics_drift_sign(gamma_model):
@@ -205,12 +212,39 @@ def test_terminal_sampler_matches_path_solver(gamma_model):
 
 
 def test_terminal_sampler_workers_invariant(gamma_model):
-    eta = lh.eta_for_atom_budget(gamma_model, 0.1, 1.0, 50.0)
+    # ~1000 atoms per path, so the 40 paths span several atom blocks and a
+    # path's block depends on the run: its value must not
+    eta = lh.eta_for_atom_budget(gamma_model, 0.1, 1.0, 1000.0)
     cfg = small_sim(gamma_model, 0.1, eta, modes=8, collocation=32, steps=64)
-    fns = [st.mode_functional(1, 8)]
+    assert 40 * 1000 > 2 * lh.solver._ATOM_BLOCK
+    fns = [st.mode_functional(1, 8), st.point_functional(math.pi / 2, 8, name="point")]
     one = st.collect_terminal_samples(cfg, fns, 40, 5, purpose="atoms", workers=1)
     two = st.collect_terminal_samples(cfg, fns, 40, 5, purpose="atoms", workers=2)
-    assert np.array_equal(one["mode1"], two["mode1"])
+    head = st.collect_terminal_samples(cfg, fns, 20, 5, purpose="atoms", workers=1)
+    for f in fns:
+        assert np.array_equal(one[f.name], two[f.name])
+        assert np.array_equal(one[f.name][:20], head[f.name])
+    for i in (0, 17, 39):  # each path alone in its block
+        alone = st._terminal_block((cfg, fns, i, i + 1, 5, "atoms"))
+        for f in fns:
+            assert alone[f.name][0] == one[f.name][i]
+
+
+def test_terminal_sampler_memory_bounded_in_paths(stable_model):
+    # ~40k atoms per path: each path is its own block, so the peak does not grow with the path count
+    cfg = small_sim(stable_model, 1e-3, "atoms:40000", modes=64, collocation=256, steps=4096,
+                    normalization="retained", rho=1.0)
+    fns = [st.mode_functional(1, 64)]
+    st.collect_terminal_samples(cfg, fns, 1, 6, purpose="warm")  # eta and mark table are cached
+    peaks = []
+    for n_paths in (4, 16):
+        tracemalloc.start()
+        try:
+            st.collect_terminal_samples(cfg, fns, n_paths, 6, purpose="mem")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2e6
 
 
 def test_gaussian_control_ks():
