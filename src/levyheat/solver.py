@@ -360,7 +360,9 @@ def _atom_states(t, x, a, m0, proj=None) -> np.ndarray:
 def atom_steps(times: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Grid step n of each atom time, times[n] < t <= times[n+1] (t = times[0] in step 0).
 
-    The one step-assignment rule of the solver, the kernel and the replay.
+    The one step-assignment rule of the general branch and the martingale
+    replay; the additive branch's grid lookup, searchsorted(t_atoms, times,
+    "right"), is the same rule seen from the grid.
     """
     return np.clip(np.searchsorted(times, t, side="left") - 1, 0, len(times) - 2)
 
