@@ -12,6 +12,22 @@ by closed form where the family has one and by adaptive quadrature otherwise.
 `delta_statistic` returns +inf for measures (such as the log-tail
 counterexample family) whose higher moments diverge.
 
+Each base family is one object that holds what is known of Q_eps, for eps > 0
+and cuts a, floor >= 0:
+
+    support_sup(eps)                  sup{|z| : z in supp Q_eps}
+    symmetric(eps)                    Q_eps(-dz) = Q_eps(dz)
+    abs_moment(eps, p, a, cfg)        int_{|z| > a} |z|^p Q_eps(dz), may be +inf
+    moment1(eps, a, cfg)              int_{|z| > a} z Q_eps(dz)
+    point_masses(eps)                 the atoms (z, w) of Q_eps; empty for densities
+    segments(eps, floor, cfg)         the density pieces of Q_eps on {|z| > floor}
+    check(cfg)                        raise unless Q is a Levy measure
+
+`abs_moment` and `moment1` default to the shared quadrature fallback over
+`point_masses` and `segments`, which `CustomDensity` uses and which
+method="quadrature" calls for every family as an oracle. Nothing outside the
+families branches on which family it holds.
+
 Mark sampling uses tabulated inverse CDFs (4096 nodes, monotone cubic) built
 once per (model, eps, eta) and cached; all randomness comes from caller
 streams.
@@ -22,6 +38,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +51,7 @@ from .errors import (
     NonIntegrableError,
     ZeroVarianceError,
 )
-from .quadrature import QuadratureConfig, integrate, tail_integral
+from .quadrature import QuadratureConfig, integrate, legendre_nodes, tail_integral
 
 __all__ = [
     "CompoundPoisson",
@@ -64,82 +81,8 @@ _TAIL_CAP = 1e8
 
 
 # ---------------------------------------------------------------------------
-# base families
+# truncation schemes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CompoundPoisson:
-    """Finite collection of jump atoms (z_i, weight_i), z_i != 0, weight_i > 0."""
-
-    atoms: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not self.atoms:
-            raise ValueError("compound Poisson family needs at least one atom")
-        for z, w in self.atoms:
-            if z == 0.0 or w <= 0.0:
-                raise ValueError(f"invalid atom (z={z}, weight={w})")
-
-    label = "compound_poisson"
-
-
-@dataclass(frozen=True)
-class GammaSubordinator:
-    """Shape-free gamma jump density e^{-z}/z on z > 0."""
-
-    label = "gamma"
-
-
-@dataclass(frozen=True)
-class SymmetricStable:
-    """Symmetric stable jump density |z|^{-1-alpha}, alpha in (0, 2)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"stable index must lie in (0, 2), got {self.alpha}")
-
-    @property
-    def label(self) -> str:
-        return f"stable(alpha={self.alpha:g})"
-
-
-@dataclass(frozen=True)
-class RemarkDensityFamily:
-    """Counterexample family indexed directly by eps.
-
-    Density: 1/(2 z^2) on 0 < |z| <= eps plus the heavy log-corrected tail
-    eps^2 / (2 C |z|^3 log(1+|z|)^2) on |z| > 1, where
-    C = int_1^inf z^-1 log(1+z)^-2 dz. Its variance is eps + eps^2 while
-    every absolute moment of order 2+delta, delta > 0, is infinite.
-    """
-
-    label = "remark"
-
-
-@dataclass(frozen=True)
-class CustomDensity:
-    """User density with explicit support; integrability is checked at model build.
-
-    `density` must be vectorized over numpy arrays. `support` endpoints may be
-    infinite; the origin must not be an interior atom (Q({0}) = 0 by
-    convention since densities are used).
-    """
-
-    density: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
-    name: str = "custom"
-
-    def __post_init__(self):
-        lo, hi = self.support
-        if not lo < hi:
-            raise ValueError(f"empty support interval {self.support}")
-
-    @property
-    def label(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class OuterCutoff:
@@ -156,12 +99,171 @@ class FamilyIndex:
 
 
 # ---------------------------------------------------------------------------
-# measure views: one concrete measure per (model, eps)
+# the family contract
 # ---------------------------------------------------------------------------
 
-# lazily computed constants of the remark family
-_remark_lock = threading.Lock()
-_remark_consts: dict[str, float] = {}
+@dataclass(frozen=True)
+class _Segment:
+    """The piece sign * (lo, hi] of Q_eps, with density q(r) at |z| = r there.
+
+    0 <= lo < hi <= inf. `tail`, when set, is int_lo^inf r^p q(r) dr as a
+    function of p: the remark family's log-corrected tail, which quadrature in
+    z does not resolve, is tabulated only up to hi = _TAIL_CAP.
+    """
+
+    sign: float
+    lo: float
+    hi: float
+    density: Callable[[np.ndarray], np.ndarray]
+    tail: Callable[[float], float] | None = None
+
+    def moment(self, p: float, cfg: QuadratureConfig) -> float:
+        """int r^p q(r) dr over the piece; +inf when it diverges."""
+        if self.tail is not None:
+            return self.tail(p)
+        return integrate(lambda r: r ** p * float(self.density(np.asarray(r))), self.lo, self.hi, cfg)
+
+
+def _quadrature_moment(family, eps: float, p: float, a: float, cfg: QuadratureConfig) -> float:
+    """The shared fallback for int_{|z| > a} |z|^p Q_eps(dz), a >= 0: a sum over
+    the atoms plus quadrature over the density segments; +inf when it diverges."""
+    z, w = family.point_masses(eps)
+    mask = np.abs(z) > a
+    total = float(np.sum(np.abs(z[mask]) ** p * w[mask]))
+    for seg in family.segments(eps, a, cfg):
+        total += seg.moment(p, cfg)
+        if math.isinf(total):
+            return math.inf
+    return total
+
+
+def _quadrature_moment1(family, eps: float, a: float, cfg: QuadratureConfig) -> float:
+    """The shared fallback for int_{|z| > a} z Q_eps(dz), a >= 0."""
+    z, w = family.point_masses(eps)
+    total = float(np.sum(z * w * (np.abs(z) > a)))
+    for seg in family.segments(eps, a, cfg):
+        total += seg.sign * seg.moment(1.0, cfg)
+    return total
+
+
+class _Family:
+    """Defaults of the family contract; a family overrides what it knows in closed form."""
+
+    truncation = OuterCutoff
+
+    def support_sup(self, eps: float) -> float:
+        return eps
+
+    def symmetric(self, eps: float) -> bool:
+        return False
+
+    def point_masses(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        return np.empty(0), np.empty(0)
+
+    def segments(self, eps: float, floor: float, cfg: QuadratureConfig) -> list[_Segment]:
+        return []
+
+    abs_moment = _quadrature_moment
+    moment1 = _quadrature_moment1
+
+    def check(self, cfg: QuadratureConfig) -> None:
+        """Raise unless int min(1, z^2) Q(dz) < inf; the closed-form families satisfy it."""
+
+
+# ---------------------------------------------------------------------------
+# base families
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CompoundPoisson(_Family):
+    """Finite collection of jump atoms (z_i, weight_i), z_i != 0, weight_i > 0."""
+
+    atoms: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        if not self.atoms:
+            raise ValueError("compound Poisson family needs at least one atom")
+        for z, w in self.atoms:
+            if z == 0.0 or w <= 0.0:
+                raise ValueError(f"invalid atom (z={z}, weight={w})")
+
+    label = "compound_poisson"
+
+    def support_sup(self, eps):
+        z, _ = self.point_masses(eps)
+        return float(np.max(np.abs(z))) if z.size else 0.0
+
+    def symmetric(self, eps):
+        kept = sorted(zip(*self.point_masses(eps)))
+        mirrored = sorted((-z, w) for z, w in kept)
+        return all(
+            math.isclose(a[0], m[0], rel_tol=0, abs_tol=1e-15) and a[1] == m[1]
+            for a, m in zip(kept, mirrored)
+        )
+
+    def point_masses(self, eps):
+        kept = [(z, w) for z, w in self.atoms if abs(z) <= eps]
+        return np.array([z for z, _ in kept]), np.array([w for _, w in kept])
+
+
+@dataclass(frozen=True)
+class GammaSubordinator(_Family):
+    """Shape-free gamma jump density e^{-z}/z on z > 0."""
+
+    label = "gamma"
+
+    def abs_moment(self, eps, p, a, cfg):
+        if a >= eps:
+            return 0.0
+        if p == 0.0:
+            if a == 0.0:
+                return math.inf
+            return float(exp1(a) - exp1(eps))
+        # int_a^eps z^(p-1) e^-z dz via regularized lower incomplete gamma
+        return float(gamma_fn(p) * (gammainc(p, eps) - gammainc(p, a)))
+
+    def moment1(self, eps, a, cfg):
+        return math.exp(-a) - math.exp(-eps) if a < eps else 0.0
+
+    def segments(self, eps, floor, cfg):
+        return [_Segment(1.0, floor, eps, lambda r: np.exp(-r) / r)] if floor < eps else []
+
+
+@dataclass(frozen=True)
+class SymmetricStable(_Family):
+    """Symmetric stable jump density |z|^{-1-alpha}, alpha in (0, 2)."""
+
+    alpha: float
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 2.0:
+            raise ValueError(f"stable index must lie in (0, 2), got {self.alpha}")
+
+    @property
+    def label(self) -> str:
+        return f"stable(alpha={self.alpha:g})"
+
+    def symmetric(self, eps):
+        return True
+
+    def abs_moment(self, eps, p, a, cfg):
+        al = self.alpha
+        if a >= eps:
+            return 0.0
+        if p == 0.0:
+            if a == 0.0:
+                return math.inf
+            return (2.0 / al) * (a ** -al - eps ** -al)
+        ex = p - al
+        if a == 0.0 and ex <= 0.0:
+            return math.inf
+        return 2.0 * (eps ** ex - (a ** ex if a > 0.0 else 0.0)) / ex
+
+    def segments(self, eps, floor, cfg):
+        if floor >= eps:
+            return []
+        dens = lambda r: r ** (-1.0 - self.alpha)
+        return [_Segment(-1.0, floor, eps, dens), _Segment(1.0, floor, eps, dens)]
 
 
 def _log_tail(a: float, power: float, config: QuadratureConfig) -> float:
@@ -185,132 +287,32 @@ def _log_tail(a: float, power: float, config: QuadratureConfig) -> float:
     return tail_integral(g, u0, config)
 
 
+@lru_cache(maxsize=64)
 def _remark_constant(name: str, config: QuadratureConfig) -> float:
-    with _remark_lock:
-        if name not in _remark_consts:
-            if name == "C":
-                _remark_consts[name] = _log_tail(1.0, 0.0, config)
-            elif name == "K0":  # int_1^inf z^-3 log(1+z)^-2 dz
-                _remark_consts[name] = _log_tail(1.0, -2.0, config)
-            else:
-                raise KeyError(name)
-        return _remark_consts[name]
+    """C = int_1^inf z^-1 log(1+z)^-2 dz or K0 = int_1^inf z^-3 log(1+z)^-2 dz."""
+    return _log_tail(1.0, {"C": 0.0, "K0": -2.0}[name], config)
 
 
 @dataclass(frozen=True)
-class _Segment:
-    """One signed support piece of a concrete measure, with its density."""
+class RemarkDensityFamily(_Family):
+    """Counterexample family indexed directly by eps.
 
-    lo: float
-    hi: float
-    density: Callable[[np.ndarray], np.ndarray]
-    # closed-form integral of z^2 * density over (a, b], None -> quadrature
-    moment2: Callable[[float, float], float] | None = None
+    Density: 1/(2 z^2) on 0 < |z| <= eps plus the heavy log-corrected tail
+    eps^2 / (2 C |z|^3 log(1+|z|)^2) on |z| > 1, where
+    C = int_1^inf z^-1 log(1+z)^-2 dz. Its variance is eps + eps^2 while
+    every absolute moment of order 2+delta, delta > 0, is infinite.
+    """
 
+    label = "remark"
+    truncation = FamilyIndex
 
-class _View:
-    """Concrete measure Q_eps (atoms or density segments) with moment helpers."""
+    def support_sup(self, eps):
+        return math.inf
 
-    def __init__(self, model: "LevyModel", eps: float):
-        self.model = model
-        self.eps = float(eps)
-        self.base = model.base
-        self.cfg = model.quadrature
-        b = self.base
-        if isinstance(b, CompoundPoisson):
-            kept = [(z, w) for z, w in b.atoms if abs(z) <= eps]
-            self._atoms = np.array([z for z, _ in kept])
-            self._weights = np.array([w for _, w in kept])
-        else:
-            self._atoms = None
+    def symmetric(self, eps):
+        return True
 
-    # -- support ------------------------------------------------------------
-    @property
-    def support_sup(self) -> float:
-        b = self.base
-        if isinstance(b, CompoundPoisson):
-            return float(np.max(np.abs(self._atoms))) if self._atoms.size else 0.0
-        if isinstance(b, RemarkDensityFamily):
-            return math.inf
-        if isinstance(b, CustomDensity):
-            lo, hi = b.support
-            return min(max(abs(lo), abs(hi)), self.eps)
-        return self.eps
-
-    @property
-    def symmetric(self) -> bool:
-        b = self.base
-        if isinstance(b, (SymmetricStable, RemarkDensityFamily)):
-            return True
-        if isinstance(b, CompoundPoisson):
-            atoms = sorted(self._atoms_kept())
-            mirrored = sorted((-z, w) for z, w in atoms)
-            return all(
-                math.isclose(a[0], m[0], rel_tol=0, abs_tol=1e-15) and a[1] == m[1]
-                for a, m in zip(atoms, mirrored)
-            )
-        return False
-
-    def _atoms_kept(self):
-        return [(float(z), float(w)) for z, w in zip(self._atoms, self._weights)]
-
-    # -- moments over {|z| > a} ----------------------------------------------
-    def mass_above(self, a: float) -> float:
-        return self._moment_above(0.0, a)
-
-    def moment1_above(self, a: float) -> float:
-        b, eps = self.base, self.eps
-        if isinstance(b, CompoundPoisson):
-            return float(np.sum(self._atoms * self._weights * (np.abs(self._atoms) > a)))
-        if isinstance(b, (SymmetricStable, RemarkDensityFamily)):
-            return 0.0
-        if isinstance(b, GammaSubordinator):
-            lo = max(a, 0.0)
-            if lo >= eps:
-                return 0.0
-            return math.exp(-lo) - math.exp(-eps)
-        return self._quad_signed_moment1(a)
-
-    def moment2_above(self, a: float) -> float:
-        return self._moment_above(2.0, a)
-
-    def abs_moment_above(self, p: float, a: float) -> float:
-        return self._moment_above(p, a)
-
-    def _moment_above(self, p: float, a: float) -> float:
-        """int_{|z| > a} |z|^p Q_eps(dz); may return +inf or raise."""
-        b, eps, cfg = self.base, self.eps, self.cfg
-        a = max(a, 0.0)
-        if isinstance(b, CompoundPoisson):
-            mask = np.abs(self._atoms) > a
-            return float(np.sum(np.abs(self._atoms[mask]) ** p * self._weights[mask]))
-        if isinstance(b, GammaSubordinator):
-            if a >= eps:
-                return 0.0
-            if p == 0.0:
-                if a == 0.0:
-                    return math.inf
-                return float(exp1(a) - exp1(eps))
-            # int_a^eps z^(p-1) e^-z dz via regularized lower incomplete gamma
-            return float(gamma_fn(p) * (gammainc(p, eps) - gammainc(p, a)))
-        if isinstance(b, SymmetricStable):
-            al = b.alpha
-            if a >= eps:
-                return 0.0
-            if p == 0.0:
-                if a == 0.0:
-                    return math.inf
-                return (2.0 / al) * (a ** -al - eps ** -al)
-            ex = p - al
-            if a == 0.0 and ex <= 0.0:
-                return math.inf
-            return 2.0 * (eps ** ex - (a ** ex if a > 0.0 else 0.0)) / ex
-        if isinstance(b, RemarkDensityFamily):
-            return self._remark_moment(p, a)
-        return self._quad_abs_moment(p, a)
-
-    def _remark_moment(self, p: float, a: float) -> float:
-        eps, cfg = self.eps, self.cfg
+    def abs_moment(self, eps, p, a, cfg):
         C = _remark_constant("C", cfg)
         # inner piece: |z|^p / (2 z^2) on (a, eps], both signs
         inner = 0.0
@@ -336,71 +338,60 @@ class _View:
             outer = eps ** 2 / C * _log_tail(lo, p - 2.0, cfg)
         return inner + outer
 
-    # -- quadrature fallbacks (custom densities) -----------------------------
-    def _segments(self, floor: float = 0.0) -> list[_Segment]:
-        """Signed support pieces of Q_eps restricted to {|z| > floor}."""
-        b, eps = self.base, self.eps
-        segs: list[_Segment] = []
-        if isinstance(b, GammaSubordinator):
-            if floor < eps:
-                segs.append(_Segment(floor, eps, lambda z: np.exp(-z) / z))
-        elif isinstance(b, SymmetricStable):
-            al = b.alpha
-            if floor < eps:
-                dens = lambda z: np.abs(z) ** (-1.0 - al)
-                segs.append(_Segment(-eps, -floor, dens))
-                segs.append(_Segment(floor, eps, dens))
-        elif isinstance(b, RemarkDensityFamily):
-            C = _remark_constant("C", self.cfg)
-            inner = lambda z: 0.5 / z ** 2
-            e2 = eps ** 2
-            outer = lambda z: e2 / (2.0 * C * np.abs(z) ** 3 * np.log1p(np.abs(z)) ** 2)
-            if floor < eps:
-                segs.append(_Segment(-eps, -floor, inner))
-                segs.append(_Segment(floor, eps, inner))
-            lo = max(floor, 1.0)
-            segs.insert(0, _Segment(-_TAIL_CAP, -lo, outer))
-            segs.append(_Segment(lo, _TAIL_CAP, outer))
-        elif isinstance(b, CustomDensity):
-            lo, hi = b.support
-            lo_eff, hi_eff = max(lo, -eps), min(hi, eps)
-            if lo_eff < -floor:
-                segs.append(_Segment(lo_eff, -floor if floor > 0 else min(hi_eff, 0.0), b.density))
-            if hi_eff > floor:
-                segs.append(_Segment(max(floor, max(lo_eff, 0.0)), hi_eff, b.density))
-        return [s for s in segs if s.lo < s.hi]
+    def segments(self, eps, floor, cfg):
+        C = _remark_constant("C", cfg)
+        e2 = eps ** 2
+        inner = lambda r: 0.5 / r ** 2
+        outer = lambda r: e2 / (2.0 * C * r ** 3 * np.log1p(r) ** 2)
+        lo = max(floor, 1.0)
+        tail = lambda p: e2 / (2.0 * C) * _log_tail(lo, p - 2.0, cfg)
+        pieces = [_Segment(-1.0, lo, _TAIL_CAP, outer, tail)]
+        if floor < eps:
+            pieces += [_Segment(-1.0, floor, eps, inner), _Segment(1.0, floor, eps, inner)]
+        pieces.append(_Segment(1.0, lo, _TAIL_CAP, outer, tail))
+        return [s for s in pieces if s.lo < s.hi]
 
-    def _quad_abs_moment(self, p: float, a: float) -> float:
-        total = 0.0
-        for seg in self._segments(floor=a):
-            f = lambda z, d=seg.density: abs(z) ** p * float(d(np.asarray(z)))
-            if math.isinf(seg.hi) or math.isinf(-seg.lo):
-                lo = max(abs(min(seg.lo, 0.0)), seg.lo)
-                val = tail_integral(lambda z: f(z) + f(-z) if seg.lo < 0 else f(z), max(seg.lo, 1e-300), self.cfg)
-                total += val
-            else:
-                lo, hi = sorted((abs(seg.lo), abs(seg.hi)))
-                g = (lambda z, d=seg.density: abs(z) ** p * float(d(np.asarray(-z)))) if seg.hi <= 0 else f
-                total += integrate(g, lo, hi, self.cfg)
-            if math.isinf(total):
-                return math.inf
-        return total
 
-    def _quad_signed_moment1(self, a: float) -> float:
-        total = 0.0
-        for seg in self._segments(floor=a):
-            if seg.hi <= 0:
-                lo, hi = abs(seg.hi), abs(seg.lo)
-                total -= integrate(lambda z, d=seg.density: z * float(d(np.asarray(-z))), lo, hi, self.cfg)
-            else:
-                total += integrate(lambda z, d=seg.density: z * float(d(np.asarray(z))), seg.lo, seg.hi, self.cfg)
-        return total
+@dataclass(frozen=True)
+class CustomDensity(_Family):
+    """User density with explicit support; integrability is checked at model build.
 
-    def quadrature_moment(self, p: float, a: float) -> float:
-        """Pure-quadrature |z|^p moment (oracle cross-check path)."""
-        if self._atoms is not None:
-            return self._moment_above(p, a)
-        return self._quad_abs_moment(p, a)
+    `density` must be vectorized over numpy arrays. `support` endpoints may be
+    infinite; the origin must not be an interior atom (Q({0}) = 0 by
+    convention since densities are used).
+    """
+
+    density: Callable[[np.ndarray], np.ndarray]
+    support: tuple[float, float]
+    name: str = "custom"
+
+    def __post_init__(self):
+        lo, hi = self.support
+        if not lo < hi:
+            raise ValueError(f"empty support interval {self.support}")
+
+    @property
+    def label(self) -> str:
+        return self.name
+
+    def support_sup(self, eps):
+        lo, hi = self.support
+        return min(max(abs(lo), abs(hi)), eps)
+
+    def segments(self, eps, floor, cfg):
+        lo, hi = max(self.support[0], -eps), min(self.support[1], eps)
+        q = self.density
+        pieces = [_Segment(-1.0, max(floor, -hi, 0.0), -lo, lambda r: q(-r)),
+                  _Segment(1.0, max(floor, lo, 0.0), hi, q)]
+        return [s for s in pieces if s.lo < s.hi]
+
+    def check(self, cfg):
+        # int min(1, z^2) Q(dz): the second moment on |z| <= 1 plus the mass on |z| > 1
+        total = _quadrature_moment(self, 1.0, 2.0, 0.0, cfg) + _quadrature_moment(self, math.inf, 0.0, 1.0, cfg)
+        if not math.isfinite(total):
+            raise NonIntegrableError(
+                "custom density violates int (1 ^ z^2) Q(dz) < inf", operation="LevyModel"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -408,45 +399,32 @@ class _View:
 # ---------------------------------------------------------------------------
 
 class _MarkSampler:
-    """Piecewise inverse-CDF sampler over the signed support of Q_eps above eta."""
+    """Sampler of Q_eps restricted to {|z| > eta}: a categorical draw over the
+    atoms, or piecewise inverse CDFs over the signed density segments."""
 
-    def __init__(self, view: _View, eta: float):
-        self.discrete = view._atoms is not None
+    def __init__(self, model: "LevyModel", eps: float, eta: float):
+        z, w = model.base.point_masses(eps)
+        mask = np.abs(z) > eta
+        self.discrete = bool(mask.any())
         if self.discrete:
-            mask = np.abs(view._atoms) > eta
-            z, w = view._atoms[mask], view._weights[mask]
-            if z.size == 0:
-                raise EmptyRestrictionError(
-                    f"no atoms above eta={eta}", operation="sample_marks"
-                )
-            self.values = z
-            self.probs = w / w.sum()
+            self.values = z[mask]
+            self.probs = w[mask] / w[mask].sum()
             return
-        segs = view._segments(floor=eta)
-        if not segs:
-            raise EmptyRestrictionError(
-                f"support of the restriction above eta={eta} is empty",
-                operation="sample_marks",
-            )
+        segs = model.base.segments(eps, eta, model.quadrature)
         masses, tables = [], []
         n_per = max(64, _TABLE_NODES // max(len(segs), 1))
         for seg in segs:
-            lo, hi = seg.lo, seg.hi
-            neg = hi <= 0
-            alo, ahi = (abs(hi), abs(lo)) if neg else (lo, hi)
-            if math.isinf(ahi):
+            if math.isinf(seg.hi):
                 raise InfiniteActivityError(
                     "cannot tabulate an unbounded segment", operation="sample_marks"
                 )
-            if alo <= 0:
+            if seg.lo <= 0:
                 raise InfiniteActivityError(
                     "restriction reaches the origin with infinite mass",
                     operation="sample_marks",
                 )
-            grid = np.geomspace(alo, ahi, n_per)
-            dens = (lambda z, d=seg.density: d(-z)) if neg else seg.density
-            pm = _panel_masses(dens, grid)
-            cdf = np.concatenate(([0.0], np.cumsum(pm)))
+            grid = np.geomspace(seg.lo, seg.hi, n_per)
+            cdf = np.concatenate(([0.0], np.cumsum(_panel_masses(seg.density, grid))))
             mass = cdf[-1]
             if mass <= 0.0:
                 continue
@@ -454,13 +432,12 @@ class _MarkSampler:
             keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
             inv = PchipInterpolator(cdf[keep], grid[keep])
             masses.append(mass)
-            tables.append((inv, -1.0 if neg else 1.0))
+            tables.append((inv, seg.sign))
         total = float(sum(masses))
         if total <= 0.0:
             raise EmptyRestrictionError(
                 f"restriction above eta={eta} carries no mass", operation="sample_marks"
             )
-        self.values = None
         self.tables = tables
         self.weights = np.array(masses) / total
 
@@ -479,7 +456,7 @@ class _MarkSampler:
 
 def _panel_masses(density, grid: np.ndarray) -> np.ndarray:
     """Vectorized 16-point Gauss-Legendre mass of each grid panel."""
-    xg, wg = np.polynomial.legendre.leggauss(16)
+    xg, wg = legendre_nodes(16)
     lo, hi = grid[:-1], grid[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * xg[None, :]
@@ -500,34 +477,14 @@ class LevyModel:
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
-        if isinstance(self.base, RemarkDensityFamily):
-            if not isinstance(self.trunc, FamilyIndex):
-                raise ValueError("the counterexample family is indexed by eps directly; use FamilyIndex")
-        elif isinstance(self.trunc, FamilyIndex):
-            raise ValueError("FamilyIndex truncation only applies to eps-indexed families")
-        if isinstance(self.base, CustomDensity):
-            self._check_custom_integrability()
+        if type(self.trunc) is not self.base.truncation:
+            raise ValueError(
+                f"the {self.base.label} family takes {self.base.truncation.__name__} truncation, "
+                f"got {type(self.trunc).__name__}"
+            )
+        self.base.check(self.quadrature)
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_lock", threading.RLock())
-
-    def _check_custom_integrability(self):
-        b: CustomDensity = self.base
-        f = lambda z: min(1.0, z * z) * float(b.density(np.asarray(z)))
-        lo, hi = b.support
-        total = 0.0
-        for s, e in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
-            if s >= e:
-                continue
-            ls, le = sorted((abs(s), abs(e)))
-            g = (lambda z: f(-z)) if e <= 0 else f
-            if math.isinf(le):
-                total += tail_integral(g, max(ls, 1e-12), self.quadrature)
-            else:
-                total += integrate(g, ls, le, self.quadrature)
-        if not math.isfinite(total):
-            raise NonIntegrableError(
-                "custom density violates int (1 ^ z^2) Q(dz) < inf", operation="LevyModel"
-            )
 
     @property
     def name(self) -> str:
@@ -550,22 +507,23 @@ class LevyModel:
                 self._cache[key] = build()
             return self._cache[key]
 
-    def view(self, eps: float) -> _View:
-        if not eps > 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        return self.memo(("view", eps), lambda: _View(self, eps))
-
     def sampler(self, eps: float, eta: float) -> _MarkSampler:
-        return self.memo(("sampler", eps, eta), lambda: _MarkSampler(self.view(eps), eta))
+        return self.memo(("sampler", eps, eta), lambda: _MarkSampler(self, eps, eta))
+
+
+def _moment(model: LevyModel, eps: float, p: float, a: float, method: str = "auto") -> float:
+    """int_{|z| > a} |z|^p Q_eps(dz) in the family's closed form, or by the shared
+    fallback for method="quadrature" (oracle cross-check); may be +inf."""
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if method == "quadrature":
+        return _quadrature_moment(model.base, eps, p, max(a, 0.0), model.quadrature)
+    return model.base.abs_moment(eps, p, max(a, 0.0), model.quadrature)
 
 
 def variance(model: LevyModel, eps: float, method: str = "auto") -> float:
     """sigma^2(eps) = int z^2 Q_eps(dz); raises if zero or non-finite."""
-    view = model.view(eps)
-    if method == "quadrature":
-        val = view.quadrature_moment(2.0, 0.0)
-    else:
-        val = view.moment2_above(0.0)
+    val = _moment(model, eps, 2.0, 0.0, method)
     if not math.isfinite(val):
         raise NonIntegrableError(f"variance diverges at eps={eps}", operation="variance")
     if val <= 0.0:
@@ -583,13 +541,9 @@ def ar_statistic(model: LevyModel, eps: float, kappa: float, method: str = "auto
         raise ValueError(f"kappa must be positive, got {kappa}")
     var = variance(model, eps, method=method)
     cut = kappa * math.sqrt(var)
-    view = model.view(eps)
-    if cut >= view.support_sup and not math.isinf(view.support_sup):
+    if cut >= model.base.support_sup(eps):
         return 0.0
-    if method == "quadrature":
-        tail = view.quadrature_moment(2.0, cut)
-    else:
-        tail = view.moment2_above(cut)
+    tail = _moment(model, eps, 2.0, cut, method)
     return min(tail / var, 1.0)
 
 
@@ -599,11 +553,7 @@ def delta_statistic(model: LevyModel, eps: float, delta: float, method: str = "a
         raise ValueError(f"delta must be positive, got {delta}")
     var = variance(model, eps, method=method)
     p = 2.0 + delta
-    view = model.view(eps)
-    if method == "quadrature":
-        mom = view.quadrature_moment(p, 0.0)
-    else:
-        mom = view.abs_moment_above(p, 0.0)
+    mom = _moment(model, eps, p, 0.0, method)
     if math.isinf(mom):
         return math.inf
     return mom / var ** (p / 2.0)
@@ -657,30 +607,28 @@ def ar_scan(model: LevyModel, eps_grid: Sequence[float], kappa_grid: Sequence[fl
 
 def restricted_mass(model: LevyModel, eps: float, eta: float) -> float:
     """lambda = Q_eps({|z| > eta}); may be +inf for eta = 0."""
-    return model.view(eps).mass_above(eta)
+    return _moment(model, eps, 0.0, eta)
 
 
 def restricted_mean(model: LevyModel, eps: float, eta: float) -> float:
     """m = int_{|z| > eta} z Q_eps(dz); exactly 0 for symmetric families."""
-    view = model.view(eps)
-    lam = view.mass_above(eta)
-    if math.isinf(lam):
+    if math.isinf(restricted_mass(model, eps, eta)):
         raise InfiniteActivityError(
             f"restriction above eta={eta} has infinite mass", operation="restricted_mean"
         )
-    if view.symmetric:
+    if model.base.symmetric(eps):
         return 0.0
-    return view.moment1_above(eta)
+    return model.base.moment1(eps, max(eta, 0.0), model.quadrature)
 
 
 def restricted_moment2(model: LevyModel, eps: float, eta: float) -> float:
-    return model.view(eps).moment2_above(eta)
+    return _moment(model, eps, 2.0, eta)
 
 
 def dropped_variance_fraction(model: LevyModel, eps: float, eta: float) -> float:
     """Fraction of sigma^2(eps) carried by jumps with |z| <= eta."""
     var = variance(model, eps)
-    return max(0.0, 1.0 - model.view(eps).moment2_above(eta) / var)
+    return max(0.0, 1.0 - restricted_moment2(model, eps, eta) / var)
 
 
 def sample_marks(

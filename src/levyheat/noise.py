@@ -141,7 +141,7 @@ def auto_inner_cutoff(
     def within(eta: float) -> bool:
         return max(0.0, 1.0 - measures.restricted_moment2(model, eps, eta) / var) <= rho_budget
 
-    sup = model.view(eps).support_sup
+    sup = model.base.support_sup(eps)
     eta = sup if math.isfinite(sup) else max(eps, 1.0)
     if not within(eta):
         eta, _ = _log_bisect(within, eta)
@@ -177,7 +177,7 @@ def eta_for_atom_budget(
 
     if math.isfinite(lam(0.0)) and lam(0.0) <= target:
         return 0.0
-    sup = model.view(eps).support_sup
+    sup = model.base.support_sup(eps)
     hi = sup if math.isfinite(sup) else max(eps, 1.0)
     return _log_bisect(lambda eta: lam(eta) > target, hi)[1]
 

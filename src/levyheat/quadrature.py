@@ -11,6 +11,9 @@ are wrapped in composite schemes:
 * on [a, inf) panels double outward, and a sum whose panel contributions fail
   to Cauchy-converge over three successive doublings is declared divergent
   (returned as +inf) instead of being timed out.
+
+`integrate` accepts b = inf and then joins the two: the bounded rule up to 1,
+the doubling rule from max(a, 1) on.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -25,7 +29,7 @@ from scipy.integrate import quad
 
 from .errors import NonIntegrableError
 
-__all__ = ["QuadratureConfig", "integrate", "tail_integral", "gauss_legendre"]
+__all__ = ["QuadratureConfig", "integrate", "tail_integral", "gauss_legendre", "legendre_nodes"]
 
 
 @dataclass(frozen=True)
@@ -51,9 +55,15 @@ def _panel(f: Callable[[float], float], a: float, b: float, rel_tol: float) -> f
 
 
 def integrate(f, a: float, b: float, config: QuadratureConfig = _DEFAULT) -> float:
-    """Integrate f over (a, b], 0 <= a < b, f possibly singular at 0."""
+    """Integrate f over (a, b], 0 <= a < b <= inf, f possibly singular at 0.
+
+    Returns +inf when an unbounded interval's tail diverges.
+    """
     if not (0.0 <= a < b):
         raise ValueError(f"invalid interval ({a}, {b}]")
+    if math.isinf(b):
+        head = integrate(f, a, 1.0, config) if a < 1.0 else 0.0
+        return head + tail_integral(f, max(a, 1.0), config)
     rel = config.rel_tol
     if a > 0.0:
         decades = np.log10(b / a)
@@ -131,8 +141,20 @@ def tail_integral(f, a: float, config: QuadratureConfig = _DEFAULT) -> float:
     )
 
 
+@lru_cache(maxsize=16)
+def legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], read-only.
+
+    `leggauss` solves an eigenproblem on every call; each order is computed once.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(f, a: float, b: float, n: int) -> float:
     """Fixed-order Gauss-Legendre rule with a vectorized integrand (oracle use)."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = legendre_nodes(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return float(half * np.sum(w * f(mid + half * x)))

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OutOfRangeError
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, legendre_nodes
 from .solver import FieldPath, fit_coefficients, grid_index, phi_values
 
 __all__ = [
@@ -166,7 +166,7 @@ class SmoothBump:
     @lru_cache(maxsize=8)
     def _coeff_cache(self, n_modes: int) -> tuple[float, ...]:
         k = np.arange(1, n_modes + 1)
-        xs, ws = np.polynomial.legendre.leggauss(2000)
+        xs, ws = legendre_nodes(2000)
         lo, hi = self.center - self.width, self.center + self.width
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         pts = mid + half * xs

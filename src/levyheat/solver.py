@@ -168,6 +168,11 @@ class LevyNoiseSpec:
             return float(self.eta)
         return self.model.memo(("eta", self.eps, self.eta, self.rho_budget, self.atom_cap, T), search)
 
+    def simulate(self, T: float, rng: np.random.Generator) -> "noise_mod.LevyNoiseRealization":
+        """One noise realization on [0, T] at the resolved inner cutoff."""
+        return noise_mod.simulate_levy_noise(self.model, self.eps, self.resolve_eta(T), T, rng,
+                                             rho_budget=self.rho_budget, atom_cap=self.atom_cap)
+
 
 @dataclass(frozen=True)
 class GaussianNoiseSpec:
@@ -453,12 +458,7 @@ def _gaussian_path(config, rng):
 
 
 def _levy_path(config, rng):
-    spec: LevyNoiseSpec = config.noise
-    eta = spec.resolve_eta(config.T)
-    real = noise_mod.simulate_levy_noise(
-        spec.model, spec.eps, eta, config.T, rng,
-        rho_budget=spec.rho_budget, atom_cap=spec.atom_cap,
-    )
+    real = config.noise.simulate(config.T, rng)
     if config.f.is_constant:
         return _levy_path_additive(config, real)
     return _levy_path_general(config, real)

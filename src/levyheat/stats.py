@@ -30,8 +30,8 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .errors import ConfigMismatchError, EmptySampleError
-from .measures import _TAIL_CAP, LevyModel, ar_statistic
-from .quadrature import gauss_legendre
+from .measures import LevyModel, ar_statistic
+from .quadrature import gauss_legendre, legendre_nodes
 from .sobolev import SmoothBump
 from .solver import (
     FieldPath,
@@ -42,7 +42,6 @@ from .solver import (
     jump_log,
     phi_values,
 )
-from . import noise as noise_mod
 from . import solver as solver_mod
 from .streams import stream
 
@@ -179,32 +178,25 @@ def _stable_expm1i(theta: np.ndarray) -> np.ndarray:
 
 def _compensator_psi(model: LevyModel, eps: float, eta: float, amp_of_x: Callable[[np.ndarray], np.ndarray]) -> complex:
     """int_0^pi int (e^{i a(x) z} - 1 - i a(x) z) Q_eps|_{|z|>eta}(dz) dx."""
-    xg, xw = np.polynomial.legendre.leggauss(384)
+    xg, xw = legendre_nodes(384)
     x = 0.5 * math.pi * (xg + 1.0)
     wx = 0.5 * math.pi * xw
     a = amp_of_x(x)
-    view = model.view(eps)
     total = 0.0 + 0.0j
-    if view._atoms is not None:
-        mask = np.abs(view._atoms) > eta
-        for z, w in zip(view._atoms[mask], view._weights[mask]):
-            total += w * np.sum(wx * _stable_expm1i(a * z))
-        return complex(total)
-    for seg in view._segments(floor=eta):
-        neg = seg.hi <= 0
-        lo, hi = (abs(seg.hi), abs(seg.lo)) if neg else (seg.lo, seg.hi)
-        hi = min(hi, _TAIL_CAP)
-        n_panels = max(8, int(np.ceil(np.log10(hi / lo) * 8)))
-        cuts = np.geomspace(lo, hi, n_panels + 1)
-        zg, zw = np.polynomial.legendre.leggauss(16)
+    atoms, weights = model.base.point_masses(eps)
+    mask = np.abs(atoms) > eta
+    for z, w in zip(atoms[mask], weights[mask]):
+        total += w * np.sum(wx * _stable_expm1i(a * z))
+    zg, zw = legendre_nodes(16)
+    for seg in model.base.segments(eps, eta, model.quadrature):
+        n_panels = max(8, int(np.ceil(np.log10(seg.hi / seg.lo) * 8)))
+        cuts = np.geomspace(seg.lo, seg.hi, n_panels + 1)
         mid = 0.5 * (cuts[:-1] + cuts[1:])
         half = 0.5 * (cuts[1:] - cuts[:-1])
         zz = (mid[:, None] + half[:, None] * zg[None, :]).ravel()
         wz = (half[:, None] * zw[None, :]).ravel()
-        dens = seg.density(-zz) if neg else seg.density(zz)
-        sgn = -1.0 if neg else 1.0
-        theta = a[:, None] * (sgn * zz[None, :])
-        total += np.sum(wx[:, None] * _stable_expm1i(theta) * (wz * dens)[None, :])
+        theta = a[:, None] * (seg.sign * zz[None, :])
+        total += np.sum(wx[:, None] * _stable_expm1i(theta) * (wz * seg.density(zz))[None, :])
     return complex(total)
 
 
@@ -385,17 +377,12 @@ def characteristics_sample(
     spec: LevyNoiseSpec = config.noise
     if spec.kind != "levy":
         raise ConfigMismatchError("characteristics need Levy noise")
-    eta = spec.resolve_eta(config.T)
     c = fit_coefficients(phi_coefficients, config.modes)
     cval = config.f.constant_value
     quad = np.empty(n_paths)
     bigs = np.empty(n_paths, dtype=int)
     for i in range(n_paths):
-        rng = stream(base_seed, i, purpose)
-        real = noise_mod.simulate_levy_noise(
-            spec.model, spec.eps, eta, config.T, rng,
-            rho_budget=spec.rho_budget, atom_cap=spec.atom_cap,
-        )
+        real = spec.simulate(config.T, stream(base_seed, i, purpose))
         sigma_used = real.jump_scale(spec.normalization)
         if len(real.t):
             phiK = solver_mod.sine_series(c, real.x)
@@ -411,9 +398,7 @@ def characteristics_sample(
 def _big_jump_drift_rate(model, eps, eta, coeffs, scale, h) -> float:
     """int_0^pi int (s phi(x) z) 1{|s phi(x) z| > h} Q(dz) dx for s = f/sigma."""
     K = len(coeffs)
-
-    view = model.view(eps)
-    if view.symmetric:
+    if model.base.symmetric(eps):
         return 0.0
 
     def inner(x):
@@ -424,7 +409,7 @@ def _big_jump_drift_rate(model, eps, eta, coeffs, scale, h) -> float:
             if a == 0.0:
                 continue
             cut = max(abs(h / a), eta)
-            out[i] = a * view.moment1_above(cut)
+            out[i] = a * model.base.moment1(eps, cut, model.quadrature)
         return out
 
     return gauss_legendre(inner, 0.0, math.pi, 256)
@@ -551,7 +536,6 @@ def _terminal_block(args) -> dict[str, np.ndarray]:
                 out[f.name][i - lo] = float(modes_T @ c)
         return out
     spec: LevyNoiseSpec = config.noise
-    eta = spec.resolve_eta(T)
     drifts = [cval * _terminal_drift(c, T, config.collocation) for c in coeff_rows]
     init_terms = [0.0] * len(coeff_rows)
     if config.initial is not None:
@@ -574,11 +558,7 @@ def _terminal_block(args) -> dict[str, np.ndarray]:
     # path larger than the block is flushed alone
     batch, n_atoms = [], 0
     for i in range(lo, hi):
-        rng = stream(base_seed, i, purpose)
-        real = noise_mod.simulate_levy_noise(
-            spec.model, spec.eps, eta, T, rng,
-            rho_budget=spec.rho_budget, atom_cap=spec.atom_cap,
-        )
+        real = spec.simulate(T, stream(base_seed, i, purpose))
         if batch and n_atoms + len(real) > solver_mod._ATOM_BLOCK:
             flush(batch)
             n_atoms = 0

@@ -5,11 +5,13 @@ import pytest
 from scipy.special import gammainc
 
 import levyheat as lh
+from levyheat import measures, stats
 from levyheat.errors import (
     EmptyRestrictionError,
     InfiniteActivityError,
     ZeroVarianceError,
 )
+from levyheat.quadrature import QuadratureConfig, legendre_nodes
 from levyheat.streams import stream
 
 
@@ -225,8 +227,7 @@ def test_remark_mark_sampler_matches_tail_mass(remark_model):
     eps, eta, n = 0.1, 1e-3, 200_000
     marks = lh.sample_marks(remark_model, eps, eta, n, rng)
     lam = lh.restricted_mass(remark_model, eps, eta)
-    view = remark_model.view(eps)
-    p_tail = view.mass_above(1.0) / lam
+    p_tail = lh.restricted_mass(remark_model, eps, 1.0) / lam
     got = np.mean(np.abs(marks) > 1.0)
     se = math.sqrt(p_tail * (1 - p_tail) / n)
     assert got == pytest.approx(p_tail, abs=4 * se)
@@ -275,3 +276,99 @@ def test_custom_density_integrability():
     assert lh.variance(ok, 2.0) == pytest.approx(
         2 * (2 - math.exp(-2) * (2 ** 2 + 2 * 2 + 2)), rel=1e-8
     )
+
+
+@pytest.mark.parametrize("density, support", [
+    (lambda z: np.exp(-np.abs(z)), (-math.inf, math.inf)),
+    (lambda z: np.exp(-z), (0.0, math.inf)),
+    (lambda z: z ** -2.0 * np.exp(-z), (0.0, math.inf)),
+], ids=["laplace", "exponential", "inverse_square_exponential"])
+def test_custom_density_unbounded_support_builds(density, support):
+    lh.LevyModel(lh.CustomDensity(density, support))
+
+
+def test_custom_density_unbounded_moments():
+    laplace = lh.LevyModel(lh.CustomDensity(lambda z: np.exp(-np.abs(z)), (-math.inf, math.inf)))
+    assert lh.variance(laplace, math.inf) == pytest.approx(4.0, rel=1e-8)
+    # int_{0.5}^inf z^2 e^{-z} dz = 3.25 e^{-1/2}; all of it lies above |z| = 0.1
+    tail = lh.LevyModel(lh.CustomDensity(lambda z: np.exp(-np.abs(z)), (-math.inf, -0.5)))
+    assert lh.variance(tail, math.inf) == pytest.approx(3.25 * math.exp(-0.5), rel=1e-8)
+    assert lh.restricted_moment2(tail, math.inf, 0.1) == pytest.approx(3.25 * math.exp(-0.5), rel=1e-8)
+
+
+def test_remark_constants_follow_quadrature_config():
+    # C and K0 are cached per quadrature policy, not once per process
+    eps = 0.1
+    for cfg in (QuadratureConfig(rel_tol=1e-4, panels_per_decade=1), QuadratureConfig()):
+        model = lh.LevyModel(lh.RemarkDensityFamily(), lh.FamilyIndex(), quadrature=cfg)
+        C = measures._log_tail(1.0, 0.0, cfg)
+        assert lh.restricted_mass(model, eps, 2.0) == eps ** 2 / C * measures._log_tail(2.0, -2.0, cfg)
+        assert lh.restricted_mass(model, eps, 0.05) == (
+            1.0 / 0.05 - 1.0 / eps + eps ** 2 * measures._log_tail(1.0, -2.0, cfg) / C)
+
+
+# ---------------------------------------------------------------------------
+# family contract: closed forms against the shared quadrature fallback
+# ---------------------------------------------------------------------------
+
+_FAMILIES = {
+    "gamma": (lambda: lh.LevyModel(lh.GammaSubordinator()), 0.1, (1e-4, 0.01, 0.05)),
+    "stable": (lambda: lh.LevyModel(lh.SymmetricStable(1.5)), 0.1, (1e-4, 0.01, 0.05)),
+    "remark": (lambda: lh.LevyModel(lh.RemarkDensityFamily(), lh.FamilyIndex()), 0.1, (1e-3, 0.05, 2.0)),
+    "compound": (lambda: lh.LevyModel(lh.CompoundPoisson(((0.5, 1.0), (-0.2, 2.0), (0.05, 0.5), (1.5, 1.0)))),
+                 1.0, (0.0, 0.1, 0.3)),
+    "custom": (lambda: lh.LevyModel(lh.CustomDensity(lambda z: np.exp(-z), (0.0, 1.0))), 1.0, (0.0, 0.1, 0.5)),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_family_contract(family):
+    make, eps, cuts = _FAMILIES[family]
+    model = make()
+    base, cfg = model.base, model.quadrature
+    for a in cuts:
+        for p in (0.0, 2.0, 2.5):
+            closed = base.abs_moment(eps, p, a, cfg)
+            assert measures._quadrature_moment(base, eps, p, a, cfg) == pytest.approx(closed, rel=1e-8)
+        signed = measures._quadrature_moment1(base, eps, a, cfg)
+        if base.symmetric(eps):
+            assert lh.restricted_mean(model, eps, a) == 0.0
+            assert abs(signed) <= 1e-12 * base.abs_moment(eps, 1.0, a, cfg)
+        else:
+            assert signed == pytest.approx(lh.restricted_mean(model, eps, a), rel=1e-8)
+
+
+def _amp(x):
+    return 2.0 * np.sin(x) + 0.5 * np.sin(3.0 * x)
+
+
+def test_compensator_psi_compound_poisson_atom_sum():
+    from scipy.integrate import quad
+
+    model = _FAMILIES["compound"][0]()
+    expect = 0.0
+    for z, w in ((0.5, 1.0), (-0.2, 2.0)):  # the atoms with 0.1 < |z| <= 1
+        re = quad(lambda x: math.cos(_amp(x) * z) - 1.0, 0.0, math.pi, epsabs=0.0, epsrel=1e-13)[0]
+        im = quad(lambda x: math.sin(_amp(x) * z) - _amp(x) * z, 0.0, math.pi, epsabs=0.0, epsrel=1e-13)[0]
+        expect += w * complex(re, im)
+    got = stats._compensator_psi(model, 1.0, 0.1, _amp)
+    assert abs(got - expect) <= 1e-10 * abs(expect)
+
+
+def test_compensator_psi_gamma_matches_quad_over_z():
+    from scipy.integrate import quad
+
+    eps, eta = 0.1, 1e-4
+    x, wx = legendre_nodes(64)
+    x, wx = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * wx
+    expect = 0.0
+    for xi, wi in zip(x, wx):
+        a = float(_amp(xi))
+        # cos(az) - 1 = -2 sin(az/2)^2; the -iaz term integrates in closed form
+        re = quad(lambda z: -2.0 * math.sin(0.5 * a * z) ** 2 * math.exp(-z) / z, eta, eps,
+                  epsabs=0.0, epsrel=1e-13)[0]
+        im = (quad(lambda z: math.sin(a * z) * math.exp(-z) / z, eta, eps, epsabs=0.0, epsrel=1e-13)[0]
+              - a * (math.exp(-eta) - math.exp(-eps)))
+        expect += wi * complex(re, im)
+    got = stats._compensator_psi(lh.LevyModel(lh.GammaSubordinator()), eps, eta, _amp)
+    assert abs(got - expect) <= 1e-10 * abs(expect)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levyheat.errors import NonIntegrableError
-from levyheat.quadrature import QuadratureConfig, gauss_legendre, integrate, tail_integral
+from levyheat.quadrature import QuadratureConfig, gauss_legendre, integrate, legendre_nodes, tail_integral
 
 
 def test_bounded_interval_exact():
@@ -45,3 +45,19 @@ def test_gauss_legendre_polynomial_exact():
     val = gauss_legendre(lambda x: x ** 5 - 2 * x + 1, -1.0, 3.0, 8)
     exact = (3.0 ** 6 - (-1.0) ** 6) / 6 - (3.0 ** 2 - 1.0) + 4.0
     assert val == pytest.approx(exact, rel=1e-13)
+
+
+def test_unbounded_interval_joins_bounded_and_tail_rules():
+    # (0, inf) and (2, inf): both halves of the split at 1, and one tail only
+    assert integrate(lambda z: math.exp(-z), 0.0, math.inf) == pytest.approx(1.0, rel=1e-9)
+    assert integrate(lambda z: z ** -2.0, 2.0, math.inf) == pytest.approx(0.5, rel=1e-9)
+    assert integrate(lambda z: 1.0, 0.5, math.inf) == math.inf
+
+
+def test_legendre_nodes_cached_and_read_only():
+    x, w = legendre_nodes(16)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert legendre_nodes(16)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0

@@ -211,6 +211,24 @@ def test_terminal_sampler_matches_path_solver(gamma_model):
             lh.evaluate(path, 1.0, math.pi / 2), abs=1e-12)
 
 
+def test_noise_draws_look_up_simulate_levy_noise_at_call_time(gamma_model, monkeypatch):
+    # path solver, terminal sampler and characteristics all draw through the
+    # module attribute, at the resolved eta and with the first five arguments positional
+    cfg = small_sim(gamma_model, 0.1, "atoms:50", modes=8, collocation=32, steps=64)
+    eta = cfg.noise.resolve_eta(cfg.T)
+    original, calls = lh.noise.simulate_levy_noise, []
+
+    def spy(model, eps, eta, T, rng, **kw):
+        calls.append((model, eps, eta, T, sorted(kw)))
+        return original(model, eps, eta, T, rng, **kw)
+
+    monkeypatch.setattr(lh.noise, "simulate_levy_noise", spy)
+    lh.simulate_path(cfg, stream(1, 0, "atoms"))
+    st.collect_terminal_samples(cfg, [st.mode_functional(1, 8)], 2, 1)
+    st.characteristics_sample(cfg, (1.0,), 0.5, 2, 1)
+    assert calls == [(gamma_model, 0.1, eta, 1.0, ["atom_cap", "rho_budget"])] * 5
+
+
 def test_terminal_sampler_workers_invariant(gamma_model):
     # ~1000 atoms per path, so the 40 paths span several atom blocks and a
     # path's block depends on the run: its value must not
