@@ -28,9 +28,11 @@ and cuts a, floor >= 0:
 method="quadrature" calls for every family as an oracle. Nothing outside the
 families branches on which family it holds.
 
-Mark sampling uses tabulated inverse CDFs (4096 nodes, monotone cubic) built
-once per (model, eps, eta) and cached; all randomness comes from caller
-streams.
+Mark sampling draws a segment by its mass and one uniform per mark, and maps
+the uniform through the segment's closed-form quantile where the segment has
+one (the power-law pieces of the stable and remark families), else through a
+tabulated inverse CDF (4096 nodes, monotone cubic). Samplers are built once
+per (model, eps, eta) and cached; all randomness comes from caller streams.
 """
 
 from __future__ import annotations
@@ -108,7 +110,10 @@ class _Segment:
 
     0 <= lo < hi <= inf. `tail`, when set, is int_lo^inf r^p q(r) dr as a
     function of p: the remark family's log-corrected tail, which quadrature in
-    z does not resolve, is tabulated only up to hi = _TAIL_CAP.
+    z does not resolve, is tabulated only up to hi = _TAIL_CAP. `quantile`,
+    when set, is the inverse CDF of q on the piece in closed form, mapping
+    u in [0, 1) to r in (lo, hi] with quantile(0) = lo; mirrored pieces share
+    one quantile object.
     """
 
     sign: float
@@ -116,12 +121,24 @@ class _Segment:
     hi: float
     density: Callable[[np.ndarray], np.ndarray]
     tail: Callable[[float], float] | None = None
+    quantile: Callable[[np.ndarray], np.ndarray] | None = None
 
     def moment(self, p: float, cfg: QuadratureConfig) -> float:
         """int r^p q(r) dr over the piece; +inf when it diverges."""
         if self.tail is not None:
             return self.tail(p)
         return integrate(lambda r: r ** p * float(self.density(np.asarray(r))), self.lo, self.hi, cfg)
+
+
+def _power_quantile(lo: float, hi: float, alpha: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """Inverse CDF of the density r^(-1-alpha) on (lo, hi], 0 < lo < hi < inf:
+    r = (lo^-alpha - u (lo^-alpha - hi^-alpha))^(-1/alpha), written as
+    lo (1 - u (1 - (lo/hi)^alpha))^(-1/alpha) so that quantile(0) = lo exactly
+    and tiny lo does not overflow. None at lo = 0, where the mass is infinite."""
+    if lo == 0.0:
+        return None
+    c = -math.expm1(alpha * math.log(lo / hi))
+    return lambda u: lo * (1.0 - u * c) ** (-1.0 / alpha)
 
 
 def _quadrature_moment(family, eps: float, p: float, a: float, cfg: QuadratureConfig) -> float:
@@ -263,7 +280,8 @@ class SymmetricStable(_Family):
         if floor >= eps:
             return []
         dens = lambda r: r ** (-1.0 - self.alpha)
-        return [_Segment(-1.0, floor, eps, dens), _Segment(1.0, floor, eps, dens)]
+        q = _power_quantile(floor, eps, self.alpha)
+        return [_Segment(-1.0, floor, eps, dens, quantile=q), _Segment(1.0, floor, eps, dens, quantile=q)]
 
 
 def _log_tail(a: float, power: float, config: QuadratureConfig) -> float:
@@ -347,7 +365,8 @@ class RemarkDensityFamily(_Family):
         tail = lambda p: e2 / (2.0 * C) * _log_tail(lo, p - 2.0, cfg)
         pieces = [_Segment(-1.0, lo, _TAIL_CAP, outer, tail)]
         if floor < eps:
-            pieces += [_Segment(-1.0, floor, eps, inner), _Segment(1.0, floor, eps, inner)]
+            q = _power_quantile(floor, eps, 1.0)
+            pieces += [_Segment(-1.0, floor, eps, inner, quantile=q), _Segment(1.0, floor, eps, inner, quantile=q)]
         pieces.append(_Segment(1.0, lo, _TAIL_CAP, outer, tail))
         return [s for s in pieces if s.lo < s.hi]
 
@@ -400,7 +419,13 @@ class CustomDensity(_Family):
 
 class _MarkSampler:
     """Sampler of Q_eps restricted to {|z| > eta}: a categorical draw over the
-    atoms, or piecewise inverse CDFs over the signed density segments."""
+    atoms, or a draw of a signed density segment by its mass and one uniform
+    mapped through that segment's inverse CDF.
+
+    The segment masses are always the panel sums of the tabulated CDF, so the
+    draws of a stream do not depend on which segments have a closed-form
+    quantile; only segments without one build a table.
+    """
 
     def __init__(self, model: "LevyModel", eps: float, eta: float):
         z, w = model.base.point_masses(eps)
@@ -411,47 +436,77 @@ class _MarkSampler:
             self.probs = w[mask] / w[mask].sum()
             return
         segs = model.base.segments(eps, eta, model.quadrature)
-        masses, tables = [], []
+        masses, signs, inverses, group = [], [], [], []
         n_per = max(64, _TABLE_NODES // max(len(segs), 1))
         for seg in segs:
             if math.isinf(seg.hi):
                 raise InfiniteActivityError(
                     "cannot tabulate an unbounded segment", operation="sample_marks"
                 )
-            if seg.lo <= 0:
-                raise InfiniteActivityError(
-                    "restriction reaches the origin with infinite mass",
-                    operation="sample_marks",
-                )
-            grid = np.geomspace(seg.lo, seg.hi, n_per)
-            cdf = np.concatenate(([0.0], np.cumsum(_panel_masses(seg.density, grid))))
+            grid, cdf = _segment_cdf(seg, n_per, model.quadrature)
             mass = cdf[-1]
+            if not math.isfinite(mass):
+                raise InfiniteActivityError(
+                    f"segment ({seg.lo:.3g}, {seg.hi:.3g}] has infinite mass", operation="sample_marks"
+                )
             if mass <= 0.0:
                 continue
-            cdf /= mass
-            keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
-            inv = PchipInterpolator(cdf[keep], grid[keep])
+            inv = seg.quantile
+            if inv is None:
+                cdf /= mass
+                keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
+                inv = PchipInterpolator(cdf[keep], grid[keep])
+            if inv not in inverses:  # functions and tables compare by identity
+                inverses.append(inv)
             masses.append(mass)
-            tables.append((inv, seg.sign))
+            signs.append(seg.sign)
+            group.append(inverses.index(inv))
         total = float(sum(masses))
         if total <= 0.0:
             raise EmptyRestrictionError(
                 f"restriction above eta={eta} carries no mass", operation="sample_marks"
             )
-        self.tables = tables
         self.weights = np.array(masses) / total
+        self.signs = np.array(signs)
+        self.inverses = inverses
+        self.group = np.array(group)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         if self.discrete:
             return rng.choice(self.values, size=count, p=self.probs)
-        which = rng.choice(len(self.tables), size=count, p=self.weights)
+        which = rng.choice(len(self.signs), size=count, p=self.weights)
         u = rng.uniform(0.0, 1.0, size=count)
+        if len(self.inverses) == 1:
+            # one inverse for every segment (the stable pair, gamma's one table): no masks
+            return self.signs[which] * self.inverses[0](u)
+        groups = self.group[which]
         out = np.empty(count)
-        for i, (inv, sign) in enumerate(self.tables):
-            m = which == i
+        for g, inv in enumerate(self.inverses):
+            m = groups == g
             if np.any(m):
-                out[m] = sign * inv(u[m])
+                out[m] = self.signs[which[m]] * inv(u[m])
         return out
+
+
+def _segment_cdf(seg: _Segment, n_per: int, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Grid on (lo, hi] and the unnormalized CDF of the segment at its nodes.
+
+    The grid is geometric; a segment from the origin starts at 0 and its first
+    panel (0, hi * 1e-12] goes to the adaptive rule, which flags an infinite
+    mass (returned as +inf) instead of missing it between Gauss nodes.
+    """
+    if seg.lo > 0.0:
+        grid = np.geomspace(seg.lo, seg.hi, n_per)
+    else:
+        grid = np.concatenate(([0.0], np.geomspace(seg.hi * 1e-12, seg.hi, n_per - 1)))
+    panels = _panel_masses(seg.density, grid)
+    if seg.lo == 0.0:
+        try:
+            with np.errstate(over="ignore"):
+                panels[0] = integrate(lambda r: float(seg.density(np.asarray(r))), 0.0, grid[1], cfg)
+        except NonIntegrableError:
+            panels[0] = math.inf
+    return grid, np.concatenate(([0.0], np.cumsum(panels)))
 
 
 def _panel_masses(density, grid: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ The compensated Levy noise is simulated by drop-with-compensation: jumps
 with |z| <= eta are removed together with their compensator (mean preserved,
 variance reduced by an exactly known fraction reported as metadata), never
 replaced by a Gaussian surrogate. Atom times/positions are uniform, marks
-come from the tabulated inverse CDF of the normalized restriction.
+come from the normalized restriction through the segment's closed-form
+quantile where the segment has one, else through a tabulated inverse CDF.
+Realizations keep the atoms in draw order; the path solver sorts them by time.
 """
 
 from __future__ import annotations
@@ -36,7 +38,11 @@ __all__ = [
 
 @dataclass
 class LevyNoiseRealization:
-    """Compensated Poisson atoms plus drift metadata, sorted by time."""
+    """Compensated Poisson atoms plus drift metadata, in draw order.
+
+    Sums over the atoms do not depend on their order; the path solver sorts
+    the atoms by time before it replays them.
+    """
 
     t: np.ndarray
     x: np.ndarray
@@ -104,11 +110,10 @@ def simulate_levy_noise(
     t = rng.uniform(0.0, T, size=n)
     x = rng.uniform(0.0, math.pi, size=n)
     z = measures.sample_marks(model, eps, eta, n, rng) if n else np.empty(0)
-    order = np.argsort(t, kind="stable")
     return LevyNoiseRealization(
-        t=t[order],
-        x=x[order],
-        z=np.asarray(z)[order],
+        t=t,
+        x=x,
+        z=z,
         T=T,
         eps=eps,
         eta=eta,
@@ -141,8 +146,7 @@ def auto_inner_cutoff(
     def within(eta: float) -> bool:
         return max(0.0, 1.0 - measures.restricted_moment2(model, eps, eta) / var) <= rho_budget
 
-    sup = model.base.support_sup(eps)
-    eta = sup if math.isfinite(sup) else max(eps, 1.0)
+    eta = _search_ceiling(model, eps, within)
     if not within(eta):
         eta, _ = _log_bisect(within, eta)
         if not within(eta):
@@ -177,9 +181,23 @@ def eta_for_atom_budget(
 
     if math.isfinite(lam(0.0)) and lam(0.0) <= target:
         return 0.0
+    above = lambda eta: lam(eta) > target
+    return _log_bisect(above, _search_ceiling(model, eps, above))[1]
+
+
+def _search_ceiling(model: measures.LevyModel, eps: float, below: Callable[[float], bool]) -> float:
+    """Finite upper end of an eta search: the sup of the support when finite.
+
+    For unbounded support the ceiling starts at max(eps, 1), or at 1 when eps
+    is infinite, and grows tenfold until `below` is False there.
+    """
     sup = model.base.support_sup(eps)
-    hi = sup if math.isfinite(sup) else max(eps, 1.0)
-    return _log_bisect(lambda eta: lam(eta) > target, hi)[1]
+    if math.isfinite(sup):
+        return sup
+    hi = max(eps, 1.0) if math.isfinite(eps) else 1.0
+    while below(hi):
+        hi *= 10.0
+    return hi
 
 
 def _log_bisect(below: Callable[[float], bool], hi: float) -> tuple[float, float]:

@@ -8,8 +8,9 @@ phi_k(x) = sqrt(2/pi) sin(kx).  The heat semigroup acts diagonally
   projection of f(u) times the white-noise cell increments (variance dt*dx).
   For constant f the stochastic convolution is sampled exactly instead
   (same law, no time-discretization bias).
-* Levy branch: atoms are applied at their exact times through exact
-  exponential gaps; each atom (t_j, x_j, z_j) adds
+* Levy branch: the noise realization comes in draw order and is sorted by
+  time here, once per path; atoms are applied at their exact times through
+  exact exponential gaps; each atom (t_j, x_j, z_j) adds
   f(u(t_j-, x_j)) * (z_j / sigma) * phi_k(x_j) to every mode, with u(t_j-, .)
   evaluated by the truncated sine series. Asymmetric measures subtract the
   restricted-mean compensator once per step using the step-start field.
@@ -20,13 +21,13 @@ one atom kernel (_mode_rows, _atom_kernel, _atom_states) evaluates it for the
 additive path, the terminal pairings and the martingale replay.
 
 Identity checks (semimartingale mode decomposition, factorization-method
-reconstruction) replay the recorded atom log.
+reconstruction) replay the recorded atom log, which is in time order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -216,7 +217,7 @@ class FieldPath:
     times: np.ndarray                 # (steps+1,)
     modes: np.ndarray                 # (steps+1, K)
     config: SimConfig
-    atom_log: "noise_mod.LevyNoiseRealization | None" = None
+    atom_log: "noise_mod.LevyNoiseRealization | None" = None  # the realization, sorted by time
     f_at_atoms: np.ndarray | None = None  # f(u(t_j-, x_j)) recorded per atom
 
     @property
@@ -459,6 +460,8 @@ def _gaussian_path(config, rng):
 
 def _levy_path(config, rng):
     real = config.noise.simulate(config.T, rng)
+    order = np.argsort(real.t, kind="stable")
+    real = replace(real, t=real.t[order], x=real.x[order], z=real.z[order])
     if config.f.is_constant:
         return _levy_path_additive(config, real)
     return _levy_path_general(config, real)

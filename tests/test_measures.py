@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import gammainc
+from scipy.stats import kstest
 
 import levyheat as lh
 from levyheat import measures, stats
@@ -231,6 +232,73 @@ def test_remark_mark_sampler_matches_tail_mass(remark_model):
     got = np.mean(np.abs(marks) > 1.0)
     se = math.sqrt(p_tail * (1 - p_tail) / n)
     assert got == pytest.approx(p_tail, abs=4 * se)
+
+
+def test_power_quantile_maps_onto_the_segment():
+    q = measures._power_quantile(1e-6, 1e-3, 1.5)
+    u = np.array([0.0, 0.25, 0.5, 1.0 - 2.0 ** -53])
+    r = q(u)
+    assert r[0] == 1e-6 and np.all(np.diff(r) > 0) and r[-1] <= 1e-3
+    # u = F(r) for the restricted law of r^-2.5 on (lo, hi]
+    cdf = (1e-6 ** -1.5 - r ** -1.5) / (1e-6 ** -1.5 - 1e-3 ** -1.5)
+    assert np.allclose(cdf, u, rtol=0, atol=1e-12)
+    assert measures._power_quantile(0.0, 1e-3, 1.5) is None
+
+
+def test_stable_marks_match_the_table_on_the_same_draws(monkeypatch):
+    # a custom density with the same law keeps the tabulated inverse; both draw
+    # the segment and the uniform alike, so only the map from u to |z| differs
+    eps, eta, n = 0.1, 1e-3, 20_000
+    custom = lh.LevyModel(lh.CustomDensity(lambda z: np.abs(z) ** -2.5, (-eps, eps)))
+    table = lh.sample_marks(custom, eps, eta, n, stream(106, 0, "marks"))
+    model = lh.LevyModel(lh.SymmetricStable(1.5))
+
+    def no_table(*args, **kw):
+        raise AssertionError("a stable segment built a table")
+
+    monkeypatch.setattr(measures, "PchipInterpolator", no_table)
+    exact = lh.sample_marks(model, eps, eta, n, stream(106, 0, "marks"))
+    assert np.array_equal(np.sign(exact), np.sign(table))
+    assert np.max(np.abs(exact - table) / np.abs(exact)) <= 1e-7
+
+
+def _ks_report(name, marks, cdf):
+    res = kstest(marks, cdf)
+    print(f"[marks KS] {name}: n={len(marks)} D={res.statistic:.2e} p={res.pvalue:.3f}")
+    return res.pvalue
+
+
+def test_closed_form_marks_follow_the_exact_law(stable_model, remark_model):
+    n = 1_000_000
+    eps, eta, al = 1e-2, 1e-4, 1.5
+    marks = np.abs(lh.sample_marks(stable_model, eps, eta, n, stream(107, 0, "marks")))
+    cdf = lambda r: (eta ** -al - r ** -al) / (eta ** -al - eps ** -al)
+    assert _ks_report("stable 1.5, eps 1e-2, eta 1e-4", marks, cdf) > 1e-3
+    # remark family: the marks with |z| <= eps follow its inner piece 1/(2 z^2)
+    eps, eta = 0.1, 1e-3
+    marks = np.abs(lh.sample_marks(remark_model, eps, eta, n, stream(108, 0, "marks")))
+    inner = marks[marks <= eps]
+    cdf = lambda r: (1.0 / eta - 1.0 / r) / (1.0 / eta - 1.0 / eps)
+    assert _ks_report("remark inner, eps 0.1, eta 1e-3", inner, cdf) > 1e-3
+
+
+def test_finite_mass_segment_at_the_origin_samples():
+    model = lh.LevyModel(lh.CustomDensity(lambda z: np.exp(-z), (0.0, 1.0)))
+    marks = lh.sample_marks(model, 1.0, 0.0, 100_000, stream(109, 0, "marks"))
+    assert np.all((marks > 0.0) & (marks <= 1.0))
+    cdf = lambda z: -np.expm1(-z) / -math.expm1(-1.0)
+    assert _ks_report("exp(-z) on (0, 1], eta 0", marks, cdf) > 1e-3
+
+
+def test_infinite_mass_at_the_origin_still_raises(stable_model):
+    with pytest.raises(InfiniteActivityError):
+        lh.sample_marks(stable_model, 0.1, 0.0, 10, stream(1, 0, "marks"))
+    # the sampler itself rejects a segment whose tabulated mass diverges
+    with pytest.raises(InfiniteActivityError):
+        stable_model.sampler(0.1, 0.0)
+    custom = lh.LevyModel(lh.CustomDensity(lambda z: np.abs(z) ** -2.5, (-0.1, 0.1)))
+    with pytest.raises(InfiniteActivityError):
+        custom.sampler(0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2, gamma as gamma_dist
 
 import levyheat as lh
 from levyheat.errors import (
@@ -12,6 +16,8 @@ from levyheat.errors import (
     InfiniteActivityError,
 )
 from levyheat.streams import stream
+
+from conftest import small_sim
 
 
 def test_atom_count_poisson_mean():
@@ -52,12 +58,17 @@ def test_infinite_activity_error(stable_model):
 
 
 def test_realization_sorted_and_in_domain(gamma_model):
+    # realizations come in draw order; the path solver's atom log is in time order
     eta = lh.auto_inner_cutoff(gamma_model, 0.1, 1.0)
     real = lh.simulate_levy_noise(gamma_model, 0.1, eta, 1.0, stream(5, 2, "atoms"))
-    assert np.all(np.diff(real.t) >= 0)
+    assert np.all((real.t >= 0) & (real.t <= 1.0))
     assert np.all((real.x > 0) & (real.x < math.pi))
     assert np.all((np.abs(real.z) > eta) & (np.abs(real.z) <= 0.1))
     assert real.dropped_variance_fraction <= 1e-3
+    path = lh.simulate_path(small_sim(gamma_model, 0.1, eta), stream(5, 2, "atoms"))
+    log = path.atom_log
+    assert np.all(np.diff(log.t) >= 0)
+    assert sorted(zip(log.t, log.x, log.z)) == sorted(zip(real.t, real.x, real.z))
 
 
 def test_determinism(gamma_model):
@@ -119,6 +130,34 @@ def test_eta_for_atom_budget_below_search_floor(gamma_model):
     for eps in (1e-1, 1e-2, 1e-3):
         eta = lh.eta_for_atom_budget(gamma_model, eps, 1.0, 200.0)
         assert math.pi * lh.restricted_mass(gamma_model, eps, eta) == pytest.approx(200.0, rel=1e-9)
+
+
+_LAPLACE_AT_INFINITY = """
+import math, sys
+import numpy as np
+import levyheat as lh
+model = lh.LevyModel(lh.CustomDensity(lambda z: np.exp(-np.abs(z)), (-math.inf, math.inf)))
+call = sys.argv[1]
+if call == "auto":
+    print(repr(lh.auto_inner_cutoff(model, math.inf, 1.0)))
+else:
+    print(repr(lh.eta_for_atom_budget(model, math.inf, 1.0, 3.0)))
+"""
+
+
+@pytest.mark.parametrize("call, expected", [
+    # dropped fraction 2 int_0^eta z^2 e^-z dz / 4 = P(Gamma(3) <= eta) = 1e-3
+    ("auto", gamma_dist.ppf(1e-3, 3)),
+    # expected atoms pi * 2 e^-eta = 3
+    ("atoms", math.log(2.0 * math.pi / 3.0)),
+])
+def test_eta_search_with_unbounded_support_at_infinite_eps(call, expected):
+    # each call runs in its own interpreter so that a search that never ends fails here
+    src = str(Path(lh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", _LAPLACE_AT_INFINITY, call], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert float(done.stdout) == pytest.approx(expected, rel=0, abs=1e-11)
 
 
 def test_atom_dump_roundtrip(tmp_path, gamma_model):

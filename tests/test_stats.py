@@ -176,11 +176,15 @@ def test_characteristics_fast_route_agreement(gamma_model):
         assert est.quadratic_sum[-1] == pytest.approx(quad[i], abs=1e-10)
         assert est.big_jump_count == bigs[i]
         # both routes evaluate <phi, basis> with sine_series: the jump sizes agree
-        # exactly, so the fast route's sum is reproduced bit for bit from them
+        # exactly, the solver's in time order and the fast route's in draw order,
+        # so the fast route's sum is reproduced bit for bit from them
         jumps = est.jump_sizes
-        assert quad[i] == float(np.sum(np.where(np.abs(jumps) <= 0.5, jumps**2, 0.0)))
         real = path.atom_log
         assert np.array_equal(jumps, lh.solver.sine_series(phihat, real.x) * real.z / real.sigma)
+        drawn = cfg.noise.simulate(cfg.T, stream(43, i, "atoms"))
+        drawn_jumps = lh.solver.sine_series(phihat, drawn.x) * drawn.z / drawn.sigma
+        assert np.array_equal(np.sort(jumps), np.sort(drawn_jumps))
+        assert quad[i] == float(np.sum(np.where(np.abs(drawn_jumps) <= 0.5, drawn_jumps**2, 0.0)))
 
 
 def test_characteristics_drift_sign(gamma_model):
