@@ -18,10 +18,11 @@ phi_k(x) = sqrt(2/pi) sin(kx).  The heat semigroup acts diagonally
 For constant f the field is linear in the atoms,
 u_k(t) = sum_{t_j <= t} a_j phi_k(x_j) e^{-k^2 (t - t_j)} minus the drift, and
 one atom kernel (_mode_rows, _atom_kernel, _atom_states) evaluates it for the
-additive path, the terminal pairings and the martingale replay.
+additive path, the terminal pairings, the martingale replay and, with the
+recorded f(u(t_j-, x_j)) per atom, the jump part of the factorization check.
 
 Identity checks (semimartingale mode decomposition, factorization-method
-reconstruction) replay the recorded atom log, which is in time order.
+reconstruction) rebuild the field, initial data included, from the atom log.
 """
 
 from __future__ import annotations
@@ -579,11 +580,12 @@ def jump_log(path: FieldPath, operation: str):
 
 
 def mode_decomposition_check(path: FieldPath, k: int) -> float:
-    """Residual of  u_k(t) = X_t - k^2 int_0^t X_s e^{-k^2 (t-s)} ds.
+    """Residual of  u_k(t) = e^{-k^2 t} u_k(0) + X_t - k^2 int_0^t X_s e^{-k^2 (t-s)} ds.
 
     X is the compensated jump integral of f(u) phi_k against the driving
-    noise, rebuilt from the atom log; the convolution uses trapezoidal
-    quadrature on the stored grid, so the residual is O(dt).
+    noise, rebuilt from the atom log, with the compensator taken by the
+    trapezoidal rule on the collocation projection of f(u); the convolution
+    uses trapezoidal quadrature on the stored grid, so the residual is O(dt).
     """
     real, sigma_used = jump_log(path, "mode_decomposition_check")
     if not (1 <= k <= path.n_modes):
@@ -596,34 +598,29 @@ def mode_decomposition_check(path: FieldPath, k: int) -> float:
     cum = np.concatenate(([0.0], np.cumsum(jumps)))
     X = cum[idx]
     if real.m_restricted != 0.0:
-        drift_rate = real.m_restricted / sigma_used
-        if path.config.f.is_constant:
-            c_k = (path.config.f.constant_value
-                   * flat_projection(path.n_modes, path.config.collocation)[k - 1])
-            X = X - drift_rate * c_k * times
-        else:
-            _, S = _collocation(path.n_modes, path.config.collocation)
-            dx = np.pi / path.config.collocation
-            fproj = (path.config.f(path.modes @ S) * dx) @ S.T[:, k - 1]
-            X = X - drift_rate * np.concatenate(([0.0], np.cumsum(0.5 * (fproj[1:] + fproj[:-1]) * dt)))
+        _, S = _collocation(path.n_modes, path.config.collocation)
+        fproj = (path.config.f(path.modes @ S) * (np.pi / path.config.collocation)) @ S[k - 1]
+        trapezoid = np.concatenate(([0.0], np.cumsum(0.5 * (fproj[1:] + fproj[:-1]) * dt)))
+        X = X - real.m_restricted / sigma_used * trapezoid
     k2 = float(k * k)
     e = math.exp(-k2 * dt)
     conv = np.empty_like(X)
     conv[0] = 0.0
     for n in range(1, len(X)):
         conv[n] = e * conv[n - 1] + 0.5 * dt * (X[n - 1] * e + X[n])
-    recon = X - k2 * conv
+    recon = path.modes[0, k - 1] * np.exp(-k2 * times) + X - k2 * conv
     return float(np.max(np.abs(recon - path.modes[:, k - 1])))
 
 
 def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, time_nodes: int = 256) -> float:
     """|factorization reconstruction - stored field| at (t, x).
 
-    Builds the auxiliary field Y_delta on a time sub-grid from the atom log
-    (space handled spectrally, which is exact for the K-mode field) and
-    integrates the singular kernel (t-s)^{delta-1} with exact panel moments
-    against piecewise-constant samples, so the residual decays like the
-    sub-grid step.
+    The reconstruction S(t) u0 + sin(delta pi)/pi int_0^t (t-s)^{delta-1} S(t-s) Y(s) ds,
+    Y(s) = int_0^s (s-r)^{-delta} S(s-r) f(u) dL(r), samples Y at the left nodes
+    s_i of a time sub-grid against the exact panel moments w_i of (t-s)^{delta-1},
+    so the residual decays like the sub-grid step. As e^{-k^2 (t-s_i)} e^{-k^2 (s_i-t_j)}
+    = e^{-k^2 (t-t_j)}, the jump part is sin(delta pi)/pi sum_j a_j W_j G_K(t-t_j, x, x_j),
+    a_j = f_j z_j / sigma, W_j = sum_{s_i > t_j} w_i (s_i - t_j)^{-delta}: one atom-kernel pass.
     """
     if not (0.0 < delta < 0.25):
         raise InvalidDeltaError(f"delta must lie in (0, 1/4), got {delta}", operation="factorization_check")
@@ -640,29 +637,25 @@ def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, ti
     K = path.n_modes
     kvec = np.arange(1, K + 1, dtype=float)
     k2 = kvec**2
+    c_delta = math.sin(delta * math.pi) / math.pi
 
     s_grid = np.linspace(0.0, t, time_nodes + 1)
-    # Y modes on the sub-grid, one node at a time (memory O(K J)): jump part
-    # over the atoms before each node, which form a prefix of the sorted log
-    amp = path.f_at_atoms * real.z / sigma_used * phi_values(kvec, real.x)  # (K, J)
-    Y = np.zeros((len(s_grid), K))
-    for i, n in enumerate(np.searchsorted(real.t, s_grid, side="left")):
-        gap = s_grid[i] - real.t[:n]
-        Y[i] = (amp[:, :n] * np.exp(-np.outer(k2, gap))) @ gap ** -delta
+    s = s_grid[:-1]                                   # left nodes
+    w = ((t - s) ** delta - (t - s_grid[1:]) ** delta) / delta  # exact panel moments
+    before = np.searchsorted(real.t, s, side="left")  # the atoms before a node are a prefix of the log
+    J = before[-1]
+    W = np.zeros(J)
+    for si, wi, n in zip(s, w, before):
+        W[:n] += wi * (si - real.t[:n]) ** -delta
+    phi_x = phi_values(kvec, float(x))
+    aW = path.f_at_atoms[:J] * real.z[:J] / sigma_used * W
+    jump = _atom_kernel(phi_x, real.x[:J], t - real.t[:J])[0] @ aW
+    m = path.modes[0] * np.exp(-k2 * t)               # S(t) u0
     if real.m_restricted != 0.0:
         # closed-form compensator part for constant f:
         # (m/sigma) c <1, phi_k> int_0^s e^{-k^2 (s-r)} (s-r)^{-delta} dr
         cflat = cfg.f.constant_value * flat_projection(K, cfg.collocation)
-        rate = real.m_restricted / sigma_used
-        sc = s_grid[:, None] * k2[None, :]
-        part = gamma_fn(1.0 - delta) * gammainc(1.0 - delta, sc) * k2[None, :] ** (delta - 1.0)
-        Y = Y - rate * cflat[None, :] * part
-
-    # product rule: int_0^t (t-s)^{delta-1} g(s) ds with g sampled at left nodes
-    a = t - s_grid[:-1]
-    b = t - s_grid[1:]
-    w = (a**delta - b**delta) / delta                 # exact panel moments
-    g = np.exp(-np.outer(t - s_grid[:-1], k2)) * Y[:-1]
-    recon_modes = (math.sin(delta * math.pi) / math.pi) * (w @ g)
-    recon = float(recon_modes @ phi_values(kvec, np.atleast_1d(float(x)))[:, 0])
+        part = gamma_fn(1.0 - delta) * gammainc(1.0 - delta, np.outer(s, k2)) * k2 ** (delta - 1.0)
+        m -= c_delta * real.m_restricted / sigma_used * cflat * (w @ (np.exp(-np.outer(t - s, k2)) * part))
+    recon = c_delta * jump + float(m @ phi_x)
     return abs(recon - evaluate(path, t, x))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,6 +240,39 @@ def test_mode_decomposition_residual_and_refinement():
     assert 1.6 <= r1 / r2 <= 2.4
 
 
+@pytest.mark.parametrize("f", [lh.constant_f(1.0), lh.affine_f(0.25, 1.0)], ids=["constant", "affine"])
+def test_mode_decomposition_with_compensator(f, gamma_model):
+    # asymmetric gamma noise, so the compensator drift enters X; the refinement
+    # band is the one of `levyheat identities`
+    cfg = small_sim(gamma_model, 0.5, "atoms:120", f=f, steps=1024, modes=32, collocation=128, rho=1.0)
+    res, ratios = [], []
+    for i in range(8):
+        p1 = lh.simulate_path(cfg, stream(12345, i, "md"))
+        p2 = lh.simulate_path(replace(cfg, steps=2048), stream(12345, i, "md"))
+        assert p1.atom_log.m_restricted != 0.0
+        for k in (1, 2, 5):
+            r1 = lh.mode_decomposition_check(p1, k)
+            res.append(r1)
+            ratios.append(r1 / lh.mode_decomposition_check(p2, k))
+    assert max(res) <= 1e-2
+    assert 1.4 <= np.median(ratios) <= 3.0
+
+
+def test_identity_checks_account_for_initial_data():
+    # the criterion-8 compound-Poisson configuration with u0 = 0.5 phi_1
+    model = lh.LevyModel(lh.CompoundPoisson(((-1.0, 2.0), (1.0, 2.0))))
+    cfg = small_sim(model, 2.0, 0.0, steps=1024, modes=32, collocation=128)
+    warm = replace(cfg, initial=(0.5,) + (0.0,) * 31)
+    cold_path = lh.simulate_path(cfg, stream(12345, 0, "crit8"))
+    warm_path = lh.simulate_path(warm, stream(12345, 0, "crit8"))
+    for k in (1, 2, 5):
+        want = lh.mode_decomposition_check(cold_path, k)
+        assert lh.mode_decomposition_check(warm_path, k) == pytest.approx(want, rel=1e-9)
+    for t, x in ((0.5, 1.3), (0.875, 0.9)):
+        want = lh.factorization_check(cold_path, 0.2, t, x, time_nodes=192)
+        assert lh.factorization_check(warm_path, 0.2, t, x, time_nodes=192) == pytest.approx(want, rel=1e-9)
+
+
 def test_mode_decomposition_rejects_gaussian():
     cfg = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=lh.constant_f(1.0), T=1.0,
                        modes=8, collocation=32, steps=64)
@@ -289,10 +323,11 @@ def _factorization_tensor_reference(path, delta, t, x, time_nodes):
     sing = np.where(mask, gp ** (-delta), 0.0)
     amp = fj * zj / sigma * phi_values(kvec, xj)
     Y = np.einsum("skj,sj,kj->sk", kern, sing * mask, amp, optimize=True)
-    cflat = path.config.f.constant_value * flat_projection(K, path.config.collocation)
-    sc = s_grid[:, None] * k2[None, :]
-    part = gamma_fn(1.0 - delta) * gammainc(1.0 - delta, sc) * k2[None, :] ** (delta - 1.0)
-    Y = Y - real.m_restricted / sigma * cflat[None, :] * part
+    if real.m_restricted != 0.0:
+        cflat = path.config.f.constant_value * flat_projection(K, path.config.collocation)
+        sc = s_grid[:, None] * k2[None, :]
+        part = gamma_fn(1.0 - delta) * gammainc(1.0 - delta, sc) * k2[None, :] ** (delta - 1.0)
+        Y = Y - real.m_restricted / sigma * cflat[None, :] * part
     a, b = t - s_grid[:-1], t - s_grid[1:]
     g = np.exp(-np.outer(t - s_grid[:-1], k2)) * Y[:-1]
     recon_modes = (math.sin(delta * math.pi) / math.pi) * (((a ** delta - b ** delta) / delta) @ g)
@@ -300,16 +335,21 @@ def _factorization_tensor_reference(path, delta, t, x, time_nodes):
     return abs(recon - lh.evaluate(path, t, x))
 
 
-def test_factorization_matches_tensor_reference(gamma_model):
+def test_factorization_matches_tensor_reference(gamma_model, stable_model):
     # asymmetric gamma noise, so the compensator part is exercised too; ~430 atoms
-    cfg = small_sim(gamma_model, 0.5, 1e-60, steps=1024, modes=32, collocation=128, rho=1.0)
-    path = lh.simulate_path(cfg, stream(2, 0, "atoms"))
-    assert len(path.atom_log) > 200
-    for t, x in ((0.75, 1.3), (0.5, 2.0), (1.0, 0.9)):
-        for nodes in (64, 192):
-            want = _factorization_tensor_reference(path, 0.2, t, x, nodes)
-            got = lh.factorization_check(path, 0.2, t, x, time_nodes=nodes)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    gamma_cfg = small_sim(gamma_model, 0.5, 1e-60, steps=1024, modes=32, collocation=128, rho=1.0)
+    # symmetric stable noise under affine f, so f(u(t_j-, x_j)) differs per atom
+    stable_cfg = small_sim(stable_model, 0.1, "atoms:300", f=lh.affine_f(0.25, 1.0),
+                           steps=1024, modes=32, collocation=128, rho=1.0)
+    for cfg in (gamma_cfg, stable_cfg):
+        path = lh.simulate_path(cfg, stream(2, 0, "atoms"))
+        assert len(path.atom_log) > 200
+        for t, x in ((0.75, 1.3), (0.5, 2.0), (1.0, 0.9)):
+            for nodes in (64, 192):
+                want = _factorization_tensor_reference(path, 0.2, t, x, nodes)
+                got = lh.factorization_check(path, 0.2, t, x, time_nodes=nodes)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert np.ptp(path.f_at_atoms) > 0.1  # on the stable path f(u(t_j-, x_j)) varies
 
 
 def test_factorization_memory_bounded_in_atoms(stable_model):
