@@ -6,14 +6,20 @@ phi_k(x) = sqrt(2/pi) sin(kx).  The heat semigroup acts diagonally
 
 * Gaussian branch: per step the modes decay and receive the collocation
   projection of f(u) times the white-noise cell increments (variance dt*dx).
-  For constant f the stochastic convolution is sampled exactly instead
-  (same law, no time-discretization bias).
+  The increments are drawn _NOISE_CHUNK steps at a time, one (chunk, M)
+  draw, which is the same stream as one draw of M per step. For constant f
+  the stochastic convolution is sampled exactly instead (same law, no
+  time-discretization bias).
 * Levy branch: the noise realization comes in draw order and is sorted by
   time here, once per path; atoms are applied at their exact times through
   exact exponential gaps; each atom (t_j, x_j, z_j) adds
   f(u(t_j-, x_j)) * (z_j / sigma) * phi_k(x_j) to every mode, with u(t_j-, .)
   evaluated by the truncated sine series. Asymmetric measures subtract the
   restricted-mean compensator once per step using the step-start field.
+  For non-constant f only the active steps are stepped: those that hold an
+  atom, or every step when the compensator drift is nonzero. Every other grid
+  row is the last computed state decayed to its time (_decay_fill, which also
+  spreads the additive path's atom states over the grid).
 
 For constant f the field is linear in the atoms,
 u_k(t) = sum_{t_j <= t} a_j phi_k(x_j) e^{-k^2 (t - t_j)} minus the drift, and
@@ -74,6 +80,11 @@ _ATOM_BLOCK = 2**14
 # largest exponent k^2 (t_i - t_c) inside one scan chunk of _atom_states
 # (e^512 ~ 1e222, far from overflow)
 _SCAN_GROWTH = 512.0
+# modes per block of _decay_fill: it writes the (N+1) x K grid a block of
+# columns at a time, as one strided column at a time is several times slower
+_FILL_MODES = 16
+# grid steps per noise draw of the Gaussian Euler branch
+_NOISE_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +375,24 @@ def _atom_states(t, x, a, m0, proj=None) -> np.ndarray:
     return out
 
 
+def _decay_fill(out, states, last, gaps) -> None:
+    """out[i, k-1] = states[k-1, last[i]] e^{-k^2 gaps[i]}: a grid trajectory from earlier states.
+
+    Between the given states the field only decays, so each grid instant i
+    takes state last[i], gaps[i] before it. `states` is (K, P) and may be the
+    view out.T (a gap of 0 leaves a row bitwise unchanged). Modes are filled
+    _FILL_MODES at a time, so the temporaries are O(_FILL_MODES * len(out)) floats.
+    """
+    K = out.shape[1]
+    buf = np.empty((min(_FILL_MODES, K), len(out)))
+    decays = _mode_rows(None, gaps, K)
+    for k0 in range(0, K, _FILL_MODES):
+        part = buf[:K - k0]
+        for row, src in zip(part, states[k0:]):
+            np.multiply(src[last], next(decays), out=row)
+        out[:, k0:k0 + len(part)] = part.T
+
+
 def atom_steps(times: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Grid step n of each atom time, times[n] < t <= times[n+1] (t = times[0] in step 0).
 
@@ -444,16 +473,23 @@ def _gaussian_path(config, rng):
             m = decay * m + conv_sd * rng.standard_normal(K)
             out[n + 1] = m
     else:
-        x, S = _collocation(K, M)
+        _, S = _collocation(K, M)
         dx = np.pi / M
         w_sd = math.sqrt(dt * dx)
-        for n in range(N):
-            u = m @ S                       # field at collocation nodes
-            g = config.f(u) * rng.normal(0.0, w_sd, size=M)
-            m = decay * m + S @ g
-            if not np.all(np.isfinite(m)):
-                raise NonFiniteStateError(f"non-finite mode at step {n + 1}", operation="simulate_path")
-            out[n + 1] = m
+        u = np.empty(M)                     # field at collocation nodes
+        for lo in range(0, N, _NOISE_CHUNK):
+            # one draw per chunk of steps: the same stream as one draw of M per step
+            xi = rng.normal(0.0, w_sd, size=(min(_NOISE_CHUNK, N - lo), M))
+            for n, row in enumerate(xi, start=lo + 1):
+                np.dot(m, S, out=u)
+                np.multiply(config.f(u), row, out=row)
+                m = out[n]
+                np.dot(S, row, out=m)
+                m += decay * out[n - 1]
+            bad = ~np.isfinite(out[lo + 1:lo + 1 + len(xi)]).all(axis=1)
+            if bad.any():
+                step = lo + 1 + int(np.argmax(bad))
+                raise NonFiniteStateError(f"non-finite mode at step {step}", operation="simulate_path")
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError("non-finite mode in Gaussian path", operation="simulate_path")
     return FieldPath(config.times(), out, config)
@@ -483,64 +519,68 @@ def _levy_path_additive(config, real):
     states = _atom_states(tj, real.x, cval * (real.z / sigma_used), _initial_state(config))
     # each grid instant takes the last state before it, decayed by the gap
     last = np.searchsorted(tj, times, side="right")
-    gaps = times - np.concatenate(([0.0], tj))[last]
-    grid = states[:, last]
-    for row, decay in zip(grid, _mode_rows(None, gaps, K)):
-        row *= decay
+    out = np.empty((len(times), K))
+    _decay_fill(out, states, last, times - np.concatenate(([0.0], tj))[last])
     if real.m_restricted != 0.0:
         rate = real.m_restricted / sigma_used
         drift = rate * cval * flat_projection(K, config.collocation) / k2
-        for row, d, decay in zip(grid, drift, _mode_rows(None, times, K)):
-            row -= d * (1.0 - decay)
-    out = np.ascontiguousarray(grid.T)
+        for col, d, decay in zip(out.T, drift, _mode_rows(None, times, K)):
+            col -= d * (1.0 - decay)
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError("non-finite mode in Levy path", operation="simulate_path")
     return FieldPath(times, out, config, real, np.full(J, cval))
 
 
 def _levy_path_general(config, real):
+    """Non-constant-f branch: steps atom by atom through the steps that need work.
+
+    A step needs work when it holds an atom, or at every step when the
+    compensator drift is nonzero; the other grid rows are decays of the last
+    computed state (_decay_fill). f(u(t_j-, x_j)) is taken at each atom's left
+    limit, and the drift uses the step-start field.
+    """
     sigma_used = real.jump_scale(config.noise.normalization)
     K, M, N = config.modes, config.collocation, config.steps
-    dt = config.dt
     kvec = np.arange(1, K + 1, dtype=float)
     k2 = kvec**2
-    decay = np.exp(-k2 * dt)
-    x, S = _collocation(K, M)
+    _, S = _collocation(K, M)
     dx = np.pi / M
     drift_rate = real.m_restricted / sigma_used
-    conv = (1.0 - decay) / k2  # int_0^dt e^{-k^2 (dt - s)} ds
-
-    m = _initial_state(config)
-    out = np.empty((N + 1, K))
-    out[0] = m
-    t_atoms, x_atoms, z_atoms = real.t, real.x, real.z
-    f_at = np.empty(len(t_atoms))
-    j = 0
     times = config.times()
-    # first atom after each step
-    step_end = np.searchsorted(atom_steps(times, t_atoms), np.arange(N), side="right")
-    for n in range(N):
-        t0, t1 = times[n], times[n + 1]
+    if drift_rate != 0.0:
+        conv = (1.0 - np.exp(-k2 * config.dt)) / k2  # int_0^dt e^{-k^2 (dt - s)} ds
+
+    t_atoms, x_atoms = real.t, real.x
+    amp = real.z / sigma_used
+    f_at = np.empty(len(t_atoms))
+    steps = atom_steps(times, t_atoms)
+    active = np.arange(N) if drift_rate != 0.0 else np.unique(steps)
+    bounds = np.searchsorted(steps, active, side="left"), np.searchsorted(steps, active, side="right")
+    out = np.empty((N + 1, K))
+    m = out[0] = _initial_state(config)
+    t_cur = times[0]
+    for n, j0, j1 in zip(active.tolist(), *bounds):
         if drift_rate != 0.0:
             D = S @ (config.f(m @ S) * dx)  # step-start projection of f(u)
-        t_cur = t0
-        while j < step_end[n]:
+        for j in range(j0, j1):
             ta = t_atoms[j]
-            if ta > t_cur:
-                m = m * np.exp(-k2 * (ta - t_cur))
-                t_cur = ta
+            m = m * np.exp(-k2 * (ta - t_cur))
+            t_cur = ta
             phik = np.sqrt(2.0 / np.pi) * np.sin(kvec * x_atoms[j])
             fval = float(config.f(float(m @ phik)))  # left limit u(t_j-, x_j)
             f_at[j] = fval
-            m = m + fval * (z_atoms[j] / sigma_used) * phik
-            j += 1
-        if t1 > t_cur:
-            m = m * np.exp(-k2 * (t1 - t_cur))
+            m = m + fval * amp[j] * phik
+        m = m * np.exp(-k2 * (times[n + 1] - t_cur))
+        t_cur = times[n + 1]
         if drift_rate != 0.0:
             m = m - drift_rate * D * conv
         if not np.all(np.isfinite(m)):
             raise NonFiniteStateError(f"non-finite mode at step {n + 1}", operation="simulate_path")
         out[n + 1] = m
+    if len(active) < N:
+        rows = np.concatenate(([0], active + 1))
+        last = rows[np.searchsorted(rows, np.arange(N + 1), side="right") - 1]
+        _decay_fill(out, out.T, last, times - times[last])
     return FieldPath(times, out, config, real, f_at)
 
 
@@ -603,13 +643,29 @@ def mode_decomposition_check(path: FieldPath, k: int) -> float:
         trapezoid = np.concatenate(([0.0], np.cumsum(0.5 * (fproj[1:] + fproj[:-1]) * dt)))
         X = X - real.m_restricted / sigma_used * trapezoid
     k2 = float(k * k)
-    e = math.exp(-k2 * dt)
-    conv = np.empty_like(X)
-    conv[0] = 0.0
-    for n in range(1, len(X)):
-        conv[n] = e * conv[n - 1] + 0.5 * dt * (X[n - 1] * e + X[n])
-    recon = path.modes[0, k - 1] * np.exp(-k2 * times) + X - k2 * conv
+    recon = path.modes[0, k - 1] * np.exp(-k2 * times) + X - k2 * _trapezoid_convolution(X, k2, dt)
     return float(np.max(np.abs(recon - path.modes[:, k - 1])))
+
+
+def _trapezoid_convolution(X, k2, dt):
+    """conv_n = int_0^{t_n} X_s e^{-k2 (t_n - s)} ds by the trapezoidal rule on the grid of X.
+
+    The recurrence conv_n = e conv_{n-1} + b_n, e = e^{-k2 dt},
+    b_n = dt/2 (e X_{n-1} + X_n), is scanned in chunks: inside one that
+    starts at step c, conv_{c+i} = e^i (conv_c + sum_{l <= i} e^{-l} b_{c+l}),
+    and a chunk ends before k2 dt i exceeds _SCAN_GROWTH.
+    """
+    lam = k2 * dt
+    b = 0.5 * dt * (X[:-1] * math.exp(-lam) + X[1:])
+    conv = np.zeros(len(X))
+    span = max(1, int(_SCAN_GROWTH / lam))
+    scaled = lam * np.arange(1, min(span, len(b)) + 1)
+    grow, shrink = np.exp(scaled), np.exp(-scaled)
+    for c in range(0, len(b), span):
+        part = b[c:c + span]
+        n = len(part)
+        conv[c + 1:c + 1 + n] = shrink[:n] * (conv[c] + np.cumsum(part * grow[:n]))
+    return conv
 
 
 def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, time_nodes: int = 256) -> float:

@@ -1,0 +1,88 @@
+"""Per-step loop forms of the multiplicative solver branches, kept as test references.
+
+These are the loops that the solver's active-step and chunked forms
+replaced: the general Levy branch stepping through every grid step, the
+Gaussian Euler branch drawing its noise one step at a time, and the
+step-by-step trapezoidal convolution of `solver.mode_decomposition_check`.
+"""
+
+import math
+
+import numpy as np
+
+from levyheat import solver
+from levyheat.errors import NonFiniteStateError
+
+
+def levy_path_general(config, real):
+    """(grid modes, f(u(t_j-, x_j)) per atom) of the general branch, every grid step in turn."""
+    sigma_used = real.jump_scale(config.noise.normalization)
+    K, M, N = config.modes, config.collocation, config.steps
+    kvec = np.arange(1, K + 1, dtype=float)
+    k2 = kvec ** 2
+    decay = np.exp(-k2 * config.dt)
+    _, S = solver._collocation(K, M)
+    dx = np.pi / M
+    drift_rate = real.m_restricted / sigma_used
+    conv = (1.0 - decay) / k2
+    m = solver._initial_state(config)
+    out = np.empty((N + 1, K))
+    out[0] = m
+    f_at = np.empty(len(real.t))
+    j = 0
+    times = config.times()
+    step_end = np.searchsorted(solver.atom_steps(times, real.t), np.arange(N), side="right")
+    for n in range(N):
+        t0, t1 = times[n], times[n + 1]
+        if drift_rate != 0.0:
+            D = S @ (config.f(m @ S) * dx)
+        t_cur = t0
+        while j < step_end[n]:
+            ta = real.t[j]
+            if ta > t_cur:
+                m = m * np.exp(-k2 * (ta - t_cur))
+                t_cur = ta
+            phik = np.sqrt(2.0 / np.pi) * np.sin(kvec * real.x[j])
+            fval = float(config.f(float(m @ phik)))
+            f_at[j] = fval
+            m = m + fval * (real.z[j] / sigma_used) * phik
+            j += 1
+        if t1 > t_cur:
+            m = m * np.exp(-k2 * (t1 - t_cur))
+        if drift_rate != 0.0:
+            m = m - drift_rate * D * conv
+        if not np.all(np.isfinite(m)):
+            raise NonFiniteStateError(f"non-finite mode at step {n + 1}", operation="simulate_path")
+        out[n + 1] = m
+    return out, f_at
+
+
+def gaussian_path(config, rng):
+    """Grid modes of the non-constant-f Gaussian Euler branch, one noise draw per step."""
+    K, M, N = config.modes, config.collocation, config.steps
+    dt = config.dt
+    k2 = np.arange(1, K + 1, dtype=float) ** 2
+    decay = np.exp(-k2 * dt)
+    _, S = solver._collocation(K, M)
+    w_sd = math.sqrt(dt * np.pi / M)
+    m = solver._initial_state(config)
+    out = np.empty((N + 1, K))
+    out[0] = m
+    for n in range(N):
+        u = m @ S
+        g = config.f(u) * rng.normal(0.0, w_sd, size=M)
+        m = decay * m + S @ g
+        if not np.all(np.isfinite(m)):
+            raise NonFiniteStateError(f"non-finite mode at step {n + 1}", operation="simulate_path")
+        out[n + 1] = m
+    return out
+
+
+def trapezoid_convolution(X, k2, dt):
+    """conv_n = int_0^{t_n} X_s e^{-k^2 (t_n - s)} ds by the trapezoidal rule, one step at a time."""
+    e = math.exp(-k2 * dt)
+    conv = np.empty_like(X)
+    conv[0] = 0.0
+    for n in range(1, len(X)):
+        conv[n] = e * conv[n - 1] + 0.5 * dt * (X[n - 1] * e + X[n])
+    return conv

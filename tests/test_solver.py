@@ -17,7 +17,22 @@ from levyheat.errors import (
 from levyheat.solver import _collocation, flat_projection, phi_values, sine_series
 from levyheat.streams import stream
 
+import solver_loop_reference as loops
 from conftest import small_sim
+
+
+def _sorted_noise(config, rng):
+    """The noise realization of simulate_path(config, rng), sorted by time as the solver sorts it."""
+    real = config.noise.simulate(config.T, rng)
+    order = np.argsort(real.t, kind="stable")
+    return replace(real, t=real.t[order], x=real.x[order], z=real.z[order])
+
+
+def _realization(t, x, z):
+    """Symmetric unit-scale noise with the given atoms (t sorted)."""
+    return noise.LevyNoiseRealization(t=t, x=x, z=z, T=1.0, eps=2.0, eta=0.0, sigma=1.0,
+                                      sigma_retained=1.0, m_restricted=0.0,
+                                      dropped_variance_fraction=0.0, intensity=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +162,58 @@ def test_additive_equals_general_branch(gamma_model):
     assert np.max(np.abs(fast.modes - slow.modes)) < 1e-12
 
 
+@pytest.mark.parametrize("f", [lh.affine_f(0.25, 1.0), lh.bounded_smooth_f(0.5, 1.0)], ids=["affine", "smooth"])
+def test_gaussian_branch_matches_step_loop(f):
+    # 600 steps: two full noise chunks and a partial one
+    cfg = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=f, T=1.0, modes=16, collocation=64, steps=600,
+                       initial=tuple(np.linspace(0.5, 0.0, 16)))
+    for i in range(3):
+        got = lh.simulate_path(cfg, stream(7, i, "g")).modes
+        assert np.array_equal(got, loops.gaussian_path(cfg, stream(7, i, "g")))
+
+
+def test_general_branch_matches_step_loop(stable_model, gamma_model, cp_symmetric):
+    f = lh.affine_f(0.25, 1.0)
+    cases = []
+    for model, eps, eta in ((stable_model, 0.1, "atoms:300"), (gamma_model, 0.5, "atoms:200")):
+        cfg = small_sim(model, eps, eta, f=f, modes=16, collocation=64, steps=512, rho=1.0)
+        cases += [(cfg, _sorted_noise(cfg, stream(8, i, "general"))) for i in range(2)]
+    assert cases[0][1].m_restricted == 0.0 and cases[-1][1].m_restricted != 0.0
+    # no atoms: the whole path is the decay fill of the initial data
+    cfg = small_sim(cp_symmetric, 2.0, 0.0, f=f, modes=16, collocation=64, steps=512)
+    cfg = replace(cfg, initial=tuple(np.linspace(1.0, 0.1, 16)))
+    cases.append((cfg, _realization(np.empty(0), np.empty(0), np.empty(0))))
+    # atoms on grid times, one ulp either side of them, at 0 and at T
+    times = cfg.times()
+    grid = times[np.arange(3, 512, 61)]
+    t = np.concatenate(([0.0, 1.0], grid, np.nextafter(grid, 0.0), np.nextafter(grid, 2.0)))
+    rng = np.random.default_rng(9)
+    cases.append((cfg, _realization(np.sort(t), rng.uniform(0.0, np.pi, len(t)), rng.choice([-1.0, 1.0], len(t)))))
+    for cfg, real in cases:
+        path = lh.solver._levy_path_general(cfg, real)
+        modes, f_at = loops.levy_path_general(cfg, real)
+        scale = max(1.0, np.max(np.abs(modes)))
+        assert np.max(np.abs(path.modes - modes)) <= 1e-12 * scale
+        assert np.allclose(path.f_at_atoms, f_at, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_general_branch_memory_bounded_by_grid(stable_model):
+    # the atom-free rows are filled a few modes at a time (peak ~1.4 grids); a
+    # fill through an (N+1) x K decay matrix peaks at ~4 grids
+    cfg = small_sim(stable_model, 0.1, "atoms:300", f=lh.affine_f(0.25, 1.0), modes=64, collocation=256,
+                    steps=8192, rho=1.0)
+    real = _sorted_noise(cfg, stream(10, 0, "memory"))
+    assert real.m_restricted == 0.0 and len(real) > 200
+    lh.solver._collocation(64, 256)
+    tracemalloc.start()
+    try:
+        path = lh.solver._levy_path_general(cfg, real)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * path.modes.nbytes
+
+
 def test_gaussian_mode_variance_mc():
     # Ito isometry for mode 1: Var = (1 - e^{-2})/2
     cfg = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=lh.constant_f(1.0), T=1.0,
@@ -187,11 +254,23 @@ def test_levy_mode_variance_mc(cp_symmetric):
     assert v == pytest.approx(target, abs=3 * se)
 
 
-def test_nonfinite_state_detected():
-    cfg = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=lh.affine_f(1e260, 1e260), T=1.0,
-                       modes=4, collocation=16, steps=64)
-    with pytest.raises(NonFiniteStateError):
-        lh.simulate_path(cfg, stream(0, 0, "boom"))
+def test_nonfinite_state_detected(stable_model):
+    # both multiplicative branches name the step at which the per-step loops stop
+    f = lh.affine_f(1e260, 1e260)
+    gauss = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=f, T=1.0, modes=4, collocation=16, steps=64)
+    levy = small_sim(stable_model, 0.1, "atoms:50", f=f, modes=4, collocation=16, steps=64, rho=1.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteStateError) as got:
+            lh.simulate_path(gauss, stream(0, 0, "boom"))
+        with pytest.raises(NonFiniteStateError) as want:
+            loops.gaussian_path(gauss, stream(0, 0, "boom"))
+        assert str(got.value) == str(want.value)
+        with pytest.raises(NonFiniteStateError) as got:
+            lh.simulate_path(levy, stream(0, 0, "boom"))
+        with pytest.raises(NonFiniteStateError) as want:
+            loops.levy_path_general(levy, _sorted_noise(levy, stream(0, 0, "boom")))
+        assert str(got.value) == str(want.value)
+    assert "step" in str(got.value)
 
 
 def test_uniform_second_moment_bound_across_eps(gamma_model):
@@ -271,6 +350,17 @@ def test_identity_checks_account_for_initial_data():
     for t, x in ((0.5, 1.3), (0.875, 0.9)):
         want = lh.factorization_check(cold_path, 0.2, t, x, time_nodes=192)
         assert lh.factorization_check(warm_path, 0.2, t, x, time_nodes=192) == pytest.approx(want, rel=1e-9)
+
+
+def test_trapezoid_convolution_matches_step_loop():
+    # k^2 dt from 2.4e-4 to 16: one scan chunk up to 33 of them
+    rng = np.random.default_rng(11)
+    for k2, dt, n in ((1.0, 1 / 4096, 4097), (25.0, 1 / 4096, 4097), (4096.0, 1 / 4096, 4097),
+                      (4096.0, 1 / 256, 257), (1.0, 1 / 64, 2), (1.0, 1 / 64, 1)):
+        X = rng.standard_normal(n).cumsum()
+        got = lh.solver._trapezoid_convolution(X, k2, dt)
+        want = loops.trapezoid_convolution(X, k2, dt)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1e-300, np.max(np.abs(want)))
 
 
 def test_mode_decomposition_rejects_gaussian():
@@ -397,9 +487,7 @@ def test_atom_steps_shared_at_grid_times(cp_symmetric):
 
     def realization(ts):
         n = len(ts)
-        return noise.LevyNoiseRealization(t=np.sort(ts), x=np.full(n, 1.0), z=np.ones(n), T=1.0, eps=2.0,
-                                          eta=0.0, sigma=1.0, sigma_retained=1.0, m_restricted=0.0,
-                                          dropped_variance_fraction=0.0, intensity=1.0)
+        return _realization(np.sort(ts), np.full(n, 1.0), np.ones(n))
 
     # the general branch: the first grid state that holds the atom closes its step
     for j in picked:
