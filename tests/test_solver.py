@@ -353,7 +353,7 @@ def test_identity_checks_account_for_initial_data():
 
 
 def test_trapezoid_convolution_matches_step_loop():
-    # k^2 dt from 2.4e-4 to 16: one scan chunk up to 33 of them
+    # k^2 dt from 2.4e-4 to 16: from one scan chunk up to 8 of them
     rng = np.random.default_rng(11)
     for k2, dt, n in ((1.0, 1 / 4096, 4097), (25.0, 1 / 4096, 4097), (4096.0, 1 / 4096, 4097),
                       (4096.0, 1 / 256, 257), (1.0, 1 / 64, 2), (1.0, 1 / 64, 1)):
