@@ -237,8 +237,10 @@ def cmd_ar_scan(cfg: dict, out_dir: Path, seed: int) -> int:
 
 
 def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
-    T = cfg["solver.horizon"]
-    if cfg["noise.kind"] == "gaussian":
+    kind = cfg["noise.kind"]
+    if kind not in ("levy", "gaussian"):
+        raise ConfigError(f"unknown noise.kind {kind!r} (levy | gaussian)")
+    if kind == "gaussian":
         noise_spec = GaussianNoiseSpec()
     else:
         model = build_model(cfg)

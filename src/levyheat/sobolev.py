@@ -70,8 +70,8 @@ def h_ij_closed_form(i: int, j: int, s: float, y: float, T: float) -> float:
     return pref * bracket
 
 
-def h_ij_quadrature(i: int, j: int, s: float, y: float, T: float, nodes: int = 400) -> float:
-    """Direct composite Gauss-Legendre evaluation of the same integral."""
+def h_ij_quadrature(i: int, j: int, s: float, y: float, T: float) -> float:
+    """Direct composite Gauss-Legendre evaluation of the same integral, 400 nodes per piece."""
     _check_hij_args(i, j, s, y, T)
     if s == T:
         return 0.0
@@ -85,7 +85,7 @@ def h_ij_quadrature(i: int, j: int, s: float, y: float, T: float, nodes: int = 4
     # a couple of nodes per oscillation keeps GL spectral-accurate
     pieces = max(1, int(np.ceil(i / 8.0)))
     cuts = np.linspace(s, T, pieces + 1)
-    return float(sum(gauss_legendre(integrand, lo, hi, nodes) for lo, hi in zip(cuts[:-1], cuts[1:])))
+    return float(sum(gauss_legendre(integrand, lo, hi, 400) for lo, hi in zip(cuts[:-1], cuts[1:])))
 
 
 def _check_hij_args(i, j, s, y, T):
@@ -120,18 +120,16 @@ def space_time_projection(path: FieldPath, i: int, j: int) -> float:
     return float(np.sum(w * tb * traj))
 
 
-def space_time_parseval(path: FieldPath, i_max: int | None = None) -> tuple[float, float]:
-    """(sum_{ij} <u, psi_ij>^2, ||u||_{L^2}^2) under the shared grid quadrature."""
+def space_time_parseval(path: FieldPath) -> tuple[float, float]:
+    """(sum_{ij} <u, psi_ij>^2, ||u||_{L^2}^2) under the shared grid quadrature, i < N."""
     T = path.times[-1]
     N = len(path.times) - 1
-    if i_max is None:
-        i_max = N - 1
     dt = path.times[1] - path.times[0]
-    ivals = np.arange(1, i_max + 1)
+    ivals = np.arange(1, N)
     tb = math.sqrt(2.0 / T) * np.sin(np.outer(ivals, math.pi * path.times / T))
     w = np.full(len(path.times), dt)
     w[0] = w[-1] = 0.5 * dt
-    coefs = tb @ (w[:, None] * path.modes)      # (i_max, K)
+    coefs = tb @ (w[:, None] * path.modes)      # (N - 1, K)
     lhs = float(np.sum(coefs**2))
     rhs = float(np.sum(w[:, None] * path.modes**2))
     return lhs, rhs

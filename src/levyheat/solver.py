@@ -9,7 +9,8 @@ phi_k(x) = sqrt(2/pi) sin(kx).  The heat semigroup acts diagonally
   The increments are drawn _NOISE_CHUNK steps at a time, one (chunk, M)
   draw, which is the same stream as one draw of M per step. For constant f
   the stochastic convolution is sampled exactly instead (same law, no
-  time-discretization bias).
+  time-discretization bias): one (N, K) draw, the same stream as one draw
+  of K per step, is scaled by the exact convolution sd and scanned.
 * Levy branch: the noise realization comes in draw order and is sorted by
   time here, once per path; atoms are applied at their exact times through
   exact exponential gaps; each atom (t_j, x_j, z_j) adds
@@ -26,6 +27,9 @@ u_k(t) = sum_{t_j <= t} a_j phi_k(x_j) e^{-k^2 (t - t_j)} minus the drift, and
 one atom kernel (_mode_rows, _atom_kernel, _atom_states) evaluates it for the
 additive path, the terminal pairings, the martingale replay and, with the
 recorded f(u(t_j-, x_j)) per atom, the jump part of the factorization check.
+Every exact scan y <- e^{-k^2 dt} y + b is _atom_states: the additive path,
+the martingale replay, the exact Gaussian path (grid steps as atoms, one
+amplitude per mode) and the mode-decomposition convolution (one mode).
 
 Identity checks (semimartingale mode decomposition, factorization-method
 reconstruction) rebuild the field, initial data included, from the atom log.
@@ -335,7 +339,9 @@ def _atom_states(t, x, a, m0, proj=None) -> np.ndarray:
 
     Column 0 is m0 (time 0) and column j + 1 the state right after atom j,
     so the result is (K, J + 1); with `proj` (K x P) every state is
-    projected, proj.T @ state. Atoms (sorted by time) are scanned in chunks:
+    projected, proj.T @ state. Passing x as None leaves out phi_k(x_j), and
+    `a` may hold one amplitude per mode and atom, (K, J), in place of one per
+    atom. Atoms (sorted by time) are scanned in chunks:
     inside a chunk that starts at atom c,
     m(t_j) = e^{-k^2 (t_j - t_c)} (m(t_c-) + sum_{c <= i <= j} a_i phi_k(x_i) e^{k^2 (t_i - t_c)}).
     A chunk ends after _ATOM_BLOCK atoms, or before K^2 (t_i - t_c) exceeds
@@ -359,9 +365,10 @@ def _atom_states(t, x, a, m0, proj=None) -> np.ndarray:
         ends = starts[1:] + [len(tb)]
         since = tb - np.repeat(tb[starts], np.subtract(ends, starts))  # time since the chunk start
         acc = out[:, lo + 1:lo + 1 + len(tb)] if proj is None else np.empty((K, len(tb)))
-        amp = np.sqrt(2.0 / np.pi) * a[part]
-        for row, grow in zip(acc, _mode_rows(x[part], -since, K)):
-            np.multiply(grow, amp, out=row)
+        amp = a[..., part] if x is None else np.sqrt(2.0 / np.pi) * a[..., part]
+        grows = _mode_rows(None if x is None else x[part], -since, K)
+        for row, grow, amp_k in zip(acc, grows, np.broadcast_to(amp, acc.shape)):
+            np.multiply(grow, amp_k, out=row)
         for c0, c1 in zip(starts, ends):
             chunk = acc[:, c0:c1]
             np.cumsum(chunk, axis=1, out=chunk)
@@ -422,6 +429,18 @@ def flat_projection(K: int, M: int) -> np.ndarray:
     return S @ np.full(M, np.pi / M)
 
 
+def _drift_modes(scale: float, K: int, M: int) -> np.ndarray:
+    """scale flat_k / k^2, where a drift `scale` settles; it reaches (1 - e^{-k^2 t}) of it by t."""
+    k2 = np.arange(1, K + 1, dtype=float) ** 2
+    return scale * flat_projection(K, M) / k2
+
+
+def _gaussian_sd(c: float, K: int, t) -> np.ndarray:
+    """sd of int_0^t e^{-k^2 (t-s)} c d<W_s, phi_k>: |c| sqrt((1 - e^{-2 k^2 t}) / (2 k^2))."""
+    k2 = np.arange(1, K + 1, dtype=float) ** 2
+    return abs(c) * np.sqrt((1.0 - np.exp(-2.0 * k2 * t)) / (2.0 * k2))
+
+
 def green_kernel(t, x, y, n_modes: int):
     """Truncated Dirichlet heat kernel (2/pi) sum_k sin(kx) sin(ky) e^{-k^2 t}."""
     if n_modes < 1:
@@ -458,21 +477,19 @@ def _initial_state(config: SimConfig) -> np.ndarray:
 def _gaussian_path(config, rng):
     K, M, N = config.modes, config.collocation, config.steps
     dt = config.dt
-    k2 = np.arange(1, K + 1, dtype=float) ** 2
-    decay = np.exp(-k2 * dt)
+    times = config.times()
     m = _initial_state(config)
-    out = np.empty((N + 1, K))
-    out[0] = m
     if config.f.is_constant:
         # exact stochastic convolution: the projected noise <W, phi_k> has
         # independent increments across modes, so each step adds an exact
-        # N(0, c^2 (1 - e^{-2 k^2 dt}) / (2 k^2)) convolution sample
-        c = config.f.constant_value
-        conv_sd = abs(c) * np.sqrt((1.0 - decay**2) / (2.0 * k2))
-        for n in range(N):
-            m = decay * m + conv_sd * rng.standard_normal(K)
-            out[n + 1] = m
+        # convolution sample; the steps are atoms at the grid times
+        xi = rng.standard_normal((N, K))
+        xi *= _gaussian_sd(config.f.constant_value, K, dt)
+        out = _atom_states(times[1:], None, xi.T, m).T
     else:
+        decay = np.exp(-np.arange(1, K + 1, dtype=float) ** 2 * dt)
+        out = np.empty((N + 1, K))
+        out[0] = m
         _, S = _collocation(K, M)
         dx = np.pi / M
         w_sd = math.sqrt(dt * dx)
@@ -492,7 +509,7 @@ def _gaussian_path(config, rng):
                 raise NonFiniteStateError(f"non-finite mode at step {step}", operation="simulate_path")
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError("non-finite mode in Gaussian path", operation="simulate_path")
-    return FieldPath(config.times(), out, config)
+    return FieldPath(times, out, config)
 
 
 def _levy_path(config, rng):
@@ -510,7 +527,6 @@ def _levy_path_additive(config, real):
     compensator drift telescopes to its closed form."""
     sigma_used = real.jump_scale(config.noise.normalization)
     K = config.modes
-    k2 = np.arange(1, K + 1, dtype=float) ** 2
     times = config.times()
     cval = config.f.constant_value
     tj = real.t
@@ -522,8 +538,7 @@ def _levy_path_additive(config, real):
     out = np.empty((len(times), K))
     _decay_fill(out, states, last, times - np.concatenate(([0.0], tj))[last])
     if real.m_restricted != 0.0:
-        rate = real.m_restricted / sigma_used
-        drift = rate * cval * flat_projection(K, config.collocation) / k2
+        drift = _drift_modes(real.m_restricted / sigma_used * cval, K, config.collocation)
         for col, d, decay in zip(out.T, drift, _mode_rows(None, times, K)):
             col -= d * (1.0 - decay)
     if not np.all(np.isfinite(out)):
@@ -651,21 +666,12 @@ def _trapezoid_convolution(X, k2, dt):
     """conv_n = int_0^{t_n} X_s e^{-k2 (t_n - s)} ds by the trapezoidal rule on the grid of X.
 
     The recurrence conv_n = e conv_{n-1} + b_n, e = e^{-k2 dt},
-    b_n = dt/2 (e X_{n-1} + X_n), is scanned in chunks: inside one that
-    starts at step c, conv_{c+i} = e^i (conv_c + sum_{l <= i} e^{-l} b_{c+l}),
-    and a chunk ends before k2 dt i exceeds _SCAN_GROWTH.
+    b_n = dt/2 (e X_{n-1} + X_n), is one mode of the atom scan with b_n as
+    atoms at the times k2 dt n, that is, with time in units of 1/k2.
     """
     lam = k2 * dt
     b = 0.5 * dt * (X[:-1] * math.exp(-lam) + X[1:])
-    conv = np.zeros(len(X))
-    span = max(1, int(_SCAN_GROWTH / lam))
-    scaled = lam * np.arange(1, min(span, len(b)) + 1)
-    grow, shrink = np.exp(scaled), np.exp(-scaled)
-    for c in range(0, len(b), span):
-        part = b[c:c + span]
-        n = len(part)
-        conv[c + 1:c + 1 + n] = shrink[:n] * (conv[c] + np.cumsum(part * grow[:n]))
-    return conv
+    return _atom_states(lam * np.arange(1, len(X)), None, b, np.zeros(1))[0]
 
 
 def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, time_nodes: int = 256) -> float:

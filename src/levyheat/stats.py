@@ -66,6 +66,8 @@ __all__ = [
 ]
 
 _DEFAULT_ECF_GRID = tuple(np.linspace(0.25, 5.0, 20))
+# conditioning statistics g(F_s) = 1, cos F_s, sin F_s of the martingale test, F_s = <u_s, phi>
+_CONDITIONERS = ("one", "cos", "sin")
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +137,10 @@ class MartingaleProbe:
     phi: SmoothBump | tuple[float, ...]
     s: float
     t: float
-    conditioners: tuple[str, ...] = ("one", "cos", "sin")
 
     def __post_init__(self):
         if not 0.0 <= self.s <= self.t:
             raise ValueError("need 0 <= s <= t")
-        for g in self.conditioners:
-            if g not in ("one", "cos", "sin"):
-                raise ValueError(f"unknown conditioning statistic {g!r}")
 
     def coefficients(self, n_modes: int) -> np.ndarray:
         if isinstance(self.phi, SmoothBump):
@@ -225,9 +223,7 @@ def _probe_values(path: FieldPath, probes: Sequence[MartingaleProbe], psis: Sequ
         if drift_rate != 0.0:
             # inside step n the state carries the grid drift D(t_n) decayed to t,
             # D_k(t_n) e^{-k^2 (t - t_n)} = r_k (e^{-k^2 (t - t_n)} - e^{-k^2 t})
-            k2 = np.arange(1, path.n_modes + 1, dtype=float) ** 2
-            r = (drift_rate * cfg.f.constant_value
-                 * solver_mod.flat_projection(path.n_modes, cfg.collocation) / k2)
+            r = solver_mod._drift_modes(drift_rate * cfg.f.constant_value, path.n_modes, cfg.collocation)
             decays = solver_mod._atom_kernel(proj.T * r, None, np.concatenate((t - times[steps], t)))
             right -= decays[:, :len(t)] - decays[:, len(t):]
         left = right - solver_mod._atom_kernel(proj.T, real.x, None) * a
@@ -276,7 +272,7 @@ def martingale_residual(
     if isinstance(probes, MartingaleProbe):
         probes = [probes]
     probes = list(probes)
-    acc: list[list[list[complex]]] = [[[] for _ in p.conditioners] for p in probes]
+    acc: list[list[list[complex]]] = [[[] for _ in _CONDITIONERS] for _ in probes]
     cfg_ref = None
     n_paths = 0
     for path in paths:
@@ -304,15 +300,14 @@ def martingale_residual(
             raise ConfigMismatchError("all paths must share one configuration")
         per_probe = _probe_values(path, probes, psis, coeffs, coeffs_dd)
         for pi, (dM, F_s) in enumerate(per_probe):
-            for gi, g in enumerate(probes[pi].conditioners):
-                gval = 1.0 if g == "one" else (math.cos(F_s) if g == "cos" else math.sin(F_s))
+            for gi, gval in enumerate((1.0, math.cos(F_s), math.sin(F_s))):
                 acc[pi][gi].append(dM * gval)
         n_paths += 1
     if n_paths == 0:
         raise EmptySampleError("no paths supplied", operation="martingale_residual")
     rows = []
     for pi, probe in enumerate(probes):
-        for gi, g in enumerate(probe.conditioners):
+        for gi, g in enumerate(_CONDITIONERS):
             vals = np.asarray(acc[pi][gi])
             est = complex(np.mean(vals))
             se_re = float(np.std(vals.real, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
@@ -477,14 +472,6 @@ class ComparisonReport:
         raise KeyError((model, epsilon, functional))
 
 
-def _terminal_drift(coeffs: np.ndarray, T: float, collocation: int) -> float:
-    """Compensator weight matching the solver's per-step discrete projection."""
-    K = len(coeffs)
-    k = np.arange(1, K + 1, dtype=float)
-    flat = solver_mod.flat_projection(K, collocation)
-    return float(np.sum(coeffs * flat * (1.0 - np.exp(-k * k * T)) / (k * k)))
-
-
 def collect_terminal_samples(
     config: SimConfig,
     functionals: Sequence[TerminalFunctional],
@@ -523,12 +510,12 @@ def _terminal_block(args) -> dict[str, np.ndarray]:
     K, T = config.modes, config.T
     coeff_rows = [np.asarray(f.coefficients, dtype=float) for f in functionals]
     out = {f.name: np.empty(hi - lo) for f in functionals}
+    k2 = np.arange(1, K + 1, dtype=float) ** 2
     if config.noise.kind == "gaussian":
-        k = np.arange(1, K + 1, dtype=float)
-        sd = abs(cval) * np.sqrt((1.0 - np.exp(-2.0 * k * k * T)) / (2.0 * k * k))
+        sd = solver_mod._gaussian_sd(cval, K, T)
         mean_modes = np.zeros(K)
         if config.initial is not None:
-            mean_modes = np.asarray(config.initial) * np.exp(-k * k * T)
+            mean_modes = np.asarray(config.initial) * np.exp(-k2 * T)
         for i in range(lo, hi):
             rng = stream(base_seed, i, purpose)
             modes_T = mean_modes + sd * rng.standard_normal(K)
@@ -536,13 +523,15 @@ def _terminal_block(args) -> dict[str, np.ndarray]:
                 out[f.name][i - lo] = float(modes_T @ c)
         return out
     spec: LevyNoiseSpec = config.noise
-    drifts = [cval * _terminal_drift(c, T, config.collocation) for c in coeff_rows]
     init_terms = [0.0] * len(coeff_rows)
     if config.initial is not None:
-        k = np.arange(1, K + 1, dtype=float)
-        decayed = np.asarray(config.initial) * np.exp(-k * k * T)
+        decayed = np.asarray(config.initial) * np.exp(-k2 * T)
         init_terms = [float(decayed @ c) for c in coeff_rows]
     coeffs = np.array([fit_coefficients(c, max(map(len, coeff_rows), default=0)) for c in coeff_rows])
+    # each functional of the drift at T, per unit compensator rate
+    width = coeffs.shape[-1]
+    decay_T = np.exp(-np.arange(1, width + 1, dtype=float) ** 2 * T)
+    drifts = coeffs @ (solver_mod._drift_modes(cval, width, config.collocation) * (1.0 - decay_T))
 
     def flush(batch):
         # one kernel pass over the gathered atoms, summed per path

@@ -9,8 +9,16 @@ general branch uses.
 
 import numpy as np
 
-from levyheat import noise, solver, stats
+from levyheat import noise, solver
 from levyheat.streams import stream
+
+
+def terminal_drift(coeffs, T, collocation):
+    """<D_T, c> per unit rate: sum_k c_k <1, phi_k>_M (1 - e^{-k^2 T}) / k^2, the drift of the solver's grid."""
+    K = len(coeffs)
+    k = np.arange(1, K + 1, dtype=float)
+    flat = solver.flat_projection(K, collocation)
+    return float(np.sum(coeffs * flat * (1.0 - np.exp(-k * k * T)) / (k * k)))
 
 
 def terminal_kernel_weights(coeffs, T, t, x):
@@ -30,7 +38,7 @@ def terminal_samples(config, functionals, n_paths, base_seed, purpose="atoms"):
     cval = config.f.constant_value
     eta = spec.resolve_eta(T)
     coeff_rows = [np.asarray(f.coefficients, dtype=float) for f in functionals]
-    drifts = [cval * stats._terminal_drift(c, T, config.collocation) for c in coeff_rows]
+    drifts = [cval * terminal_drift(c, T, config.collocation) for c in coeff_rows]
     init_terms = [0.0] * len(coeff_rows)
     if config.initial is not None:
         k = np.arange(1, K + 1, dtype=float)

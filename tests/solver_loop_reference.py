@@ -1,9 +1,12 @@
-"""Per-step loop forms of the multiplicative solver branches, kept as test references.
+"""Per-step loop forms of solver paths and recurrences, kept as test references.
 
-These are the loops that the solver's active-step and chunked forms
+These are the loops that the solver's active-step, chunked and scanned forms
 replaced: the general Levy branch stepping through every grid step, the
-Gaussian Euler branch drawing its noise one step at a time, and the
-step-by-step trapezoidal convolution of `solver.mode_decomposition_check`.
+Gaussian Euler branch drawing its noise one step at a time, the exact
+constant-f Gaussian path drawing one convolution sample of K modes per step,
+and the step-by-step trapezoidal convolution of
+`solver.mode_decomposition_check`. The last two are now scans of
+`solver._atom_states`.
 """
 
 import math
@@ -74,6 +77,21 @@ def gaussian_path(config, rng):
         m = decay * m + S @ g
         if not np.all(np.isfinite(m)):
             raise NonFiniteStateError(f"non-finite mode at step {n + 1}", operation="simulate_path")
+        out[n + 1] = m
+    return out
+
+
+def exact_gaussian_path(config, rng):
+    """Grid modes of the constant-f Gaussian path, y <- e^{-k^2 dt} y + sd xi one step at a time."""
+    K, N = config.modes, config.steps
+    k2 = np.arange(1, K + 1, dtype=float) ** 2
+    decay = np.exp(-k2 * config.dt)
+    conv_sd = abs(config.f.constant_value) * np.sqrt((1.0 - decay**2) / (2.0 * k2))
+    m = solver._initial_state(config)
+    out = np.empty((N + 1, K))
+    out[0] = m
+    for n in range(N):
+        m = decay * m + conv_sd * rng.standard_normal(K)
         out[n + 1] = m
     return out
 

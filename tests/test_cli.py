@@ -100,6 +100,17 @@ def test_simulate_gaussian_branch(tmp_path):
     assert not (tmp_path / "atoms_0.bin").exists()
 
 
+def test_simulate_rejects_unknown_noise_kind(tmp_path, capsys):
+    cfg_file = tmp_path / "sim.cfg"
+    cfg_file.write_text(
+        "model.family = compound_poisson\nmodel.atoms = 1:2, -1:2\nepsilon.grid = 2\nnoise.eta = 0.0\n"
+        "noise.kind = gausian\nsolver.modes = 4\nsolver.collocation = 16\nsolver.steps = 16\n"
+    )
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert "noise.kind" in capsys.readouterr().err
+    assert not any(tmp_path.glob("path_*")) and not any(tmp_path.glob("atoms_*"))
+
+
 def test_compare_runs_and_emits_schema(tmp_path):
     cfg_file = tmp_path / "cmp.cfg"
     cfg_file.write_text(GAMMA_COMPARE_CFG)

@@ -172,6 +172,38 @@ def test_gaussian_branch_matches_step_loop(f):
         assert np.array_equal(got, loops.gaussian_path(cfg, stream(7, i, "g")))
 
 
+@pytest.mark.parametrize("c, modes, steps, initial", [
+    (1.0, 64, 4096, False),   # K^2 dt = 1: eight scan chunks
+    (0.7, 16, 600, True),     # a step count that is not a multiple of 256
+    (0.0, 8, 100, True),      # f = 0: the initial data decays, the draws are still taken
+], ids=["chunks", "initial", "zero_f"])
+def test_exact_gaussian_path_matches_step_loop(c, modes, steps, initial):
+    init = tuple(np.linspace(1.0, -0.5, modes)) if initial else None
+    cfg = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=lh.constant_f(c), T=1.0, modes=modes,
+                       collocation=4 * modes, steps=steps, initial=init)
+    for i in range(2):
+        rng_got, rng_want = stream(7, i, "exact"), stream(7, i, "exact")
+        got = lh.simulate_path(cfg, rng_got).modes
+        want = loops.exact_gaussian_path(cfg, rng_want)
+        assert rng_got.random() == rng_want.random()  # the same draws, nothing more
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(got[0], want[0])
+
+
+def test_exact_gaussian_path_memory_bounded_by_grid():
+    # the draw is scaled in place and scanned into the grid (~2.1 grids); a
+    # separate amplitude array would peak at ~3.1 grids
+    cfg = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=lh.constant_f(1.0), T=1.0,
+                       modes=64, collocation=256, steps=8192)
+    tracemalloc.start()
+    try:
+        path = lh.simulate_path(cfg, stream(10, 0, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * path.modes.nbytes
+
+
 def test_general_branch_matches_step_loop(stable_model, gamma_model, cp_symmetric):
     f = lh.affine_f(0.25, 1.0)
     cases = []
