@@ -66,7 +66,7 @@ _SCHEMA: dict[str, str] = {
     "f.b": "float",
     "f.c": "float",
     "f.d": "float",
-    "noise.kind": "str",          # levy | gaussian (simulate only)
+    "noise.kind": "str",          # levy | gaussian (simulate); compare takes levy only
     "noise.eta": "eta",           # auto | atoms:<count> | <float>
     "noise.normalization": "str",  # model | retained
     "budget.rho": "float",
@@ -285,6 +285,8 @@ def _functional_battery(cfg: dict):
 
 
 def cmd_compare(cfg: dict, out_dir: Path, seed: int) -> int:
+    if cfg["noise.kind"] != "levy":
+        raise ConfigError(f"compare needs noise.kind = levy, got {cfg['noise.kind']!r}")
     grid = cfg.get("epsilon.grid")
     if not grid:
         raise ConfigError("compare needs a nonempty epsilon.grid")

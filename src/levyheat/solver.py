@@ -20,7 +20,8 @@ phi_k(x) = sqrt(2/pi) sin(kx).  The heat semigroup acts diagonally
   For non-constant f only the active steps are stepped: those that hold an
   atom, or every step when the compensator drift is nonzero. Every other grid
   row is the last computed state decayed to its time (_decay_fill, which also
-  spreads the additive path's atom states over the grid).
+  spreads the additive path's atom states and its compensator drift over the
+  grid in one pass).
 
 For constant f the field is linear in the atoms,
 u_k(t) = sum_{t_j <= t} a_j phi_k(x_j) e^{-k^2 (t - t_j)} minus the drift, and
@@ -382,21 +383,31 @@ def _atom_states(t, x, a, m0, proj=None) -> np.ndarray:
     return out
 
 
-def _decay_fill(out, states, last, gaps) -> None:
+def _decay_fill(out, states, last, gaps, drift=None) -> None:
     """out[i, k-1] = states[k-1, last[i]] e^{-k^2 gaps[i]}: a grid trajectory from earlier states.
 
     Between the given states the field only decays, so each grid instant i
     takes state last[i], gaps[i] before it. `states` is (K, P) and may be the
-    view out.T (a gap of 0 leaves a row bitwise unchanged). Modes are filled
-    _FILL_MODES at a time, so the temporaries are O(_FILL_MODES * len(out)) floats.
+    view out.T (a gap of 0 leaves a row bitwise unchanged). `drift` = (d, times)
+    also subtracts the settling compensator drift d_k (1 - e^{-k^2 times[i]})
+    (see _drift_modes) in the same pass. Modes are filled _FILL_MODES at a
+    time, so the temporaries are O(_FILL_MODES * len(out)) floats.
     """
     K = out.shape[1]
     buf = np.empty((min(_FILL_MODES, K), len(out)))
     decays = _mode_rows(None, gaps, K)
+    if drift is not None:
+        d, times = drift
+        settles = _mode_rows(None, times, K)
+        tmp = np.empty(len(out))
     for k0 in range(0, K, _FILL_MODES):
         part = buf[:K - k0]
-        for row, src in zip(part, states[k0:]):
+        for k, (row, src) in enumerate(zip(part, states[k0:]), start=k0):
             np.multiply(src[last], next(decays), out=row)
+            if drift is not None:
+                np.subtract(1.0, next(settles), out=tmp)
+                tmp *= d[k]
+                row -= tmp
         out[:, k0:k0 + len(part)] = part.T
 
 
@@ -427,6 +438,27 @@ def flat_projection(K: int, M: int) -> np.ndarray:
     """
     _, S = _collocation(K, M)
     return S @ np.full(M, np.pi / M)
+
+
+def _factorization_nodes(t: float, delta: float, time_nodes: int):
+    """Left nodes s_i of the factorization sub-grid of [0, t] and the exact
+    panel moments w_i of (t - s)^{delta - 1} over them."""
+    s_grid = np.linspace(0.0, t, time_nodes + 1)
+    s = s_grid[:-1]
+    w = ((t - s) ** delta - (t - s_grid[1:]) ** delta) / delta
+    return s, w
+
+
+@lru_cache(maxsize=16)
+def _factorization_compensator(t: float, delta: float, time_nodes: int, K: int) -> np.ndarray:
+    """sum_i w_i e^{-k^2 (t - s_i)} int_0^{s_i} e^{-k^2 (s_i - r)} (s_i - r)^{-delta} dr per mode,
+    the factorization check's compensator integral per unit drift (read-only)."""
+    s, w = _factorization_nodes(t, delta, time_nodes)
+    k2 = np.arange(1, K + 1, dtype=float) ** 2
+    part = gamma_fn(1.0 - delta) * gammainc(1.0 - delta, np.outer(s, k2)) * k2 ** (delta - 1.0)
+    out = w @ (np.exp(-np.outer(t - s, k2)) * part)
+    out.flags.writeable = False
+    return out
 
 
 def _drift_modes(scale: float, K: int, M: int) -> np.ndarray:
@@ -536,11 +568,10 @@ def _levy_path_additive(config, real):
     # each grid instant takes the last state before it, decayed by the gap
     last = np.searchsorted(tj, times, side="right")
     out = np.empty((len(times), K))
-    _decay_fill(out, states, last, times - np.concatenate(([0.0], tj))[last])
+    drift = None
     if real.m_restricted != 0.0:
-        drift = _drift_modes(real.m_restricted / sigma_used * cval, K, config.collocation)
-        for col, d, decay in zip(out.T, drift, _mode_rows(None, times, K)):
-            col -= d * (1.0 - decay)
+        drift = _drift_modes(real.m_restricted / sigma_used * cval, K, config.collocation), times
+    _decay_fill(out, states, last, times - np.concatenate(([0.0], tj))[last], drift)
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError("non-finite mode in Levy path", operation="simulate_path")
     return FieldPath(times, out, config, real, np.full(J, cval))
@@ -701,9 +732,7 @@ def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, ti
     k2 = kvec**2
     c_delta = math.sin(delta * math.pi) / math.pi
 
-    s_grid = np.linspace(0.0, t, time_nodes + 1)
-    s = s_grid[:-1]                                   # left nodes
-    w = ((t - s) ** delta - (t - s_grid[1:]) ** delta) / delta  # exact panel moments
+    s, w = _factorization_nodes(t, delta, time_nodes)
     before = np.searchsorted(real.t, s, side="left")  # the atoms before a node are a prefix of the log
     J = before[-1]
     W = np.zeros(J)
@@ -714,10 +743,8 @@ def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, ti
     jump = _atom_kernel(phi_x, real.x[:J], t - real.t[:J])[0] @ aW
     m = path.modes[0] * np.exp(-k2 * t)               # S(t) u0
     if real.m_restricted != 0.0:
-        # closed-form compensator part for constant f:
-        # (m/sigma) c <1, phi_k> int_0^s e^{-k^2 (s-r)} (s-r)^{-delta} dr
+        # closed-form compensator part for constant f
         cflat = cfg.f.constant_value * flat_projection(K, cfg.collocation)
-        part = gamma_fn(1.0 - delta) * gammainc(1.0 - delta, np.outer(s, k2)) * k2 ** (delta - 1.0)
-        m -= c_delta * real.m_restricted / sigma_used * cflat * (w @ (np.exp(-np.outer(t - s, k2)) * part))
+        m -= c_delta * real.m_restricted / sigma_used * cflat * _factorization_compensator(t, delta, time_nodes, K)
     recon = c_delta * jump + float(m @ phi_x)
     return abs(recon - evaluate(path, t, x))

@@ -4,9 +4,11 @@ These are the loops that the solver's active-step, chunked and scanned forms
 replaced: the general Levy branch stepping through every grid step, the
 Gaussian Euler branch drawing its noise one step at a time, the exact
 constant-f Gaussian path drawing one convolution sample of K modes per step,
-and the step-by-step trapezoidal convolution of
-`solver.mode_decomposition_check`. The last two are now scans of
-`solver._atom_states`.
+the step-by-step trapezoidal convolution of
+`solver.mode_decomposition_check`, and the additive Levy path's compensator
+drift subtracted one strided grid column at a time after the decay fill. The
+exact Gaussian path and the convolution are now scans of
+`solver._atom_states`; the drift is subtracted inside `solver._decay_fill`.
 """
 
 import math
@@ -104,3 +106,20 @@ def trapezoid_convolution(X, k2, dt):
     for n in range(1, len(X)):
         conv[n] = e * conv[n - 1] + 0.5 * dt * (X[n - 1] * e + X[n])
     return conv
+
+
+def levy_path_additive(config, real):
+    """Grid modes of the constant-f Levy path, its drift taken off column by column after the fill."""
+    sigma_used = real.jump_scale(config.noise.normalization)
+    K = config.modes
+    times = config.times()
+    cval = config.f.constant_value
+    states = solver._atom_states(real.t, real.x, cval * (real.z / sigma_used), solver._initial_state(config))
+    last = np.searchsorted(real.t, times, side="right")
+    out = np.empty((len(times), K))
+    solver._decay_fill(out, states, last, times - np.concatenate(([0.0], real.t))[last])
+    if real.m_restricted != 0.0:
+        drift = solver._drift_modes(real.m_restricted / sigma_used * cval, K, config.collocation)
+        for col, d, decay in zip(out.T, drift, solver._mode_rows(None, times, K)):
+            col -= d * (1.0 - decay)
+    return out

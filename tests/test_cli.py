@@ -125,6 +125,14 @@ def test_compare_runs_and_emits_schema(tmp_path):
     assert (tmp_path / "compare.csv").read_bytes() == (again / "compare.csv").read_bytes()
 
 
+def test_compare_rejects_non_levy_noise_kind(tmp_path, capsys):
+    cfg_file = tmp_path / "cmp.cfg"
+    cfg_file.write_text(GAMMA_COMPARE_CFG + "noise.kind = gaussian\n")
+    assert main(["compare", "--config", str(cfg_file), "--out", str(tmp_path), "--seed", "3"]) == 2
+    assert "noise.kind" in capsys.readouterr().err
+    assert not (tmp_path / "compare.csv").exists()
+
+
 def test_compare_workers_invariant(tmp_path):
     cfg_file = tmp_path / "cmp.cfg"
     cfg_file.write_text(GAMMA_COMPARE_CFG)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -260,6 +261,61 @@ def test_stable_marks_match_the_table_on_the_same_draws(monkeypatch):
     exact = lh.sample_marks(model, eps, eta, n, stream(106, 0, "marks"))
     assert np.array_equal(np.sign(exact), np.sign(table))
     assert np.max(np.abs(exact - table) / np.abs(exact)) <= 1e-7
+
+
+def _choice_reference_marks(sampler, count, rng):
+    """The former mark draw: rng.choice for the atom or the segment, rng.uniform for the mark."""
+    if sampler.discrete:
+        return rng.choice(sampler.values, size=count, p=sampler.probs)
+    which = rng.choice(len(sampler.signs), size=count, p=sampler.probs)
+    u = rng.uniform(0.0, 1.0, size=count)
+    if len(sampler.inverses) == 1:
+        return sampler.signs[which] * sampler.inverses[0](u)
+    groups = sampler.group[which]
+    out = np.empty(count)
+    for g, inv in enumerate(sampler.inverses):
+        m = groups == g
+        if np.any(m):
+            out[m] = sampler.signs[which[m]] * inv(u[m])
+    return out
+
+
+@dataclass(frozen=True)
+class _SplitDensity(lh.CustomDensity):
+    """A custom density with its last piece cut in two: three segments on a two-sided support."""
+
+    def segments(self, eps, floor, cfg):
+        pieces = super().segments(eps, floor, cfg)
+        if not pieces:
+            return pieces
+        last = pieces[-1]
+        cut = 0.5 * (last.lo + last.hi)
+        return pieces[:-1] + [replace(last, hi=cut), replace(last, lo=cut)]
+
+
+_SAMPLERS = {
+    "gamma": (lambda: lh.LevyModel(lh.GammaSubordinator()), 0.1, 1e-4, 1),
+    "stable": (lambda: lh.LevyModel(lh.SymmetricStable(1.5)), 0.1, 1e-4, 2),
+    "remark": (lambda: lh.LevyModel(lh.RemarkDensityFamily(), lh.FamilyIndex()), 0.1, 1e-3, 4),
+    "custom": (lambda: lh.LevyModel(_SplitDensity(lambda z: np.exp(-np.abs(z)), (-1.0, 0.5))), 1.0, 0.01, 3),
+    "compound": (lambda: lh.LevyModel(lh.CompoundPoisson(((0.5, 1.0), (-0.2, 2.0), (0.05, 0.5)))), 1.0, 0.0, 3),
+    "compound_one": (lambda: lh.LevyModel(lh.CompoundPoisson(((0.5, 1.0), (-0.2, 2.0)))), 1.0, 0.3, 1),
+    # more atoms than the counting pass takes: drawn by binary search
+    "compound_many": (lambda: lh.LevyModel(lh.CompoundPoisson(
+        tuple(((-1) ** i * 0.01 * (i + 1), 1.0 + i % 3) for i in range(40)))), 1.0, 0.0, 40),
+}
+
+
+@pytest.mark.parametrize("family", list(_SAMPLERS))
+def test_mark_draw_matches_rng_choice(family):
+    make, eps, eta, pieces = _SAMPLERS[family]
+    sampler = make().sampler(eps, eta)
+    assert len(sampler.probs) == pieces
+    for count in (0, 1, 40_001):
+        rng, ref = stream(110, count, family), stream(110, count, family)
+        got = sampler.sample(count, rng)
+        assert np.array_equal(got, _choice_reference_marks(sampler, count, ref))
+        assert rng.random() == ref.random()  # the same draws were taken
 
 
 def _ks_report(name, marks, cdf):

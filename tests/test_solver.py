@@ -162,6 +162,21 @@ def test_additive_equals_general_branch(gamma_model):
     assert np.max(np.abs(fast.modes - slow.modes)) < 1e-12
 
 
+def test_additive_drift_fill_matches_column_loop(gamma_model, stable_model):
+    # K = 40 leaves a partial fill block; gamma carries a drift, stable none
+    initial = tuple(np.linspace(0.5, -0.3, 40) / np.arange(1, 41))
+    drifts = []
+    for model, eta in ((gamma_model, "atoms:150"), (stable_model, "atoms:300")):
+        cfg = small_sim(model, 0.1, eta, f=lh.constant_f(1.3), modes=40, collocation=128, steps=2048, rho=1.0)
+        cfg = replace(cfg, initial=initial)
+        for i in range(2):
+            real = _sorted_noise(cfg, stream(13, i, "drift"))
+            path = lh.simulate_path(cfg, stream(13, i, "drift"))
+            assert np.array_equal(path.modes, loops.levy_path_additive(cfg, real))
+            drifts.append(real.m_restricted)
+    assert drifts[0] != 0.0 and drifts[-1] == 0.0
+
+
 @pytest.mark.parametrize("f", [lh.affine_f(0.25, 1.0), lh.bounded_smooth_f(0.5, 1.0)], ids=["affine", "smooth"])
 def test_gaussian_branch_matches_step_loop(f):
     # 600 steps: two full noise chunks and a partial one
@@ -472,6 +487,28 @@ def test_factorization_matches_tensor_reference(gamma_model, stable_model):
                 got = lh.factorization_check(path, 0.2, t, x, time_nodes=nodes)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert np.ptp(path.f_at_atoms) > 0.1  # on the stable path f(u(t_j-, x_j)) varies
+
+
+def test_factorization_compensator_cache(gamma_model):
+    comp = lh.solver._factorization_compensator
+    keys = [(0.75, 0.2, 192, 32), (0.5, 0.2, 384, 32), (0.75, 0.2, 384, 32), (0.75, 0.1, 192, 16)]
+    cold = []
+    for key in keys:
+        comp.cache_clear()
+        cold.append(comp(*key))
+    for key, want in zip(keys[::-1] + keys, cold[::-1] + cold):
+        got = comp(*key)
+        assert np.array_equal(got, want) and not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0] = 0.0
+    # the residuals of an asymmetric path do not depend on what the cache holds
+    path = lh.simulate_path(small_sim(gamma_model, 0.5, "atoms:120", rho=1.0), stream(14, 0, "crit8"))
+    assert path.atom_log.m_restricted != 0.0
+    points = [(0.75, 1.3, 192), (0.5, 2.0, 384), (0.75, 1.3, 384), (0.875, 0.9, 192)]
+    warm = [lh.factorization_check(path, 0.2, t, x, time_nodes=n) for t, x, n in points]
+    for (t, x, n), want in zip(points, warm):
+        comp.cache_clear()
+        assert lh.factorization_check(path, 0.2, t, x, time_nodes=n) == want
 
 
 def test_factorization_memory_bounded_in_atoms(stable_model):
