@@ -12,6 +12,7 @@ from levyheat.errors import ConfigMismatchError, EmptySampleError, MissingAtomLo
 from levyheat.streams import stream
 
 from conftest import small_sim
+import psi_reference
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +147,96 @@ def test_martingale_rejects_gaussian_paths():
     probe = lh.MartingaleProbe(1.0, lh.SmoothBump(), 0.25, 0.75)
     with pytest.raises(MissingAtomLogError):
         lh.martingale_residual([lh.simulate_path(cfg, stream(0, 0, "g"))], probe)
+
+
+_PSI_CELLS = {
+    "stable": (lambda: lh.LevyModel(lh.SymmetricStable(1.5)), 0.1, 1e-3),
+    "gamma": (lambda: lh.LevyModel(lh.GammaSubordinator()), 0.1, 1e-4),
+    "compound": (lambda: lh.LevyModel(lh.CompoundPoisson(((0.5, 1.0), (-0.2, 2.0), (0.05, 0.5), (1.5, 1.0)))),
+                 1.0, 0.1),
+    "custom": (lambda: lh.LevyModel(lh.CustomDensity(lambda z: np.exp(-z), (-0.5, 1.0))), 1.0, 0.01),
+    "remark": (lambda: lh.LevyModel(lh.RemarkDensityFamily(), lh.FamilyIndex()), 0.1, 0.05),
+}
+
+
+@pytest.mark.parametrize("family", list(_PSI_CELLS))
+def test_psi_table_matches_direct_quadrature(family):
+    make, eps, eta = _PSI_CELLS[family]
+    model = make()
+    a_max = 2.0 / lh.sigma(model, eps)  # a probe with |xi f phi| up to 2
+    a = np.concatenate(([-a_max, 0.0, a_max], np.random.default_rng(7).uniform(-a_max, a_max, 200)))
+    got = st._psi_table(model, eps, eta, a_max)(a)
+    expect = psi_reference.psi_direct(model, eps, eta, a)
+    err = np.abs(got - expect)
+    if family == "remark":
+        # the tail runs to measures._TAIL_CAP, so psi / a^2 has a 1 / log(1/|a|)
+        # term near 0 and the series converges only algebraically: 1.9e-7 of
+        # max |psi| at the 128-node cap, while the pointwise relative error
+        # near a = 0 stays at ~6e-4
+        assert err.max() <= 5e-7 * np.abs(expect).max()
+    else:
+        assert np.all(err <= 1e-12 * np.abs(expect))
+
+
+def _martingale_paths(gamma_model, n):
+    eta = lh.eta_for_atom_budget(gamma_model, 0.1, 1.0, 60.0)
+    cfg = small_sim(gamma_model, 0.1, eta, steps=512)
+    return [lh.simulate_path(cfg, stream(53, i, "psi")) for i in range(n)]
+
+
+def test_martingale_zero_frequency_probe(gamma_model):
+    probe = lh.MartingaleProbe(0.0, lh.SmoothBump(), 0.25, 0.75)
+    assert st._compensator_psi(gamma_model, 0.1, 1e-4, lambda x: 0.0 * x) == 0.0
+    with np.errstate(divide="raise", invalid="raise"):
+        rows = lh.martingale_residual(_martingale_paths(gamma_model, 4), probe)
+    for r in rows:
+        assert r.estimate == 0.0 and r.se_re == 0.0 and r.se_im == 0.0
+
+
+def test_martingale_negative_frequency_conjugates(gamma_model):
+    paths = _martingale_paths(gamma_model, 6)
+    probes = [lh.MartingaleProbe(xi, lh.SmoothBump(), 0.25, 0.75) for xi in (1.0, -1.0)]
+    rows = lh.martingale_residual(paths, probes)
+    for plus, minus in zip(rows[:3], rows[3:]):
+        assert plus.estimate.imag != 0.0
+        assert minus.estimate == plus.estimate.conjugate()
+        assert (minus.se_re, minus.se_im) == (plus.se_re, plus.se_im)
+
+
+def test_martingale_one_psi_table_per_call(gamma_model, monkeypatch):
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return table(*args)
+
+    table = st._psi_table
+    monkeypatch.setattr(st, "_psi_table", counted)
+    paths = _martingale_paths(gamma_model, 4)
+    probes = [lh.MartingaleProbe(xi, lh.SmoothBump(), 0.25, 0.75) for xi in (0.5, 1.0, -2.0)]
+    first = lh.martingale_residual(paths, probes)
+    assert len(builds) == 1
+    second = lh.martingale_residual(paths, probes)
+    assert len(builds) == 2
+    assert second == first  # nothing carries over between calls
+
+
+def test_martingale_rows_match_reference_psi(monkeypatch):
+    # the criterion-7 configuration at 16 paths, Psi by the direct per-x quadrature
+    gamma = lh.LevyModel(lh.GammaSubordinator())
+    eta = lh.eta_for_atom_budget(gamma, 0.1, 1.0, 100.0)
+    cfg = lh.SimConfig(noise=lh.LevyNoiseSpec(model=gamma, eps=0.1, eta=eta), f=lh.constant_f(1.0),
+                       T=1.0, modes=64, collocation=256, steps=4096)
+    probes = [lh.MartingaleProbe(xi, lh.SmoothBump(), 0.25, 0.75) for xi in (0.5, 1.0)]
+    paths = [lh.simulate_path(cfg, stream(12345, i, "crit7")) for i in range(16)]
+    rows = lh.martingale_residual(paths, probes)
+    monkeypatch.setattr(st, "_compensator_psis", lambda model, eps, eta, amps: [
+        psi_reference.compensator_psi(model, eps, eta, amp) for amp in amps])
+    expect = lh.martingale_residual(paths, probes)
+    for r, e in zip(rows, expect):
+        assert abs(r.estimate - e.estimate) <= 1e-12 * abs(e.estimate)
+        assert r.se_re == pytest.approx(e.se_re, rel=1e-12)
+        assert r.se_im == pytest.approx(e.se_im, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
