@@ -7,7 +7,10 @@ phi_k(x) = sqrt(2/pi) sin(kx).  The heat semigroup acts diagonally
 * Gaussian branch: per step the modes decay and receive the collocation
   projection of f(u) times the white-noise cell increments (variance dt*dx).
   The increments are drawn _NOISE_CHUNK steps at a time, one (chunk, M)
-  draw, which is the same stream as one draw of M per step. For constant f
+  draw, which is the same stream as one draw of M per step. The next chunk
+  is drawn on a helper thread, created and joined inside the call, while
+  the current one is stepped: the same stream and the same draws, and the
+  steps reuse their buffers instead of allocating. For constant f
   the stochastic convolution is sampled exactly instead (same law, no
   time-discretization bias): one (N, K) draw, the same stream as one draw
   of K per step, is scaled by the exact convolution sd and scanned.
@@ -39,8 +42,10 @@ reconstruction) rebuild the field, initial data included, from the atom log.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
+from itertools import islice
 
 import numpy as np
 from scipy.special import gammainc, gamma as gamma_fn
@@ -109,6 +114,10 @@ class MultiplicativeFunction:
             raise ValueError(f"unknown multiplicative kind {self.kind!r}")
         if self.lipschitz_constant < 0:
             raise ValueError("Lipschitz constant must be nonnegative")
+        # the params as 0-d arrays for _in_place: numpy converts a Python float
+        # operand anew on every ufunc call, which costs more than the operation
+        # itself on the few hundred values of one solver step
+        object.__setattr__(self, "_operands", tuple(np.array(p) for p in self.params))
         # spot-check the linear growth bound |f(x)| <= K|x| + |f(0)| on a grid
         xs = np.linspace(-50.0, 50.0, 401)
         bound = self.lipschitz_constant * np.abs(xs) + abs(self(0.0)) + 1e-12
@@ -116,14 +125,34 @@ class MultiplicativeFunction:
             raise ValueError("declared Lipschitz constant violates |f(x)| <= K|x| + |f(0)|")
 
     def __call__(self, u):
+        if np.ndim(u) == 0:
+            return self._scalar(u)
+        return self._in_place(np.array(u, dtype=float))
+
+    def _scalar(self, u):
+        """f(u) for one number."""
         if self.kind == "constant":
-            (c,) = self.params
-            return np.full_like(np.asarray(u, dtype=float), c) if np.ndim(u) else c
+            return self.params[0]
         if self.kind == "affine":
             a, b = self.params
-            return a * np.asarray(u, dtype=float) + b if np.ndim(u) else a * u + b
+            return a * u + b
         c, d = self.params
         return c * np.sin(u) + d
+
+    def _in_place(self, u: np.ndarray) -> np.ndarray:
+        """Overwrite the float array u with f(u), by the operations of _scalar, and return it."""
+        if self.kind == "constant":
+            u.fill(self.params[0])
+        elif self.kind == "affine":
+            a, b = self._operands
+            np.multiply(u, a, u)
+            np.add(u, b, u)
+        else:
+            c, d = self._operands
+            np.sin(u, u)
+            np.multiply(u, c, u)
+            np.add(u, d, u)
+        return u
 
     @property
     def is_constant(self) -> bool:
@@ -518,29 +547,38 @@ def _gaussian_path(config, rng):
         xi = rng.standard_normal((N, K))
         xi *= _gaussian_sd(config.f.constant_value, K, dt)
         out = _atom_states(times[1:], None, xi.T, m).T
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteStateError("non-finite mode in Gaussian path", operation="simulate_path")
     else:
         decay = np.exp(-np.arange(1, K + 1, dtype=float) ** 2 * dt)
         out = np.empty((N + 1, K))
         out[0] = m
         _, S = _collocation(K, M)
         dx = np.pi / M
-        w_sd = math.sqrt(dt * dx)
+        draw = partial(rng.normal, 0.0, math.sqrt(dt * dx))
+        f_in_place = config.f._in_place
         u = np.empty(M)                     # field at collocation nodes
-        for lo in range(0, N, _NOISE_CHUNK):
-            # one draw per chunk of steps: the same stream as one draw of M per step
-            xi = rng.normal(0.0, w_sd, size=(min(_NOISE_CHUNK, N - lo), M))
-            for n, row in enumerate(xi, start=lo + 1):
-                np.dot(m, S, out=u)
-                np.multiply(config.f(u), row, out=row)
-                m = out[n]
-                np.dot(S, row, out=m)
-                m += decay * out[n - 1]
-            bad = ~np.isfinite(out[lo + 1:lo + 1 + len(xi)]).all(axis=1)
-            if bad.any():
-                step = lo + 1 + int(np.argmax(bad))
-                raise NonFiniteStateError(f"non-finite mode at step {step}", operation="simulate_path")
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteStateError("non-finite mode in Gaussian path", operation="simulate_path")
+        tmp = np.empty(K)
+        # one draw per chunk of steps, the same stream as one draw of M per
+        # step; the helper draws chunk c + 1 (numpy releases the GIL while it
+        # fills) as this thread steps chunk c, and only it touches rng meanwhile
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            xi = draw(size=(min(_NOISE_CHUNK, N), M))
+            for lo in range(0, N, _NOISE_CHUNK):
+                rest = N - lo - len(xi)
+                ahead = helper.submit(draw, size=(min(_NOISE_CHUNK, rest), M)) if rest else None
+                for row, prev, m in zip(xi, out[lo:], out[lo + 1:]):
+                    np.dot(prev, S, u)
+                    np.multiply(f_in_place(u), row, row)
+                    np.dot(S, row, m)
+                    np.multiply(decay, prev, tmp)
+                    m += tmp
+                bad = ~np.isfinite(out[lo + 1:lo + 1 + len(xi)]).all(axis=1)
+                if bad.any():
+                    step = lo + 1 + int(np.argmax(bad))
+                    raise NonFiniteStateError(f"non-finite mode at step {step}", operation="simulate_path")
+                if ahead is not None:
+                    xi = ahead.result()
     return FieldPath(times, out, config)
 
 
@@ -577,57 +615,75 @@ def _levy_path_additive(config, real):
     return FieldPath(times, out, config, real, np.full(J, cval))
 
 
+def _phi_rows(x, K: int):
+    """Yield phi_k(x_j), k = 1..K, for each atom j in turn, formed _ATOM_BLOCK atoms at a time."""
+    kvec = np.arange(1, K + 1, dtype=float)
+    for lo in range(0, len(x), _ATOM_BLOCK):
+        yield from np.sqrt(2.0 / np.pi) * np.sin(np.multiply.outer(x[lo:lo + _ATOM_BLOCK], kvec))
+
+
 def _levy_path_general(config, real):
     """Non-constant-f branch: steps atom by atom through the steps that need work.
 
     A step needs work when it holds an atom, or at every step when the
     compensator drift is nonzero; the other grid rows are decays of the last
     computed state (_decay_fill). f(u(t_j-, x_j)) is taken at each atom's left
-    limit, and the drift uses the step-start field.
+    limit, and the drift uses the step-start field. The state is updated in
+    place; as a non-finite mode stays non-finite, the written rows are checked
+    once, after the last step, and the first bad one names the step.
     """
     sigma_used = real.jump_scale(config.noise.normalization)
     K, M, N = config.modes, config.collocation, config.steps
-    kvec = np.arange(1, K + 1, dtype=float)
-    k2 = kvec**2
+    k2 = np.arange(1, K + 1, dtype=float) ** 2
+    neg_k2 = -k2
     _, S = _collocation(K, M)
     dx = np.pi / M
     drift_rate = real.m_restricted / sigma_used
     times = config.times()
+    f = config.f
     if drift_rate != 0.0:
         conv = (1.0 - np.exp(-k2 * config.dt)) / k2  # int_0^dt e^{-k^2 (dt - s)} ds
+        u, D = np.empty(M), np.empty(K)
 
-    t_atoms, x_atoms = real.t, real.x
-    amp = real.z / sigma_used
-    f_at = np.empty(len(t_atoms))
-    steps = atom_steps(times, t_atoms)
+    steps = atom_steps(times, real.t)
     active = np.arange(N) if drift_rate != 0.0 else np.unique(steps)
-    bounds = np.searchsorted(steps, active, side="left"), np.searchsorted(steps, active, side="right")
-    out = np.empty((N + 1, K))
-    m = out[0] = _initial_state(config)
-    t_cur = times[0]
-    for n, j0, j1 in zip(active.tolist(), *bounds):
+    counts = np.bincount(steps, minlength=N)[active]
+    atoms = zip(real.t.tolist(), (real.z / sigma_used).tolist(), _phi_rows(real.x, K))
+    f_at = []
+    out = np.zeros((N + 1, K))  # the rows the decay fill writes pass the finiteness check
+    m, tmp = _initial_state(config), np.empty(K)
+    out[0] = m
+    t_cur, ends = 0.0, times[1:].tolist()
+    for n, count in zip(active.tolist(), counts.tolist()):
         if drift_rate != 0.0:
-            D = S @ (config.f(m @ S) * dx)  # step-start projection of f(u)
-        for j in range(j0, j1):
-            ta = t_atoms[j]
-            m = m * np.exp(-k2 * (ta - t_cur))
+            np.matmul(m, S, out=u)
+            f._in_place(u)
+            u *= dx
+            np.matmul(S, u, out=D)  # step-start projection of f(u)
+        for ta, amp, phik in islice(atoms, count):
+            np.multiply(neg_k2, ta - t_cur, out=tmp)
+            m *= np.exp(tmp, out=tmp)
             t_cur = ta
-            phik = np.sqrt(2.0 / np.pi) * np.sin(kvec * x_atoms[j])
-            fval = float(config.f(float(m @ phik)))  # left limit u(t_j-, x_j)
-            f_at[j] = fval
-            m = m + fval * amp[j] * phik
-        m = m * np.exp(-k2 * (times[n + 1] - t_cur))
-        t_cur = times[n + 1]
+            fval = f._scalar(float(m @ phik))  # left limit u(t_j-, x_j)
+            f_at.append(fval)
+            np.multiply(phik, fval * amp, out=tmp)
+            m += tmp
+        np.multiply(neg_k2, ends[n] - t_cur, out=tmp)
+        m *= np.exp(tmp, out=tmp)
+        t_cur = ends[n]
         if drift_rate != 0.0:
-            m = m - drift_rate * D * conv
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteStateError(f"non-finite mode at step {n + 1}", operation="simulate_path")
+            np.multiply(D, drift_rate, out=tmp)
+            tmp *= conv
+            m -= tmp
         out[n + 1] = m
+    bad = ~np.isfinite(out[1:]).all(axis=1)
+    if bad.any():
+        raise NonFiniteStateError(f"non-finite mode at step {int(np.argmax(bad)) + 1}", operation="simulate_path")
     if len(active) < N:
         rows = np.concatenate(([0], active + 1))
         last = rows[np.searchsorted(rows, np.arange(N + 1), side="right") - 1]
         _decay_fill(out, out.T, last, times - times[last])
-    return FieldPath(times, out, config, real, f_at)
+    return FieldPath(times, out, config, real, np.array(f_at, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Per-step loop forms of solver paths and recurrences, kept as test references.
 
-These are the loops that the solver's active-step, chunked and scanned forms
-replaced: the general Levy branch stepping through every grid step, the
-Gaussian Euler branch drawing its noise one step at a time, the exact
-constant-f Gaussian path drawing one convolution sample of K modes per step,
-the step-by-step trapezoidal convolution of
-`solver.mode_decomposition_check`, and the additive Levy path's compensator
-drift subtracted one strided grid column at a time after the decay fill. The
-exact Gaussian path and the convolution are now scans of
-`solver._atom_states`; the drift is subtracted inside `solver._decay_fill`.
+These are the loops that the solver's active-step, in-place, chunked and
+scanned forms replaced: the general Levy branch stepping through every grid
+step; the same branch stepping through its active steps only, with a new
+array per operation and a finiteness check per step (the arithmetic that the
+in-place solver keeps, so the two agree bitwise); the Gaussian Euler branch
+drawing its noise one step at a time; the exact constant-f Gaussian path
+drawing one convolution sample of K modes per step; the step-by-step
+trapezoidal convolution of `solver.mode_decomposition_check`; and the
+additive Levy path's compensator drift subtracted one strided grid column at
+a time after the decay fill. The exact Gaussian path and the convolution are
+now scans of `solver._atom_states`; the drift is subtracted inside
+`solver._decay_fill`.
 """
 
 import math
@@ -59,6 +62,52 @@ def levy_path_general(config, real):
         if not np.all(np.isfinite(m)):
             raise NonFiniteStateError(f"non-finite mode at step {n + 1}", operation="simulate_path")
         out[n + 1] = m
+    return out, f_at
+
+
+def levy_path_general_active(config, real):
+    """(grid modes, f(u(t_j-, x_j)) per atom) of the general branch, active steps only, allocating per step."""
+    sigma_used = real.jump_scale(config.noise.normalization)
+    K, M, N = config.modes, config.collocation, config.steps
+    kvec = np.arange(1, K + 1, dtype=float)
+    k2 = kvec**2
+    _, S = solver._collocation(K, M)
+    dx = np.pi / M
+    drift_rate = real.m_restricted / sigma_used
+    times = config.times()
+    if drift_rate != 0.0:
+        conv = (1.0 - np.exp(-k2 * config.dt)) / k2
+    t_atoms, x_atoms = real.t, real.x
+    amp = real.z / sigma_used
+    f_at = np.empty(len(t_atoms))
+    steps = solver.atom_steps(times, t_atoms)
+    active = np.arange(N) if drift_rate != 0.0 else np.unique(steps)
+    bounds = np.searchsorted(steps, active, side="left"), np.searchsorted(steps, active, side="right")
+    out = np.empty((N + 1, K))
+    m = out[0] = solver._initial_state(config)
+    t_cur = times[0]
+    for n, j0, j1 in zip(active.tolist(), *bounds):
+        if drift_rate != 0.0:
+            D = S @ (config.f(m @ S) * dx)
+        for j in range(j0, j1):
+            ta = t_atoms[j]
+            m = m * np.exp(-k2 * (ta - t_cur))
+            t_cur = ta
+            phik = np.sqrt(2.0 / np.pi) * np.sin(kvec * x_atoms[j])
+            fval = float(config.f(float(m @ phik)))
+            f_at[j] = fval
+            m = m + fval * amp[j] * phik
+        m = m * np.exp(-k2 * (times[n + 1] - t_cur))
+        t_cur = times[n + 1]
+        if drift_rate != 0.0:
+            m = m - drift_rate * D * conv
+        if not np.all(np.isfinite(m)):
+            raise NonFiniteStateError(f"non-finite mode at step {n + 1}", operation="simulate_path")
+        out[n + 1] = m
+    if len(active) < N:
+        rows = np.concatenate(([0], active + 1))
+        last = rows[np.searchsorted(rows, np.arange(N + 1), side="right") - 1]
+        solver._decay_fill(out, out.T, last, times - times[last])
     return out, f_at
 
 

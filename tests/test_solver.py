@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -179,12 +181,44 @@ def test_additive_drift_fill_matches_column_loop(gamma_model, stable_model):
 
 @pytest.mark.parametrize("f", [lh.affine_f(0.25, 1.0), lh.bounded_smooth_f(0.5, 1.0)], ids=["affine", "smooth"])
 def test_gaussian_branch_matches_step_loop(f):
-    # 600 steps: two full noise chunks and a partial one
-    cfg = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=f, T=1.0, modes=16, collocation=64, steps=600,
-                       initial=tuple(np.linspace(0.5, 0.0, 16)))
-    for i in range(3):
-        got = lh.simulate_path(cfg, stream(7, i, "g")).modes
-        assert np.array_equal(got, loops.gaussian_path(cfg, stream(7, i, "g")))
+    # one chunk (nothing is drawn ahead), full chunks only, and two full chunks and a partial one
+    for steps in (100, 2 * lh.solver._NOISE_CHUNK, 600):
+        cfg = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=f, T=1.0, modes=16, collocation=64, steps=steps,
+                           initial=tuple(np.linspace(0.5, 0.0, 16)))
+        for i in range(3):
+            rng_got, rng_want = stream(7, i, "g"), stream(7, i, "g")
+            got = lh.simulate_path(cfg, rng_got).modes
+            assert np.array_equal(got, loops.gaussian_path(cfg, rng_want))
+            assert rng_got.random() == rng_want.random()  # the same draws, nothing more
+
+
+def _gaussian_modes(cfg, seed):
+    return lh.simulate_path(cfg, stream(seed, 0, "fork")).modes
+
+
+def test_gaussian_path_in_forked_child_matches_parent():
+    # the parent's path starts and joins a draw-ahead thread; a forked child
+    # (as collect_terminal_samples makes them) must start its own
+    cfg = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=lh.affine_f(0.25, 1.0), T=1.0, modes=16,
+                       collocation=64, steps=3 * lh.solver._NOISE_CHUNK)
+    want = _gaussian_modes(cfg, 5)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(_gaussian_modes, (cfg, 5)).get(timeout=60)
+    assert np.array_equal(got, want)
+
+
+def test_gaussian_draw_ahead_joined_on_error():
+    # the blow-up is found in the first chunk while the second is being drawn
+    cfg = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=lh.affine_f(1e260, 1e260), T=1.0, modes=4,
+                       collocation=16, steps=3 * lh.solver._NOISE_CHUNK)
+    before = threading.active_count()
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteStateError) as got:
+            lh.simulate_path(cfg, stream(0, 0, "boom"))
+        with pytest.raises(NonFiniteStateError) as want:
+            loops.gaussian_path(cfg, stream(0, 0, "boom"))
+    assert str(got.value) == str(want.value)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("c, modes, steps, initial", [
@@ -225,6 +259,8 @@ def test_general_branch_matches_step_loop(stable_model, gamma_model, cp_symmetri
     for model, eps, eta in ((stable_model, 0.1, "atoms:300"), (gamma_model, 0.5, "atoms:200")):
         cfg = small_sim(model, eps, eta, f=f, modes=16, collocation=64, steps=512, rho=1.0)
         cases += [(cfg, _sorted_noise(cfg, stream(8, i, "general"))) for i in range(2)]
+    # the same noise under a bounded smooth f
+    cases += [(replace(cfg, f=lh.bounded_smooth_f(0.5, 1.0)), real) for cfg, real in cases]
     assert cases[0][1].m_restricted == 0.0 and cases[-1][1].m_restricted != 0.0
     # no atoms: the whole path is the decay fill of the initial data
     cfg = small_sim(cp_symmetric, 2.0, 0.0, f=f, modes=16, collocation=64, steps=512)
@@ -238,6 +274,10 @@ def test_general_branch_matches_step_loop(stable_model, gamma_model, cp_symmetri
     cases.append((cfg, _realization(np.sort(t), rng.uniform(0.0, np.pi, len(t)), rng.choice([-1.0, 1.0], len(t)))))
     for cfg, real in cases:
         path = lh.solver._levy_path_general(cfg, real)
+        # the same arithmetic as the allocating active-step loop, bit for bit
+        modes, f_at = loops.levy_path_general_active(cfg, real)
+        assert np.array_equal(path.modes, modes)
+        assert np.array_equal(path.f_at_atoms, f_at)
         modes, f_at = loops.levy_path_general(cfg, real)
         scale = max(1.0, np.max(np.abs(modes)))
         assert np.max(np.abs(path.modes - modes)) <= 1e-12 * scale

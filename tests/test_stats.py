@@ -178,6 +178,48 @@ def test_psi_table_matches_direct_quadrature(family):
         assert np.all(err <= 1e-12 * np.abs(expect))
 
 
+def test_stable_expm1i_matches_mpmath():
+    # the series runs to |theta| = 0.1; the direct sin(theta) - theta above it
+    mpmath = pytest.importorskip("mpmath")
+    theta = np.geomspace(1e-8, 10.0, 600)
+    theta = np.concatenate((theta, [1e-4, 1.01e-4, np.nextafter(0.1, 0.0), 0.1], -theta[::7]))
+    got = st._stable_expm1i(theta)
+    with mpmath.workdps(40):
+        want_im = np.array([float(mpmath.sin(t) - t) for t in map(mpmath.mpf, theta)])
+        want_re = np.array([float(mpmath.cos(t) - 1) for t in map(mpmath.mpf, theta)])
+    assert np.all(np.abs(got.imag - want_im) <= 1e-13 * np.abs(want_im))
+    assert np.all(np.abs(got.real - want_re) <= 1e-14 * np.abs(want_re))
+
+
+def test_martingale_psi_on_segment_from_origin(monkeypatch):
+    # a finite-mass density on (0, 1) at eta = 0: its segment starts at 0
+    from scipy.integrate import quad
+
+    model = lh.LevyModel(lh.CustomDensity(lambda z: np.exp(-z), (0.0, 1.0)))
+    cfg = small_sim(model, 1.0, 0.0, steps=256, modes=16, collocation=64)
+    paths = [lh.simulate_path(cfg, stream(3, i, "origin")) for i in range(4)]
+    assert sum(len(p.atom_log) for p in paths) > 0
+    tables = []
+
+    def kept(*args):
+        tables.append((args[-1], table(*args)))
+        return tables[-1][1]
+
+    table = st._psi_table
+    monkeypatch.setattr(st, "_psi_table", kept)
+    rows = lh.martingale_residual(paths, lh.MartingaleProbe(1.0, lh.SmoothBump(), 0.25, 0.75))
+    assert all(math.isfinite(abs(r.estimate)) for r in rows)
+    [(a_max, psi)] = tables
+    a = a_max * np.array([-1.0, -0.43, -0.17, 0.02, 0.17, 0.57, 1.0])
+
+    def integral(g):
+        return quad(lambda z: g(z) * math.exp(-z), 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+
+    want = np.array([integral(lambda z: -2.0 * math.sin(0.5 * x * z) ** 2)
+                     + 1j * integral(lambda z: math.sin(x * z) - x * z) for x in a])
+    assert np.all(np.abs(psi(a) - want) <= 1e-12 * np.abs(want))
+
+
 def _martingale_paths(gamma_model, n):
     eta = lh.eta_for_atom_budget(gamma_model, 0.1, 1.0, 60.0)
     cfg = small_sim(gamma_model, 0.1, eta, steps=512)
