@@ -45,7 +45,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import exp1, gammainc, gamma as gamma_fn
 
 from .errors import (
@@ -468,7 +467,7 @@ class _MarkSampler:
             if inv is None:
                 cdf /= mass
                 keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
-                inv = PchipInterpolator(cdf[keep], grid[keep])
+                inv = _inverse_table(cdf[keep], grid[keep])
             if inv not in inverses:  # functions and tables compare by identity
                 inverses.append(inv)
             masses.append(mass)
@@ -544,6 +543,13 @@ def _segment_cdf(seg: _Segment, n_per: int, cfg: QuadratureConfig) -> tuple[np.n
         except NonIntegrableError:
             panels[0] = math.inf
     return grid, np.concatenate(([0.0], np.cumsum(panels)))
+
+
+def _inverse_table(cdf: np.ndarray, grid: np.ndarray):
+    """Monotone cubic (PCHIP) inverse of a tabulated CDF, mapping cdf nodes onto grid nodes."""
+    from scipy.interpolate import PchipInterpolator  # on first use: stable runs build no table
+
+    return PchipInterpolator(cdf, grid)
 
 
 def _panel_masses(density, grid: np.ndarray) -> np.ndarray:
@@ -727,7 +733,7 @@ def sample_marks(
     model: LevyModel, eps: float, eta: float, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """i.i.d. draws from Q_eps restricted to {|z| > eta}, normalized."""
-    lam = restricted_mass(model, eps, eta)
+    lam = model.memo(("restricted_mass", eps, eta), lambda: restricted_mass(model, eps, eta))
     if math.isinf(lam):
         raise InfiniteActivityError(
             f"restriction above eta={eta} has infinite mass; raise eta",

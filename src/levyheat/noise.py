@@ -75,19 +75,18 @@ def simulate_levy_noise(
     rho_budget: float = 1e-3,
     atom_cap: float = 1e8,
 ) -> LevyNoiseRealization:
-    """One realization of the restricted compensated noise; deterministic per stream."""
+    """One realization of the restricted compensated noise; deterministic per stream.
+
+    The moments of the (eps, eta) cell are computed once and kept on the model;
+    the budget and the atom cap are checked on every call.
+    """
     if T <= 0:
         raise ValueError("horizon must be positive")
     if eta < 0:
         raise ValueError("inner cutoff must be nonnegative")
-    var = measures.variance(model, eps)
-    lam = measures.restricted_mass(model, eps, eta)
-    if math.isinf(lam):
-        raise InfiniteActivityError(
-            f"restriction above eta={eta} has infinite mass; raise eta",
-            operation="simulate_levy_noise",
-        )
-    retained2 = measures.restricted_moment2(model, eps, eta)
+    var, lam, retained2, m_restricted = model.memo(
+        ("noise_cell", eps, eta), lambda: _cell_moments(model, eps, eta)
+    )
     dropped = max(0.0, 1.0 - retained2 / var)
     if dropped > rho_budget:
         raise BudgetExceededError(
@@ -119,11 +118,23 @@ def simulate_levy_noise(
         eta=eta,
         sigma=math.sqrt(var),
         sigma_retained=math.sqrt(retained2),
-        m_restricted=measures.restricted_mean(model, eps, eta),
+        m_restricted=m_restricted,
         dropped_variance_fraction=dropped,
         intensity=lam,
         model_name=model.name,
     )
+
+
+def _cell_moments(model: measures.LevyModel, eps: float, eta: float) -> tuple[float, float, float, float]:
+    """sigma^2(eps), lambda, int_{|z|>eta} z^2 Q_eps and int_{|z|>eta} z Q_eps of one cell."""
+    var = measures.variance(model, eps)
+    lam = measures.restricted_mass(model, eps, eta)
+    if math.isinf(lam):
+        raise InfiniteActivityError(
+            f"restriction above eta={eta} has infinite mass; raise eta",
+            operation="simulate_levy_noise",
+        )
+    return var, lam, measures.restricted_moment2(model, eps, eta), measures.restricted_mean(model, eps, eta)
 
 
 def auto_inner_cutoff(

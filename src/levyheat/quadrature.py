@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NonIntegrableError
 
@@ -50,6 +49,8 @@ _DEFAULT = QuadratureConfig()
 
 
 def _panel(f: Callable[[float], float], a: float, b: float, rel_tol: float) -> float:
+    from scipy.integrate import quad  # on first use: most runs never reach the adaptive rule
+
     val, _ = quad(f, a, b, epsabs=1e-300, epsrel=rel_tol * 0.1, limit=200)
     return val
 

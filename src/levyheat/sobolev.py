@@ -14,8 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OutOfRangeError
-from .quadrature import gauss_legendre, legendre_nodes
-from .solver import FieldPath, fit_coefficients, grid_index, phi_values
+from .quadrature import gauss_legendre
+from .solver import FieldPath, fit_coefficients, grid_index
 
 __all__ = [
     "dual_norm",
@@ -142,8 +142,17 @@ def space_time_parseval(path: FieldPath) -> tuple[float, float]:
 class SmoothBump:
     """C_c^infty bump exp(1 - 1/(1 - s^2)), s = (x - center)/width, sup = 1.
 
-    Sine coefficients are computed once by high-resolution quadrature and
-    cached; second-derivative coefficients follow from integration by parts
+    Sine coefficients come from the uniform midpoint rule on the support,
+    h sum_j phi_k(x_j) bump(x_j) over max(1024, 8 K) nodes: for a smooth
+    integrand that vanishes with all its derivatives at both ends it converges
+    faster than any power of h (Trefethen & Weideman, SIAM Review 56, 2014),
+    to ~1e-16 against 30-digit quadrature on modes 1..64 and near 256. The
+    nodes x_j = center +- t_j pair up about the center, where the bump is
+    even, so the sin(k c) cos(k t) part of sin(k x) is summed over half of
+    them and the cos(k c) sin(k t) part cancels pair by pair; the even-k
+    coefficients of a bump centered at pi/2 come out at their exact ~1e-16
+    size. They are computed once per mode count and cached; second-derivative
+    coefficients follow from integration by parts
     (<phi'', phi_k> = -k^2 <phi, phi_k>, boundary terms vanish).
     """
 
@@ -154,23 +163,17 @@ class SmoothBump:
         self.width = width
 
     def __call__(self, x):
-        s = (np.asarray(x, dtype=float) - self.center) / self.width
-        out = np.zeros_like(s)
-        inside = np.abs(s) < 1.0
-        si = s[inside]
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
-        return out
+        return _bump_profile((np.asarray(x, dtype=float) - self.center) / self.width)
 
     @lru_cache(maxsize=8)
     def _coeff_cache(self, n_modes: int) -> tuple[float, ...]:
-        k = np.arange(1, n_modes + 1)
-        xs, ws = legendre_nodes(2000)
-        lo, hi = self.center - self.width, self.center + self.width
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        pts = mid + half * xs
-        vals = self(pts)
-        basis = phi_values(k, pts)              # (K, nodes)
-        return tuple(float(v) for v in half * (basis * vals) @ ws)
+        k = np.arange(1, n_modes + 1, dtype=float)
+        half_nodes = max(512, 4 * n_modes)
+        h = self.width / half_nodes
+        t = h * (np.arange(half_nodes) + 0.5)   # x_j - center on (0, width)
+        cos_sum = np.cos(np.multiply.outer(k, t)) @ _bump_profile(t / self.width)
+        coeffs = math.sqrt(2.0 / math.pi) * np.sin(k * self.center) * (2.0 * h) * cos_sum
+        return tuple(float(v) for v in coeffs)
 
     def sine_coefficients(self, n_modes: int) -> np.ndarray:
         return np.array(self._coeff_cache(n_modes))
@@ -184,3 +187,12 @@ class SmoothBump:
 
     def __eq__(self, other):
         return isinstance(other, SmoothBump) and (self.center, self.width) == (other.center, other.width)
+
+
+def _bump_profile(s: np.ndarray) -> np.ndarray:
+    """exp(1 - 1/(1 - s^2)) on |s| < 1, zero elsewhere."""
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
+    return out

@@ -8,9 +8,10 @@ phi_k(x) = sqrt(2/pi) sin(kx).  The heat semigroup acts diagonally
   projection of f(u) times the white-noise cell increments (variance dt*dx).
   The increments are drawn _NOISE_CHUNK steps at a time, one (chunk, M)
   draw, which is the same stream as one draw of M per step. The next chunk
-  is drawn on a helper thread, created and joined inside the call, while
-  the current one is stepped: the same stream and the same draws, and the
-  steps reuse their buffers instead of allocating. For constant f
+  is drawn, into the other of two chunk buffers, on a helper thread created
+  and joined inside the call, while the current one is stepped: the same
+  stream and the same draws, and the steps reuse their buffers instead of
+  allocating. For constant f
   the stochastic convolution is sampled exactly instead (same law, no
   time-discretization bias): one (N, K) draw, the same stream as one draw
   of K per step, is scaled by the exact convolution sd and scanned.
@@ -555,18 +556,28 @@ def _gaussian_path(config, rng):
         out[0] = m
         _, S = _collocation(K, M)
         dx = np.pi / M
-        draw = partial(rng.normal, 0.0, math.sqrt(dt * dx))
+        sd = math.sqrt(dt * dx)
         f_in_place = config.f._in_place
         u = np.empty(M)                     # field at collocation nodes
         tmp = np.empty(K)
+        chunks = np.empty((2, min(_NOISE_CHUNK, N), M))
+
+        def draw(buf, rows):
+            # standard normals scaled by sd: the draws of rng.normal(0, sd, (rows, M))
+            xi = buf[:rows]
+            rng.standard_normal(out=xi)
+            xi *= sd
+            return xi
+
         # one draw per chunk of steps, the same stream as one draw of M per
-        # step; the helper draws chunk c + 1 (numpy releases the GIL while it
-        # fills) as this thread steps chunk c, and only it touches rng meanwhile
+        # step, into the two chunk buffers in turn; the helper draws chunk c + 1
+        # (numpy releases the GIL while it fills) as this thread steps chunk c,
+        # and only it touches rng meanwhile
         with ThreadPoolExecutor(max_workers=1) as helper:
-            xi = draw(size=(min(_NOISE_CHUNK, N), M))
-            for lo in range(0, N, _NOISE_CHUNK):
+            xi = draw(chunks[0], min(_NOISE_CHUNK, N))
+            for c, lo in enumerate(range(0, N, _NOISE_CHUNK)):
                 rest = N - lo - len(xi)
-                ahead = helper.submit(draw, size=(min(_NOISE_CHUNK, rest), M)) if rest else None
+                ahead = helper.submit(draw, chunks[(c + 1) % 2], min(_NOISE_CHUNK, rest)) if rest else None
                 for row, prev, m in zip(xi, out[lo:], out[lo + 1:]):
                     np.dot(prev, S, u)
                     np.multiply(f_in_place(u), row, row)

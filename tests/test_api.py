@@ -2,6 +2,10 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import levyheat
@@ -33,3 +37,41 @@ def test_package_imports_only_exported_names():
     for module_name, name in imports:
         module = importlib.import_module(f"levyheat.{module_name}")
         assert name in getattr(module, "__all__", ()), f"levyheat.{module_name}.__all__ lacks {name}"
+
+
+_FOOTPRINT = """
+import json, sys
+import numpy as np
+import levyheat as lh
+from levyheat.streams import stream
+
+def lazy():
+    return [m for m in ("scipy.integrate", "scipy.interpolate") if m in sys.modules]
+
+after = {"import": lazy()}
+stable = lh.SimConfig(noise=lh.LevyNoiseSpec(lh.LevyModel(lh.SymmetricStable(1.5)), 0.1, eta="atoms:300",
+                                                  rho_budget=1.0),
+                      modes=16, collocation=64, steps=64)
+samples = lh.collect_terminal_samples(
+    stable, [lh.mode_functional(1, 16), lh.bump_functional(lh.SmoothBump(), 16)], 8, 1)
+gauss = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=lh.affine_f(0.25, 1.0), modes=16, collocation=64, steps=64)
+path = lh.simulate_path(gauss, stream(1, 0, "gauss"))
+lh.ks_two_sample(samples["mode1"], path.modes[1:, 0])
+after["runs"] = lazy()
+gamma = lh.LevyModel(lh.GammaSubordinator())
+lh.sample_marks(gamma, 0.1, 1e-3, 5, stream(1, 0, "marks"))
+after["gamma"] = lazy()
+print(json.dumps(after))
+"""
+
+
+def test_stable_and_gaussian_runs_leave_scipy_integrate_and_interpolate_unloaded():
+    # a run loads scipy.integrate (adaptive quadrature) and scipy.interpolate
+    # (tabulated inverse CDFs) only when it calls them; a gamma sampler builds a table
+    src = str(INIT.resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert loaded["import"] == [] and loaded["runs"] == []
+    assert "scipy.interpolate" in loaded["gamma"]

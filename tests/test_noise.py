@@ -57,6 +57,40 @@ def test_infinite_activity_error(stable_model):
                                rho_budget=1.0)
 
 
+def test_cell_constants_are_computed_once_per_cell(monkeypatch):
+    # sigma^2, lambda and the restricted moments are kept per (eps, eta) on the
+    # model, so one path evaluates the family's moments as often as six do
+    calls = []
+    moment = lh.GammaSubordinator.abs_moment
+
+    def counted(self, *args):
+        calls.append(args)
+        return moment(self, *args)
+
+    monkeypatch.setattr(lh.GammaSubordinator, "abs_moment", counted)
+    eps, eta = 0.5, 1e-3
+    counts, firsts = [], []
+    for n_paths in (1, 6):
+        model = lh.LevyModel(lh.GammaSubordinator())
+        calls.clear()
+        reals = [lh.simulate_levy_noise(model, eps, eta, 1.0, stream(21, i, "atoms")) for i in range(n_paths)]
+        counts.append(len(calls))
+        firsts.append(reals[0])
+    assert counts[0] == counts[1] > 0
+    a, b = firsts
+    assert np.array_equal(a.t, b.t) and np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z)
+    # the kept values are those of the module operations, bit for bit
+    assert b.sigma == math.sqrt(lh.variance(model, eps))
+    assert b.sigma_retained == math.sqrt(lh.restricted_moment2(model, eps, eta))
+    assert b.intensity == lh.restricted_mass(model, eps, eta)
+    assert b.m_restricted == lh.restricted_mean(model, eps, eta) != 0.0
+    # the budget and the atom cap are still checked on every call
+    with pytest.raises(BudgetExceededError):
+        lh.simulate_levy_noise(model, eps, eta, 1.0, stream(21, 0, "atoms"), rho_budget=1e-12)
+    with pytest.raises(AtomCapExceededError):
+        lh.simulate_levy_noise(model, eps, eta, 1.0, stream(21, 0, "atoms"), atom_cap=1.0)
+
+
 def test_realization_sorted_and_in_domain(gamma_model):
     # realizations come in draw order; the path solver's atom log is in time order
     eta = lh.auto_inner_cutoff(gamma_model, 0.1, 1.0)

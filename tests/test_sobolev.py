@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -171,3 +172,32 @@ def test_bump_second_derivative_coefficients():
     assert np.max(np.abs(series - bump(x))) < 1e-3
     series256 = bump.sine_coefficients(256) @ phi_values(np.arange(1, 257), x)
     assert np.max(np.abs(series256 - bump(x))) < 1e-6
+
+
+def _bump_coefficient_mp(bump, k):
+    """<bump, phi_k> by mpmath quadrature at 30 digits, split at the center."""
+    with mpmath.workdps(30):
+        c, w = mpmath.mpf(bump.center), mpmath.mpf(bump.width)
+
+        def integrand(x):
+            s = (x - c) / w
+            return mpmath.sqrt(2 / mpmath.pi) * mpmath.sin(k * x) * mpmath.exp(1 - 1 / (1 - s * s))
+
+        return float(mpmath.quad(integrand, [c - w, c, c + w]))
+
+
+@pytest.mark.parametrize("center, width", [(math.pi / 2, 1.0), (1.2, 0.7)], ids=["centered", "off_center"])
+def test_bump_coefficients_match_mpmath(center, width):
+    bump = lh.SmoothBump(center=center, width=width)
+    c64 = bump.sine_coefficients(64)
+    modes = list(range(1, 21)) + [31, 32, 47, 63, 64]
+    err = max(abs(c64[k - 1] - _bump_coefficient_mp(bump, k)) for k in modes)
+    assert err <= 1e-15
+    # 260 modes take 2080 nodes: the node count follows the mode count
+    c260 = bump.sine_coefficients(260)
+    assert np.max(np.abs(c260[:64] - c64)) <= 1e-15
+    err = max(abs(c260[k - 1] - _bump_coefficient_mp(bump, k)) for k in (251, 254, 255, 256, 257))
+    assert err <= 1e-15
+    if center == math.pi / 2:
+        # symmetric about pi/2 up to the rounding of the center: even modes ~1e-16
+        assert np.max(np.abs(c260[1::2])) <= 1e-16
