@@ -28,10 +28,8 @@ from .measures import (
     ARReport,
     CompoundPoisson,
     CustomDensity,
-    FamilyIndex,
     GammaSubordinator,
     LevyModel,
-    OuterCutoff,
     RemarkDensityFamily,
     SymmetricStable,
     ar_scan,
@@ -53,7 +51,6 @@ from .noise import (
     load_atoms,
     simulate_levy_noise,
 )
-from .quadrature import QuadratureConfig
 from .sobolev import (
     SmoothBump,
     dual_norm,

@@ -25,7 +25,6 @@ from . import __version__
 from .errors import ConfigError, LevyHeatError
 from .measures import (
     CompoundPoisson,
-    FamilyIndex,
     GammaSubordinator,
     LevyModel,
     RemarkDensityFamily,
@@ -177,7 +176,7 @@ def build_model(cfg: dict) -> LevyModel:
             raise ConfigError("compound_poisson family needs model.atoms")
         return LevyModel(CompoundPoisson(tuple(cfg["model.atoms"])))
     if fam == "remark":
-        return LevyModel(RemarkDensityFamily(), FamilyIndex())
+        return LevyModel(RemarkDensityFamily())
     raise ConfigError(f"unknown model.family {fam!r}")
 
 

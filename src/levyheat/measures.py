@@ -1,8 +1,7 @@
-"""Levy measure families, truncation, and the normal-approximation statistics.
+"""Levy measure families and the normal-approximation statistics.
 
-A `LevyModel` bundles a base family with a truncation scheme. For each
-truncation level eps it yields a concrete finite-variance measure; the module
-operations compute
+A `LevyModel` wraps one base family, which defines the finite-variance
+measure Q_eps for each truncation level eps > 0; the module operations compute
 
     variance        sigma^2(eps) = int z^2 Q_eps(dz)
     ar_statistic    sigma^-2(eps) int_{|z| > kappa sigma(eps)} z^2 Q_eps(dz)
@@ -17,11 +16,14 @@ and cuts a, floor >= 0:
 
     support_sup(eps)                  sup{|z| : z in supp Q_eps}
     symmetric(eps)                    Q_eps(-dz) = Q_eps(dz)
-    abs_moment(eps, p, a, cfg)        int_{|z| > a} |z|^p Q_eps(dz), may be +inf
-    moment1(eps, a, cfg)              int_{|z| > a} z Q_eps(dz)
+    abs_moment(eps, p, a)             int_{|z| > a} |z|^p Q_eps(dz), may be +inf
+    moment1(eps, a)                   int_{|z| > a} z Q_eps(dz)
     point_masses(eps)                 the atoms (z, w) of Q_eps; empty for densities
-    segments(eps, floor, cfg)         the density pieces of Q_eps on {|z| > floor}
-    check(cfg)                        raise unless Q is a Levy measure
+    segments(eps, floor)              the density pieces of Q_eps on {|z| > floor}
+    check()                           raise unless Q is a Levy measure
+
+The families keep the small jumps, Q_eps = Q restricted to {|z| <= eps},
+except the remark family, whose whole measure depends on eps directly.
 
 `abs_moment` and `moment1` default to the shared quadrature fallback over
 `point_masses` and `segments`, which `CustomDensity` uses and which
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -53,7 +55,7 @@ from .errors import (
     NonIntegrableError,
     ZeroVarianceError,
 )
-from .quadrature import QuadratureConfig, integrate, legendre_nodes, tail_integral
+from .quadrature import integrate, legendre_nodes, tail_integral
 
 __all__ = [
     "CompoundPoisson",
@@ -61,8 +63,6 @@ __all__ = [
     "SymmetricStable",
     "RemarkDensityFamily",
     "CustomDensity",
-    "OuterCutoff",
-    "FamilyIndex",
     "LevyModel",
     "ARReport",
     "variance",
@@ -84,24 +84,6 @@ _TAIL_CAP = 1e8
 # faster beyond ~64 (40k draws on one x86 core: 1.1 vs 1.7 ms at 32 atoms,
 # 36 vs 4.1 ms at 1000)
 _COUNT_PASS_MAX = 32
-
-
-# ---------------------------------------------------------------------------
-# truncation schemes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OuterCutoff:
-    """Small-jump truncation: restrict the base measure to {|z| <= eps}."""
-
-    label = "outer"
-
-
-@dataclass(frozen=True)
-class FamilyIndex:
-    """The whole measure depends on eps directly (counterexample family)."""
-
-    label = "family_index"
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +109,31 @@ class _Segment:
     tail: Callable[[float], float] | None = None
     quantile: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def moment(self, p: float, cfg: QuadratureConfig) -> float:
+    def moment(self, p: float) -> float:
         """int r^p q(r) dr over the piece; +inf when it diverges."""
         if self.tail is not None:
             return self.tail(p)
-        return integrate(lambda r: r ** p * float(self.density(np.asarray(r))), self.lo, self.hi, cfg)
+        return integrate(lambda r: r ** p * float(self.density(np.asarray(r))), self.lo, self.hi)
+
+    @property
+    def geometric_lo(self) -> float:
+        """Where the geometric panels start: lo, or 1e-12 hi for a piece from the origin."""
+        return self.lo if self.lo > 0.0 else 1e-12 * self.hi
+
+    def panels(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The panel rule of the piece, shared by the mark tables and the psi table.
+
+        Returns the cuts of n geometric panels from `geometric_lo` to hi, after
+        a first panel (0, 1e-12 hi] when the piece starts at the origin; the 16
+        Gauss-Legendre nodes of each panel, one row per panel; each panel's
+        half-width; and the 16 Gauss-Legendre weights on [-1, 1].
+        """
+        xg, wg = legendre_nodes(16)
+        cuts = np.geomspace(self.geometric_lo, self.hi, n + 1)
+        if self.lo == 0.0:
+            cuts = np.concatenate(([0.0], cuts))
+        mid, half = 0.5 * (cuts[:-1] + cuts[1:]), 0.5 * (cuts[1:] - cuts[:-1])
+        return cuts, mid[:, None] + half[:, None] * xg, half, wg
 
 
 def _power_quantile(lo: float, hi: float, alpha: float) -> Callable[[np.ndarray], np.ndarray] | None:
@@ -145,32 +147,30 @@ def _power_quantile(lo: float, hi: float, alpha: float) -> Callable[[np.ndarray]
     return lambda u: lo * (1.0 - u * c) ** (-1.0 / alpha)
 
 
-def _quadrature_moment(family, eps: float, p: float, a: float, cfg: QuadratureConfig) -> float:
+def _quadrature_moment(family, eps: float, p: float, a: float) -> float:
     """The shared fallback for int_{|z| > a} |z|^p Q_eps(dz), a >= 0: a sum over
     the atoms plus quadrature over the density segments; +inf when it diverges."""
     z, w = family.point_masses(eps)
     mask = np.abs(z) > a
     total = float(np.sum(np.abs(z[mask]) ** p * w[mask]))
-    for seg in family.segments(eps, a, cfg):
-        total += seg.moment(p, cfg)
+    for seg in family.segments(eps, a):
+        total += seg.moment(p)
         if math.isinf(total):
             return math.inf
     return total
 
 
-def _quadrature_moment1(family, eps: float, a: float, cfg: QuadratureConfig) -> float:
+def _quadrature_moment1(family, eps: float, a: float) -> float:
     """The shared fallback for int_{|z| > a} z Q_eps(dz), a >= 0."""
     z, w = family.point_masses(eps)
     total = float(np.sum(z * w * (np.abs(z) > a)))
-    for seg in family.segments(eps, a, cfg):
-        total += seg.sign * seg.moment(1.0, cfg)
+    for seg in family.segments(eps, a):
+        total += seg.sign * seg.moment(1.0)
     return total
 
 
 class _Family:
     """Defaults of the family contract; a family overrides what it knows in closed form."""
-
-    truncation = OuterCutoff
 
     def support_sup(self, eps: float) -> float:
         return eps
@@ -181,13 +181,13 @@ class _Family:
     def point_masses(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0), np.empty(0)
 
-    def segments(self, eps: float, floor: float, cfg: QuadratureConfig) -> list[_Segment]:
+    def segments(self, eps: float, floor: float) -> list[_Segment]:
         return []
 
     abs_moment = _quadrature_moment
     moment1 = _quadrature_moment1
 
-    def check(self, cfg: QuadratureConfig) -> None:
+    def check(self) -> None:
         """Raise unless int min(1, z^2) Q(dz) < inf; the closed-form families satisfy it."""
 
 
@@ -233,7 +233,7 @@ class GammaSubordinator(_Family):
 
     label = "gamma"
 
-    def abs_moment(self, eps, p, a, cfg):
+    def abs_moment(self, eps, p, a):
         if a >= eps:
             return 0.0
         if p == 0.0:
@@ -243,10 +243,10 @@ class GammaSubordinator(_Family):
         # int_a^eps z^(p-1) e^-z dz via regularized lower incomplete gamma
         return float(gamma_fn(p) * (gammainc(p, eps) - gammainc(p, a)))
 
-    def moment1(self, eps, a, cfg):
+    def moment1(self, eps, a):
         return math.exp(-a) - math.exp(-eps) if a < eps else 0.0
 
-    def segments(self, eps, floor, cfg):
+    def segments(self, eps, floor):
         return [_Segment(1.0, floor, eps, lambda r: np.exp(-r) / r)] if floor < eps else []
 
 
@@ -267,7 +267,7 @@ class SymmetricStable(_Family):
     def symmetric(self, eps):
         return True
 
-    def abs_moment(self, eps, p, a, cfg):
+    def abs_moment(self, eps, p, a):
         al = self.alpha
         if a >= eps:
             return 0.0
@@ -280,7 +280,7 @@ class SymmetricStable(_Family):
             return math.inf
         return 2.0 * (eps ** ex - (a ** ex if a > 0.0 else 0.0)) / ex
 
-    def segments(self, eps, floor, cfg):
+    def segments(self, eps, floor):
         if floor >= eps:
             return []
         dens = lambda r: r ** (-1.0 - self.alpha)
@@ -288,7 +288,7 @@ class SymmetricStable(_Family):
         return [_Segment(-1.0, floor, eps, dens, quantile=q), _Segment(1.0, floor, eps, dens, quantile=q)]
 
 
-def _log_tail(a: float, power: float, config: QuadratureConfig) -> float:
+def _log_tail(a: float, power: float) -> float:
     """int_a^inf z^power / (z log(1+z)^2) dz for a >= 1, via u = log(1+z).
 
     With z = e^u - 1 the integrand becomes (e^u - 1)^power e^u /
@@ -306,13 +306,13 @@ def _log_tail(a: float, power: float, config: QuadratureConfig) -> float:
         log_g = power * u - 2.0 * math.log(u)
         return math.exp(log_g) if log_g < 700.0 else 1e304
 
-    return tail_integral(g, u0, config)
+    return tail_integral(g, u0)
 
 
-@lru_cache(maxsize=64)
-def _remark_constant(name: str, config: QuadratureConfig) -> float:
-    """C = int_1^inf z^-1 log(1+z)^-2 dz or K0 = int_1^inf z^-3 log(1+z)^-2 dz."""
-    return _log_tail(1.0, {"C": 0.0, "K0": -2.0}[name], config)
+@lru_cache(maxsize=None)
+def _remark_constant(name: str) -> float:
+    """C = int_1^inf z^-1 log(1+z)^-2 dz or K0 = int_1^inf z^-3 log(1+z)^-2 dz, on first use."""
+    return _log_tail(1.0, {"C": 0.0, "K0": -2.0}[name])
 
 
 @dataclass(frozen=True)
@@ -326,7 +326,6 @@ class RemarkDensityFamily(_Family):
     """
 
     label = "remark"
-    truncation = FamilyIndex
 
     def support_sup(self, eps):
         return math.inf
@@ -334,8 +333,8 @@ class RemarkDensityFamily(_Family):
     def symmetric(self, eps):
         return True
 
-    def abs_moment(self, eps, p, a, cfg):
-        C = _remark_constant("C", cfg)
+    def abs_moment(self, eps, p, a):
+        C = _remark_constant("C")
         # inner piece: |z|^p / (2 z^2) on (a, eps], both signs
         inner = 0.0
         if a < eps:
@@ -355,18 +354,18 @@ class RemarkDensityFamily(_Family):
         if p == 2.0 and lo == 1.0:
             outer = eps ** 2  # the defining normalization of the tail
         elif p == 0.0 and lo == 1.0:
-            outer = eps ** 2 * _remark_constant("K0", cfg) / C
+            outer = eps ** 2 * _remark_constant("K0") / C
         else:
-            outer = eps ** 2 / C * _log_tail(lo, p - 2.0, cfg)
+            outer = eps ** 2 / C * _log_tail(lo, p - 2.0)
         return inner + outer
 
-    def segments(self, eps, floor, cfg):
-        C = _remark_constant("C", cfg)
+    def segments(self, eps, floor):
+        C = _remark_constant("C")
         e2 = eps ** 2
         inner = lambda r: 0.5 / r ** 2
         outer = lambda r: e2 / (2.0 * C * r ** 3 * np.log1p(r) ** 2)
         lo = max(floor, 1.0)
-        tail = lambda p: e2 / (2.0 * C) * _log_tail(lo, p - 2.0, cfg)
+        tail = lambda p: e2 / (2.0 * C) * _log_tail(lo, p - 2.0)
         pieces = [_Segment(-1.0, lo, _TAIL_CAP, outer, tail)]
         if floor < eps:
             q = _power_quantile(floor, eps, 1.0)
@@ -401,16 +400,16 @@ class CustomDensity(_Family):
         lo, hi = self.support
         return min(max(abs(lo), abs(hi)), eps)
 
-    def segments(self, eps, floor, cfg):
+    def segments(self, eps, floor):
         lo, hi = max(self.support[0], -eps), min(self.support[1], eps)
         q = self.density
         pieces = [_Segment(-1.0, max(floor, -hi, 0.0), -lo, lambda r: q(-r)),
                   _Segment(1.0, max(floor, lo, 0.0), hi, q)]
         return [s for s in pieces if s.lo < s.hi]
 
-    def check(self, cfg):
+    def check(self):
         # int min(1, z^2) Q(dz): the second moment on |z| <= 1 plus the mass on |z| > 1
-        total = _quadrature_moment(self, 1.0, 2.0, 0.0, cfg) + _quadrature_moment(self, math.inf, 0.0, 1.0, cfg)
+        total = _quadrature_moment(self, 1.0, 2.0, 0.0) + _quadrature_moment(self, math.inf, 0.0, 1.0)
         if not math.isfinite(total):
             raise NonIntegrableError(
                 "custom density violates int (1 ^ z^2) Q(dz) < inf", operation="LevyModel"
@@ -447,7 +446,7 @@ class _MarkSampler:
             self.probs = w[mask] / w[mask].sum()
             self.cdf = _choice_cdf(self.probs)
             return
-        segs = model.base.segments(eps, eta, model.quadrature)
+        segs = model.base.segments(eps, eta)
         masses, signs, inverses, group = [], [], [], []
         n_per = max(64, _TABLE_NODES // max(len(segs), 1))
         for seg in segs:
@@ -455,7 +454,7 @@ class _MarkSampler:
                 raise InfiniteActivityError(
                     "cannot tabulate an unbounded segment", operation="sample_marks"
                 )
-            grid, cdf = _segment_cdf(seg, n_per, model.quadrature)
+            grid, cdf = _segment_cdf(seg, n_per)
             mass = cdf[-1]
             if not math.isfinite(mass):
                 raise InfiniteActivityError(
@@ -524,22 +523,20 @@ def _choice_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _segment_cdf(seg: _Segment, n_per: int, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Grid on (lo, hi] and the unnormalized CDF of the segment at its nodes.
+def _segment_cdf(seg: _Segment, n_per: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid of n_per nodes on (lo, hi] and the unnormalized CDF of the segment there.
 
-    The grid is geometric; a segment from the origin starts at 0 and its first
-    panel (0, hi * 1e-12] goes to the adaptive rule, which flags an infinite
-    mass (returned as +inf) instead of missing it between Gauss nodes.
+    The grid is the cuts of the segment's panels. A segment from the origin
+    starts at 0, and its first panel (0, 1e-12 hi] goes to the adaptive rule,
+    which flags an infinite mass (returned as +inf) instead of missing it
+    between Gauss nodes.
     """
-    if seg.lo > 0.0:
-        grid = np.geomspace(seg.lo, seg.hi, n_per)
-    else:
-        grid = np.concatenate(([0.0], np.geomspace(seg.hi * 1e-12, seg.hi, n_per - 1)))
-    panels = _panel_masses(seg.density, grid)
+    grid, nodes, half, wg = seg.panels(n_per - 1 if seg.lo > 0.0 else n_per - 2)
+    panels = half * np.sum(seg.density(nodes) * wg, axis=1)
     if seg.lo == 0.0:
         try:
             with np.errstate(over="ignore"):
-                panels[0] = integrate(lambda r: float(seg.density(np.asarray(r))), 0.0, grid[1], cfg)
+                panels[0] = integrate(lambda r: float(seg.density(np.asarray(r))), 0.0, grid[1])
         except NonIntegrableError:
             panels[0] = math.inf
     return grid, np.concatenate(([0.0], np.cumsum(panels)))
@@ -552,35 +549,18 @@ def _inverse_table(cdf: np.ndarray, grid: np.ndarray):
     return PchipInterpolator(cdf, grid)
 
 
-def _panel_masses(density, grid: np.ndarray) -> np.ndarray:
-    """Vectorized 16-point Gauss-Legendre mass of each grid panel."""
-    xg, wg = legendre_nodes(16)
-    lo, hi = grid[:-1], grid[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * xg[None, :]
-    vals = density(pts)
-    return half * np.sum(vals * wg[None, :], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # model and public operations
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LevyModel:
-    """Immutable Levy-measure family + truncation scheme + quadrature policy."""
+    """Immutable Levy-measure family, with a per-model cache of samplers and cell constants."""
 
     base: CompoundPoisson | GammaSubordinator | SymmetricStable | RemarkDensityFamily | CustomDensity
-    trunc: OuterCutoff | FamilyIndex = field(default_factory=OuterCutoff)
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
-        if type(self.trunc) is not self.base.truncation:
-            raise ValueError(
-                f"the {self.base.label} family takes {self.base.truncation.__name__} truncation, "
-                f"got {type(self.trunc).__name__}"
-            )
-        self.base.check(self.quadrature)
+        self.base.check()
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_lock", threading.RLock())
 
@@ -590,7 +570,7 @@ class LevyModel:
 
     # caches hold locks/interpolators; rebuild them after unpickling
     def __getstate__(self):
-        return {"base": self.base, "trunc": self.trunc, "quadrature": self.quadrature}
+        return {"base": self.base}
 
     def __setstate__(self, state):
         for key, val in state.items():
@@ -615,8 +595,8 @@ def _moment(model: LevyModel, eps: float, p: float, a: float, method: str = "aut
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if method == "quadrature":
-        return _quadrature_moment(model.base, eps, p, max(a, 0.0), model.quadrature)
-    return model.base.abs_moment(eps, p, max(a, 0.0), model.quadrature)
+        return _quadrature_moment(model.base, eps, p, max(a, 0.0))
+    return model.base.abs_moment(eps, p, max(a, 0.0))
 
 
 def variance(model: LevyModel, eps: float, method: str = "auto") -> float:
@@ -716,7 +696,7 @@ def restricted_mean(model: LevyModel, eps: float, eta: float) -> float:
         )
     if model.base.symmetric(eps):
         return 0.0
-    return model.base.moment1(eps, max(eta, 0.0), model.quadrature)
+    return model.base.moment1(eps, max(eta, 0.0))
 
 
 def restricted_moment2(model: LevyModel, eps: float, eta: float) -> float:

@@ -7,7 +7,7 @@ are wrapped in composite schemes:
 * on (a, b] with 0 < a the interval is cut into log-spaced panels and each
   panel handed to Gauss-Kronrod (`scipy.integrate.quad`);
 * on (0, b] panels accumulate geometrically toward 0 until the partial sums
-  are Cauchy at the requested relative tolerance;
+  are Cauchy at the relative tolerance _REL_TOL;
 * on [a, inf) panels double outward, and a sum whose panel contributions fail
   to Cauchy-converge over three successive doublings is declared divergent
   (returned as +inf) instead of being timed out.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -28,34 +27,24 @@ import numpy as np
 
 from .errors import NonIntegrableError
 
-__all__ = ["QuadratureConfig", "integrate", "tail_integral", "gauss_legendre", "legendre_nodes"]
+__all__ = ["integrate", "tail_integral", "gauss_legendre", "legendre_nodes"]
+
+# target relative accuracy of each composite sum
+_REL_TOL = 1e-10
+# log-panel density on bounded intervals
+_PANELS_PER_DECADE = 4
+# refinement cap toward 0 and toward infinity
+_MAX_PANELS = 400
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances for the composite rules.
-
-    rel_tol: target relative accuracy of each composite sum.
-    panels_per_decade: log-panel density on bounded intervals.
-    max_panels: refinement cap toward 0 / toward infinity.
-    """
-
-    rel_tol: float = 1e-10
-    panels_per_decade: int = 4
-    max_panels: int = 400
-
-
-_DEFAULT = QuadratureConfig()
-
-
-def _panel(f: Callable[[float], float], a: float, b: float, rel_tol: float) -> float:
+def _panel(f: Callable[[float], float], a: float, b: float) -> float:
     from scipy.integrate import quad  # on first use: most runs never reach the adaptive rule
 
-    val, _ = quad(f, a, b, epsabs=1e-300, epsrel=rel_tol * 0.1, limit=200)
+    val, _ = quad(f, a, b, epsabs=1e-300, epsrel=_REL_TOL * 0.1, limit=200)
     return val
 
 
-def integrate(f, a: float, b: float, config: QuadratureConfig = _DEFAULT) -> float:
+def integrate(f, a: float, b: float) -> float:
     """Integrate f over (a, b], 0 <= a < b <= inf, f possibly singular at 0.
 
     Returns +inf when an unbounded interval's tail diverges.
@@ -63,35 +52,34 @@ def integrate(f, a: float, b: float, config: QuadratureConfig = _DEFAULT) -> flo
     if not (0.0 <= a < b):
         raise ValueError(f"invalid interval ({a}, {b}]")
     if math.isinf(b):
-        head = integrate(f, a, 1.0, config) if a < 1.0 else 0.0
-        return head + tail_integral(f, max(a, 1.0), config)
-    rel = config.rel_tol
+        head = integrate(f, a, 1.0) if a < 1.0 else 0.0
+        return head + tail_integral(f, max(a, 1.0))
     if a > 0.0:
         decades = np.log10(b / a)
-        n = max(1, int(np.ceil(decades * config.panels_per_decade)))
+        n = max(1, int(np.ceil(decades * _PANELS_PER_DECADE)))
         cuts = np.geomspace(a, b, n + 1)
-        return float(sum(_panel(f, lo, hi, rel) for lo, hi in zip(cuts[:-1], cuts[1:])))
+        return float(sum(_panel(f, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])))
     # geometric panels shrinking toward the singular endpoint 0
-    total = _panel(f, b / 2.0, b, rel)
+    total = _panel(f, b / 2.0, b)
     hi = b / 2.0
-    for _ in range(config.max_panels):
+    for _ in range(_MAX_PANELS):
         lo = hi / 2.0
-        p = _panel(f, lo, hi, rel)
+        p = _panel(f, lo, hi)
         total += p
         hi = lo
-        if abs(p) <= rel * max(abs(total), 1e-300):
+        if abs(p) <= _REL_TOL * max(abs(total), 1e-300):
             # one more halving as a Cauchy confirmation
-            p2 = _panel(f, hi / 2.0, hi, rel)
-            if abs(p2) <= rel * max(abs(total), 1e-300):
+            p2 = _panel(f, hi / 2.0, hi)
+            if abs(p2) <= _REL_TOL * max(abs(total), 1e-300):
                 return float(total + p2)
             total += p2
             hi = hi / 2.0
     raise NonIntegrableError(
-        f"integral over (0, {b}] did not converge after {config.max_panels} panel halvings"
+        f"integral over (0, {b}] did not converge after {_MAX_PANELS} panel halvings"
     )
 
 
-def tail_integral(f, a: float, config: QuadratureConfig = _DEFAULT) -> float:
+def tail_integral(f, a: float) -> float:
     """Integrate f over (a, inf); returns +inf when the sum diverges.
 
     Divergence rules over the doubling panels p_1, p_2, ...:
@@ -102,25 +90,24 @@ def tail_integral(f, a: float, config: QuadratureConfig = _DEFAULT) -> float:
     """
     if a <= 0.0:
         raise ValueError("tail_integral needs a strictly positive left endpoint")
-    rel = config.rel_tol
     total = 0.0
     lo = a
     history: list[float] = []
     stalled = 0
     small_streak = 0
-    for _ in range(config.max_panels):
+    for _ in range(_MAX_PANELS):
         hi = 2.0 * lo
-        p = _panel(f, lo, hi, rel)
+        p = _panel(f, lo, hi)
         total += p
         history.append(abs(p))
         k = len(history)
-        if abs(p) <= rel * max(abs(total), 1e-300):
+        if abs(p) <= _REL_TOL * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak >= 3:
                 return float(total)
         else:
             small_streak = 0
-            if k >= 2 and history[-2] > rel * max(abs(total), 1e-300):
+            if k >= 2 and history[-2] > _REL_TOL * max(abs(total), 1e-300):
                 if history[-1] >= 0.999 * history[-2]:
                     stalled += 1
                     if stalled >= 3:
@@ -138,7 +125,7 @@ def tail_integral(f, a: float, config: QuadratureConfig = _DEFAULT) -> float:
         lo = hi
     raise NonIntegrableError(
         f"tail integral from {a} neither converged nor was flagged divergent "
-        f"after {config.max_panels} doublings"
+        f"after {_MAX_PANELS} doublings"
     )
 
 

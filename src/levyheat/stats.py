@@ -195,9 +195,10 @@ def _stable_expm1i(theta: np.ndarray) -> np.ndarray:
 def _psi_table(model: LevyModel, eps: float, eta: float, a_max: float) -> Callable[[np.ndarray], np.ndarray]:
     """psi(a) = int (e^{iaz} - 1 - iaz) Q_eps|_{|z|>eta}(dz) for |a| <= a_max, as a vectorized callable.
 
-    The z-rule is the atoms plus 16 Gauss-Legendre nodes on each geometric
-    panel of each segment; a segment from the origin gets a first panel
-    (0, 1e-12 hi], as in the mark sampler's segment CDF. Re psi(a) / a^2 and
+    The z-rule is the atoms plus the nodes of each segment's panel rule
+    (`_Segment.panels`, which the mark sampler's segment CDF also uses) at 8
+    geometric panels per decade, at least 8; the first panel (0, 1e-12 hi] of
+    a segment from the origin keeps its Gauss nodes. Re psi(a) / a^2 and
     Im psi(a) / a^3 are even in a and are interpolated as Chebyshev series in
     a^2 on [0, a_max^2], at 16, 32, ... first-kind nodes until the trailing
     coefficients fall below _PSI_TOL of the series' scale, or at
@@ -208,16 +209,9 @@ def _psi_table(model: LevyModel, eps: float, eta: float, a_max: float) -> Callab
     atoms, weights = model.base.point_masses(eps)
     mask = np.abs(atoms) > eta
     z, w = [atoms[mask]], [weights[mask]]
-    zg, zw = legendre_nodes(16)
-    for seg in model.base.segments(eps, eta, model.quadrature):
-        lo = seg.lo if seg.lo > 0.0 else 1e-12 * seg.hi
-        n_panels = max(8, int(np.ceil(np.log10(seg.hi / lo) * 8)))
-        cuts = np.geomspace(lo, seg.hi, n_panels + 1)
-        if seg.lo == 0.0:
-            cuts = np.concatenate(([0.0], cuts))
-        mid = 0.5 * (cuts[:-1] + cuts[1:])
-        half = 0.5 * (cuts[1:] - cuts[:-1])
-        zz = (mid[:, None] + half[:, None] * zg[None, :]).ravel()
+    for seg in model.base.segments(eps, eta):
+        _, zz, half, zw = seg.panels(max(8, int(np.ceil(np.log10(seg.hi / seg.geometric_lo) * 8))))
+        zz = zz.ravel()
         z.append(seg.sign * zz)
         w.append((half[:, None] * zw[None, :]).ravel() * seg.density(zz))
     z, w = np.concatenate(z), np.concatenate(w)
@@ -464,7 +458,7 @@ def _big_jump_drift_rate(model, eps, eta, coeffs, scale, h) -> float:
             if a == 0.0:
                 continue
             cut = max(abs(h / a), eta)
-            out[i] = a * model.base.moment1(eps, cut, model.quadrature)
+            out[i] = a * model.base.moment1(eps, cut)
         return out
 
     return gauss_legendre(inner, 0.0, math.pi, 256)

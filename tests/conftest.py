@@ -16,7 +16,7 @@ def stable_model():
 
 @pytest.fixture(scope="session")
 def remark_model():
-    return lh.LevyModel(lh.RemarkDensityFamily(), lh.FamilyIndex())
+    return lh.LevyModel(lh.RemarkDensityFamily())
 
 
 @pytest.fixture(scope="session")

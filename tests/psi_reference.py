@@ -30,7 +30,7 @@ def psi_direct(model, eps, eta, a):
     for z, w in zip(atoms[mask], weights[mask]):
         total += w * expm1i(a * z)
     zg, zw = legendre_nodes(16)
-    for seg in model.base.segments(eps, eta, model.quadrature):
+    for seg in model.base.segments(eps, eta):
         n_panels = max(8, int(np.ceil(np.log10(seg.hi / seg.lo) * 8)))
         cuts = np.geomspace(seg.lo, seg.hi, n_panels + 1)
         mid = 0.5 * (cuts[:-1] + cuts[1:])

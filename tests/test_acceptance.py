@@ -39,7 +39,7 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_remark_exactness():
     t0 = time.time()
-    model = lh.LevyModel(lh.RemarkDensityFamily(), lh.FamilyIndex())
+    model = lh.LevyModel(lh.RemarkDensityFamily())
     worst = 0.0
     for eps in (1e-1, 1e-2, 1e-3):
         assert math.sqrt(lh.variance(model, eps)) > eps  # kappa*sigma(eps) > eps at kappa=1

@@ -133,6 +133,18 @@ def test_compare_rejects_non_levy_noise_kind(tmp_path, capsys):
     assert not (tmp_path / "compare.csv").exists()
 
 
+@pytest.mark.parametrize("eta", ["atoms:abc", "atoms:0", "atoms:-5", "atoms:inf", "atoms:nan", "atom:60"])
+def test_compare_rejects_bad_atom_budget_before_running(tmp_path, capsys, eta):
+    # the spec rejects the count when it is built, before the Gaussian reference runs
+    with pytest.raises(ValueError, match=eta):
+        lh.LevyNoiseSpec(model=lh.LevyModel(lh.GammaSubordinator()), eps=0.1, eta=eta)
+    cfg_file = tmp_path / "cmp.cfg"
+    cfg_file.write_text(GAMMA_COMPARE_CFG + f"noise.eta = {eta}\n")
+    assert main(["compare", "--config", str(cfg_file), "--out", str(tmp_path), "--seed", "3"]) == 2
+    assert eta in capsys.readouterr().err
+    assert not (tmp_path / "compare.csv").exists()
+
+
 def test_compare_workers_invariant(tmp_path):
     cfg_file = tmp_path / "cmp.cfg"
     cfg_file.write_text(GAMMA_COMPARE_CFG)

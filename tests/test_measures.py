@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from levyheat.errors import (
     InfiniteActivityError,
     ZeroVarianceError,
 )
-from levyheat.quadrature import QuadratureConfig, legendre_nodes
+from levyheat.quadrature import legendre_nodes
 from levyheat.streams import stream
 
 
@@ -284,8 +285,8 @@ def _choice_reference_marks(sampler, count, rng):
 class _SplitDensity(lh.CustomDensity):
     """A custom density with its last piece cut in two: three segments on a two-sided support."""
 
-    def segments(self, eps, floor, cfg):
-        pieces = super().segments(eps, floor, cfg)
+    def segments(self, eps, floor):
+        pieces = super().segments(eps, floor)
         if not pieces:
             return pieces
         last = pieces[-1]
@@ -296,7 +297,7 @@ class _SplitDensity(lh.CustomDensity):
 _SAMPLERS = {
     "gamma": (lambda: lh.LevyModel(lh.GammaSubordinator()), 0.1, 1e-4, 1),
     "stable": (lambda: lh.LevyModel(lh.SymmetricStable(1.5)), 0.1, 1e-4, 2),
-    "remark": (lambda: lh.LevyModel(lh.RemarkDensityFamily(), lh.FamilyIndex()), 0.1, 1e-3, 4),
+    "remark": (lambda: lh.LevyModel(lh.RemarkDensityFamily()), 0.1, 1e-3, 4),
     "custom": (lambda: lh.LevyModel(_SplitDensity(lambda z: np.exp(-np.abs(z)), (-1.0, 0.5))), 1.0, 0.01, 3),
     "compound": (lambda: lh.LevyModel(lh.CompoundPoisson(((0.5, 1.0), (-0.2, 2.0), (0.05, 0.5)))), 1.0, 0.0, 3),
     "compound_one": (lambda: lh.LevyModel(lh.CompoundPoisson(((0.5, 1.0), (-0.2, 2.0)))), 1.0, 0.3, 1),
@@ -362,10 +363,10 @@ def test_infinite_mass_at_the_origin_still_raises(stable_model):
 # ---------------------------------------------------------------------------
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        lh.LevyModel(lh.RemarkDensityFamily())  # needs FamilyIndex
-    with pytest.raises(ValueError):
-        lh.LevyModel(lh.GammaSubordinator(), lh.FamilyIndex())
+    # the family defines Q_eps for every eps: the model takes no other argument
+    assert lh.LevyModel(lh.RemarkDensityFamily()).name == "remark"
+    with pytest.raises(TypeError):
+        lh.LevyModel(lh.GammaSubordinator(), None)
     with pytest.raises(ValueError):
         lh.SymmetricStable(2.5)
     with pytest.raises(ValueError):
@@ -420,15 +421,36 @@ def test_custom_density_unbounded_moments():
     assert lh.restricted_moment2(tail, math.inf, 0.1) == pytest.approx(3.25 * math.exp(-0.5), rel=1e-8)
 
 
-def test_remark_constants_follow_quadrature_config():
-    # C and K0 are cached per quadrature policy, not once per process
+def test_remark_constants_enter_the_closed_forms(remark_model):
+    # C and K0 are the log-tail integrals, cached per name
     eps = 0.1
-    for cfg in (QuadratureConfig(rel_tol=1e-4, panels_per_decade=1), QuadratureConfig()):
-        model = lh.LevyModel(lh.RemarkDensityFamily(), lh.FamilyIndex(), quadrature=cfg)
-        C = measures._log_tail(1.0, 0.0, cfg)
-        assert lh.restricted_mass(model, eps, 2.0) == eps ** 2 / C * measures._log_tail(2.0, -2.0, cfg)
-        assert lh.restricted_mass(model, eps, 0.05) == (
-            1.0 / 0.05 - 1.0 / eps + eps ** 2 * measures._log_tail(1.0, -2.0, cfg) / C)
+    C = measures._log_tail(1.0, 0.0)
+    assert lh.restricted_mass(remark_model, eps, 2.0) == eps ** 2 / C * measures._log_tail(2.0, -2.0)
+    assert lh.restricted_mass(remark_model, eps, 0.05) == (
+        1.0 / 0.05 - 1.0 / eps + eps ** 2 * measures._log_tail(1.0, -2.0) / C)
+
+
+# the built-in families with (eps, eta) of a sampler to cache
+_BUILT_IN = {
+    "gamma": (lh.GammaSubordinator(), 0.1, 0.01),
+    "stable": (lh.SymmetricStable(1.5), 0.1, 0.01),
+    "remark": (lh.RemarkDensityFamily(), 0.1, 0.01),
+    "compound": (lh.CompoundPoisson(((0.5, 1.0), (-0.2, 2.0))), 1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("family", list(_BUILT_IN))
+def test_model_pickle_round_trip(family):
+    # a model pickles as its family alone; the copy rebuilds its cache on use
+    base, eps, eta = _BUILT_IN[family]
+    model = lh.LevyModel(base)
+    lh.sample_marks(model, eps, eta, 10, stream(1, 0, "pickle"))
+    assert model._cache
+    back = pickle.loads(pickle.dumps(model))
+    assert back == model and back.base == model.base
+    assert back._cache == {}
+    assert np.array_equal(lh.sample_marks(back, eps, eta, 1000, stream(2, 0, "pickle")),
+                          lh.sample_marks(model, eps, eta, 1000, stream(2, 0, "pickle")))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +460,7 @@ def test_remark_constants_follow_quadrature_config():
 _FAMILIES = {
     "gamma": (lambda: lh.LevyModel(lh.GammaSubordinator()), 0.1, (1e-4, 0.01, 0.05)),
     "stable": (lambda: lh.LevyModel(lh.SymmetricStable(1.5)), 0.1, (1e-4, 0.01, 0.05)),
-    "remark": (lambda: lh.LevyModel(lh.RemarkDensityFamily(), lh.FamilyIndex()), 0.1, (1e-3, 0.05, 2.0)),
+    "remark": (lambda: lh.LevyModel(lh.RemarkDensityFamily()), 0.1, (1e-3, 0.05, 2.0)),
     "compound": (lambda: lh.LevyModel(lh.CompoundPoisson(((0.5, 1.0), (-0.2, 2.0), (0.05, 0.5), (1.5, 1.0)))),
                  1.0, (0.0, 0.1, 0.3)),
     "custom": (lambda: lh.LevyModel(lh.CustomDensity(lambda z: np.exp(-z), (0.0, 1.0))), 1.0, (0.0, 0.1, 0.5)),
@@ -449,15 +471,15 @@ _FAMILIES = {
 def test_family_contract(family):
     make, eps, cuts = _FAMILIES[family]
     model = make()
-    base, cfg = model.base, model.quadrature
+    base = model.base
     for a in cuts:
         for p in (0.0, 2.0, 2.5):
-            closed = base.abs_moment(eps, p, a, cfg)
-            assert measures._quadrature_moment(base, eps, p, a, cfg) == pytest.approx(closed, rel=1e-8)
-        signed = measures._quadrature_moment1(base, eps, a, cfg)
+            closed = base.abs_moment(eps, p, a)
+            assert measures._quadrature_moment(base, eps, p, a) == pytest.approx(closed, rel=1e-8)
+        signed = measures._quadrature_moment1(base, eps, a)
         if base.symmetric(eps):
             assert lh.restricted_mean(model, eps, a) == 0.0
-            assert abs(signed) <= 1e-12 * base.abs_moment(eps, 1.0, a, cfg)
+            assert abs(signed) <= 1e-12 * base.abs_moment(eps, 1.0, a)
         else:
             assert signed == pytest.approx(lh.restricted_mean(model, eps, a), rel=1e-8)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levyheat.errors import NonIntegrableError
-from levyheat.quadrature import QuadratureConfig, gauss_legendre, integrate, legendre_nodes, tail_integral
+from levyheat.quadrature import gauss_legendre, integrate, legendre_nodes, tail_integral
 
 
 def test_bounded_interval_exact():
@@ -19,7 +19,7 @@ def test_singular_origin():
 
 def test_non_integrable_origin_raises():
     with pytest.raises(NonIntegrableError):
-        integrate(lambda z: 1.0 / z, 0.0, 1.0, QuadratureConfig(max_panels=80))
+        integrate(lambda z: 1.0 / z, 0.0, 1.0)
 
 
 def test_tail_convergent():

@@ -155,7 +155,7 @@ _PSI_CELLS = {
     "compound": (lambda: lh.LevyModel(lh.CompoundPoisson(((0.5, 1.0), (-0.2, 2.0), (0.05, 0.5), (1.5, 1.0)))),
                  1.0, 0.1),
     "custom": (lambda: lh.LevyModel(lh.CustomDensity(lambda z: np.exp(-z), (-0.5, 1.0))), 1.0, 0.01),
-    "remark": (lambda: lh.LevyModel(lh.RemarkDensityFamily(), lh.FamilyIndex()), 0.1, 0.05),
+    "remark": (lambda: lh.LevyModel(lh.RemarkDensityFamily()), 0.1, 0.05),
 }
 
 
