@@ -75,6 +75,7 @@ from .solver import (
     flat_coefficients,
     green_kernel,
     mode_decomposition_check,
+    mode_decomposition_budget,
     simulate_path,
 )
 from .stats import (

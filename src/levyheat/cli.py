@@ -42,6 +42,7 @@ from .solver import (
     constant_f,
     factorization_check,
     green_kernel,
+    mode_decomposition_budget,
     mode_decomposition_check,
     simulate_path,
 )
@@ -361,9 +362,10 @@ def cmd_identities(cfg: dict, out_dir: Path, seed: int) -> int:
             rc = mode_decomposition_check(p_c, k)
             rf = mode_decomposition_check(p_f, k)
             md_ratios.append(rc / max(rf, 1e-300))
-            md_res.append(rc)
-    # the check is first-order in dt; 1e-2 is the budget at 1024 steps
-    checks.append(("mode_decomposition_residual", max(md_res), 1e-2 * 1024.0 / steps))
+            md_res.append(rc / mode_decomposition_budget(p_c, k))
+    # the check is first-order in dt; each residual is taken in units of its
+    # path's derived budget (k^2 dt and the jumps of X)
+    checks.append(("mode_decomposition_residual_over_budget", max(md_res), 1.0))
     ratio_checks = [("mode_decomposition_refinement", float(np.median(md_ratios)), 1.4, 3.0)]
 
     gmodel = LevyModel(GammaSubordinator())

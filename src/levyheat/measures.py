@@ -31,11 +31,22 @@ method="quadrature" calls for every family as an oracle. Nothing outside the
 families branches on which family it holds.
 
 Mark sampling draws a segment by its mass (the draw of rng.choice, without
-its per-call checks) and one uniform per mark, and maps the uniform through
-the segment's closed-form quantile where the segment has one (the power-law
-pieces of the stable and remark families), else through a tabulated inverse
-CDF (4096 nodes, monotone cubic). Samplers are built once per (model, eps,
-eta) and cached; all randomness comes from caller streams.
+its per-call checks) and then the mark on that segment, exactly where the
+family knows the segment's law:
+
+    closed-form quantile  one uniform per mark: the power-law pieces of the
+                          stable family and the remark family's inner piece
+    rejection             the gamma density e^-z / z on (eta, eps] from a
+                          log-uniform proposal, accepted with e^-(z - eta);
+                          the remark log tail on (max(eta, 1), _TAIL_CAP] from
+                          a truncated Pareto(2) proposal, accepted with
+                          (log(1 + lo) / log(1 + z))^2
+
+These segments carry their exact mass. A custom density has neither, and its
+segments map one uniform per mark through a tabulated inverse CDF (4096
+nodes, monotone cubic, `scipy.interpolate`) whose panel sums give the mass.
+Samplers are built once per (model, eps, eta) and cached; all randomness
+comes from caller streams.
 """
 
 from __future__ import annotations
@@ -96,10 +107,15 @@ class _Segment:
 
     0 <= lo < hi <= inf. `tail`, when set, is int_lo^inf r^p q(r) dr as a
     function of p: the remark family's log-corrected tail, which quadrature in
-    z does not resolve, is tabulated only up to hi = _TAIL_CAP. `quantile`,
-    when set, is the inverse CDF of q on the piece in closed form, mapping
-    u in [0, 1) to r in (lo, hi] with quantile(0) = lo; mirrored pieces share
-    one quantile object.
+    z does not resolve, is tabulated only up to hi = _TAIL_CAP.
+
+    A piece whose law is known exactly carries its `mass`, int q(r) dr over
+    the piece, and one way to draw r from q restricted to it: `quantile`, the
+    inverse CDF in closed form, mapping u in [0, 1) to r in [lo, hi] with
+    quantile(0) = lo, or `draw(count, rng)`, which returns `count` draws that
+    depend only on the state of rng and on count. Mirrored pieces share one
+    quantile or draw object. The mark sampler tabulates the inverse CDF of a
+    piece that has neither.
     """
 
     sign: float
@@ -107,7 +123,9 @@ class _Segment:
     hi: float
     density: Callable[[np.ndarray], np.ndarray]
     tail: Callable[[float], float] | None = None
+    mass: float | None = None
     quantile: Callable[[np.ndarray], np.ndarray] | None = None
+    draw: Callable[[int, np.random.Generator], np.ndarray] | None = None
 
     def moment(self, p: float) -> float:
         """int r^p q(r) dr over the piece; +inf when it diverges."""
@@ -145,6 +163,48 @@ def _power_quantile(lo: float, hi: float, alpha: float) -> Callable[[np.ndarray]
         return None
     c = -math.expm1(alpha * math.log(lo / hi))
     return lambda u: lo * (1.0 - u * c) ** (-1.0 / alpha)
+
+
+@dataclass(frozen=True, eq=False)
+class _Rejection:
+    """draw(count, rng) by rejection: a proposal r = propose(u) is kept when
+    v < accept(r), for independent uniforms u, v.
+
+    `rate` is the exact acceptance probability, the mass of the target over
+    the mass of the envelope. Each round draws the uniforms of n proposals as
+    one (2, n) block, with n = need / rate plus three standard deviations
+    (rounded up), and keeps the first `need` accepted in draw order; the
+    rounds repeat until `count` marks are kept, so the draws depend only on
+    the state of rng and on count.
+    """
+
+    propose: Callable[[np.ndarray], np.ndarray]
+    accept: Callable[[np.ndarray], np.ndarray]
+    rate: float
+
+    def __call__(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        out = np.empty(count)
+        filled = 0
+        while filled < count:
+            need = count - filled
+            u, v = rng.random((2, int((need + 3.0 * math.sqrt(need)) / self.rate) + 1))
+            r = self.propose(u)
+            r = r[v < self.accept(r)][:need]
+            out[filled:filled + len(r)] = r
+            filled += len(r)
+        return out
+
+
+def _gamma_draw(lo: float, hi: float, mass: float) -> _Rejection:
+    """Draws of e^-r / r on (lo, hi], 0 < lo < hi < inf, with int = mass.
+
+    The proposal is log-uniform, r = hi (lo/hi)^u, whose density
+    1 / (r log(hi/lo)) envelopes e^-r / r after scaling by e^-lo log(hi/lo);
+    r is kept with probability e^-(r - lo) >= e^-hi.
+    """
+    span = math.log(hi / lo)
+    return _Rejection(lambda u: hi * np.exp(-span * u), lambda r: np.exp(lo - r),
+                      mass / (math.exp(-lo) * span))
 
 
 def _quadrature_moment(family, eps: float, p: float, a: float) -> float:
@@ -247,7 +307,13 @@ class GammaSubordinator(_Family):
         return math.exp(-a) - math.exp(-eps) if a < eps else 0.0
 
     def segments(self, eps, floor):
-        return [_Segment(1.0, floor, eps, lambda r: np.exp(-r) / r)] if floor < eps else []
+        if floor >= eps:
+            return []
+        dens = lambda r: np.exp(-r) / r
+        if floor == 0.0:
+            return [_Segment(1.0, floor, eps, dens)]  # infinite mass: the sampler raises
+        mass = self.abs_moment(eps, 0.0, floor)
+        return [_Segment(1.0, floor, eps, dens, mass=mass, draw=_gamma_draw(floor, eps, mass))]
 
 
 @dataclass(frozen=True)
@@ -283,9 +349,12 @@ class SymmetricStable(_Family):
     def segments(self, eps, floor):
         if floor >= eps:
             return []
-        dens = lambda r: r ** (-1.0 - self.alpha)
-        q = _power_quantile(floor, eps, self.alpha)
-        return [_Segment(-1.0, floor, eps, dens, quantile=q), _Segment(1.0, floor, eps, dens, quantile=q)]
+        al = self.alpha
+        dens = lambda r: r ** (-1.0 - al)
+        # each side carries half the mass; at floor 0 it is infinite and the sampler raises
+        exact = {} if floor == 0.0 else {"mass": 0.5 * self.abs_moment(eps, 0.0, floor),
+                                         "quantile": _power_quantile(floor, eps, al)}
+        return [_Segment(-1.0, floor, eps, dens, **exact), _Segment(1.0, floor, eps, dens, **exact)]
 
 
 def _log_tail(a: float, power: float) -> float:
@@ -366,11 +435,23 @@ class RemarkDensityFamily(_Family):
         outer = lambda r: e2 / (2.0 * C * r ** 3 * np.log1p(r) ** 2)
         lo = max(floor, 1.0)
         tail = lambda p: e2 / (2.0 * C) * _log_tail(lo, p - 2.0)
-        pieces = [_Segment(-1.0, lo, _TAIL_CAP, outer, tail)]
+        outer_exact = {}
+        if lo < _TAIL_CAP:
+            # the mass of each tail side; the part beyond _TAIL_CAP is below 1e-14 of it
+            k = _remark_constant("K0") if lo == 1.0 else _log_tail(lo, -2.0)
+            # a Pareto(2) proposal on (lo, _TAIL_CAP] with density ~ r^-3, which
+            # envelopes q after scaling by 1 / log(1 + lo)^2
+            envelope = 0.5 * (lo ** -2 - _TAIL_CAP ** -2) / math.log1p(lo) ** 2
+            draw = _Rejection(_power_quantile(lo, _TAIL_CAP, 2.0),
+                              lambda r: np.square(math.log1p(lo) / np.log1p(r)), k / envelope)
+            outer_exact = {"mass": e2 / (2.0 * C) * k, "draw": draw}
+        pieces = [_Segment(-1.0, lo, _TAIL_CAP, outer, tail, **outer_exact)]
         if floor < eps:
-            q = _power_quantile(floor, eps, 1.0)
-            pieces += [_Segment(-1.0, floor, eps, inner, quantile=q), _Segment(1.0, floor, eps, inner, quantile=q)]
-        pieces.append(_Segment(1.0, lo, _TAIL_CAP, outer, tail))
+            # each side of 1/(2 r^2) carries (1/floor - 1/eps) / 2; infinite at floor 0
+            exact = {} if floor == 0.0 else {"mass": 0.5 * (1.0 / floor - 1.0 / eps),
+                                             "quantile": _power_quantile(floor, eps, 1.0)}
+            pieces += [_Segment(-1.0, floor, eps, inner, **exact), _Segment(1.0, floor, eps, inner, **exact)]
+        pieces.append(_Segment(1.0, lo, _TAIL_CAP, outer, tail, **outer_exact))
         return [s for s in pieces if s.lo < s.hi]
 
 
@@ -417,24 +498,30 @@ class CustomDensity(_Family):
 
 
 # ---------------------------------------------------------------------------
-# inverse-CDF mark sampler
+# mark sampler
 # ---------------------------------------------------------------------------
 
 class _MarkSampler:
     """Sampler of Q_eps restricted to {|z| > eta}: a categorical draw over the
-    atoms, or a draw of a signed density segment by its mass and one uniform
-    mapped through that segment's inverse CDF.
+    atoms, or a draw of a signed density segment by its mass and then of the
+    mark on that segment.
 
-    The segment masses are always the panel sums of the tabulated CDF, so the
-    draws of a stream do not depend on which segments have a closed-form
-    quantile; only segments without one build a table.
+    A segment draws its marks in one of three ways: its closed-form quantile
+    maps one uniform per mark; its `draw` (a rejection sampler) takes the
+    stream itself; and a segment with neither, as a custom density has, maps
+    one uniform per mark through an inverse CDF tabulated here, the only place
+    that builds a table. The segment masses are the exact masses the families
+    give with a quantile or draw, and the panel sums of the tabulated CDF
+    otherwise.
 
     The atom or segment is drawn as rng.choice(n, count, p=probs) draws it,
     bit for bit and from the same uniforms, without its per-call checks: the
     normalized cumulative probabilities `cdf` are built once, and a uniform u
     picks index #{i < n - 1 : u >= cdf[i]}, which is rng.choice's
-    cdf.searchsorted(u, side="right"). The mark's uniform is
-    rng.random(count), the same draws as rng.uniform(0, 1, count).
+    cdf.searchsorted(u, side="right"). Then one block rng.random(n_u), the
+    same draws as rng.uniform(0, 1, n_u), serves the n_u marks on segments
+    mapped from uniforms, in mark order, and the rejection segments draw
+    their marks after it, segment by segment.
     """
 
     def __init__(self, model: "LevyModel", eps: float, eta: float):
@@ -447,31 +534,34 @@ class _MarkSampler:
             self.cdf = _choice_cdf(self.probs)
             return
         segs = model.base.segments(eps, eta)
-        masses, signs, inverses, group = [], [], [], []
+        masses, signs, maps, group = [], [], [], []
         n_per = max(64, _TABLE_NODES // max(len(segs), 1))
         for seg in segs:
-            if math.isinf(seg.hi):
-                raise InfiniteActivityError(
-                    "cannot tabulate an unbounded segment", operation="sample_marks"
-                )
-            grid, cdf = _segment_cdf(seg, n_per)
-            mass = cdf[-1]
+            mark = seg.quantile or seg.draw
+            if mark is None:
+                if math.isinf(seg.hi):
+                    raise InfiniteActivityError(
+                        "cannot tabulate an unbounded segment", operation="sample_marks"
+                    )
+                grid, cdf = _segment_cdf(seg, n_per)
+                mass = cdf[-1]
+            else:
+                mass = seg.mass
             if not math.isfinite(mass):
                 raise InfiniteActivityError(
                     f"segment ({seg.lo:.3g}, {seg.hi:.3g}] has infinite mass", operation="sample_marks"
                 )
             if mass <= 0.0:
                 continue
-            inv = seg.quantile
-            if inv is None:
+            if mark is None:
                 cdf /= mass
                 keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
-                inv = _inverse_table(cdf[keep], grid[keep])
-            if inv not in inverses:  # functions and tables compare by identity
-                inverses.append(inv)
+                mark = _inverse_table(cdf[keep], grid[keep])
+            if mark not in maps:  # functions, draws and tables compare by identity
+                maps.append(mark)
             masses.append(mass)
             signs.append(seg.sign)
-            group.append(inverses.index(inv))
+            group.append(maps.index(mark))
         total = float(sum(masses))
         if total <= 0.0:
             raise EmptyRestrictionError(
@@ -480,7 +570,8 @@ class _MarkSampler:
         self.probs = np.array(masses) / total
         self.cdf = _choice_cdf(self.probs)
         self.signs = np.array(signs)
-        self.inverses = inverses
+        self.maps = maps
+        self.rejects = np.array([isinstance(m, _Rejection) for m in maps])
         self.group = np.array(group)
 
     def _pick(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -503,16 +594,26 @@ class _MarkSampler:
         if self.discrete:
             return self.values[self._pick(count, rng)]
         which = self._pick(count, rng)
-        u = rng.random(count)
-        if len(self.inverses) == 1:
-            # one inverse for every segment (the stable pair, gamma's one table): no masks
-            return self.signs[which] * self.inverses[0](u)
+        if len(self.maps) == 1:
+            # one map for every segment (the stable pair, gamma, a remark cell above eps): no masks
+            mark = self.maps[0]
+            if self.rejects[0]:
+                return self.signs[which] * mark(count, rng)
+            # the uniforms come before signs[which]: gathering the signs first
+            # made 40k-mark stable cells ~11% slower end to end (the order in
+            # which the temporaries are allocated and freed)
+            u = rng.random(count)
+            return self.signs[which] * mark(u)
         groups = self.group[which]
+        from_uniform = ~self.rejects[groups]
+        u = np.empty(count)
+        u[from_uniform] = rng.random(np.count_nonzero(from_uniform))
         out = np.empty(count)
-        for g, inv in enumerate(self.inverses):
+        for g, mark in enumerate(self.maps):
             m = groups == g
             if np.any(m):
-                out[m] = self.signs[which[m]] * inv(u[m])
+                r = mark(np.count_nonzero(m), rng) if self.rejects[g] else mark(u[m])
+                out[m] = self.signs[which[m]] * r
         return out
 
 
@@ -524,7 +625,8 @@ def _choice_cdf(p: np.ndarray) -> np.ndarray:
 
 
 def _segment_cdf(seg: _Segment, n_per: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid of n_per nodes on (lo, hi] and the unnormalized CDF of the segment there.
+    """Grid of n_per nodes on (lo, hi] and the unnormalized CDF of a segment that
+    has no exact law (a custom density's), for its inverse-CDF table.
 
     The grid is the cuts of the segment's panels. A segment from the origin
     starts at 0, and its first panel (0, 1e-12 hi] goes to the adaptive rule,
@@ -544,7 +646,7 @@ def _segment_cdf(seg: _Segment, n_per: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _inverse_table(cdf: np.ndarray, grid: np.ndarray):
     """Monotone cubic (PCHIP) inverse of a tabulated CDF, mapping cdf nodes onto grid nodes."""
-    from scipy.interpolate import PchipInterpolator  # on first use: stable runs build no table
+    from scipy.interpolate import PchipInterpolator  # on first use: only custom densities build a table
 
     return PchipInterpolator(cdf, grid)
 

@@ -4,8 +4,10 @@ The compensated Levy noise is simulated by drop-with-compensation: jumps
 with |z| <= eta are removed together with their compensator (mean preserved,
 variance reduced by an exactly known fraction reported as metadata), never
 replaced by a Gaussian surrogate. Atom times/positions are uniform, marks
-come from the normalized restriction through the segment's closed-form
-quantile where the segment has one, else through a tabulated inverse CDF.
+come from the normalized restriction (`measures.sample_marks`): exactly for
+the built-in families, through a closed-form quantile (stable, the remark
+family's inner piece) or by rejection (gamma, the remark log tail), and
+through a tabulated inverse CDF for a custom density.
 Realizations keep the atoms in draw order; the path solver sorts them by time.
 """
 

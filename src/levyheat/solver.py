@@ -76,6 +76,7 @@ __all__ = [
     "grid_index",
     "jump_log",
     "mode_decomposition_check",
+    "mode_decomposition_budget",
     "factorization_check",
     "phi_values",
     "flat_coefficients",
@@ -736,15 +737,16 @@ def jump_log(path: FieldPath, operation: str):
     return real, real.jump_scale(path.config.noise.normalization)
 
 
-def mode_decomposition_check(path: FieldPath, k: int) -> float:
-    """Residual of  u_k(t) = e^{-k^2 t} u_k(0) + X_t - k^2 int_0^t X_s e^{-k^2 (t-s)} ds.
+def _mode_x(path: FieldPath, k: int, operation: str):
+    """X of mode k at the grid instants, with what the residual budget needs.
 
-    X is the compensated jump integral of f(u) phi_k against the driving
-    noise, rebuilt from the atom log, with the compensator taken by the
-    trapezoidal rule on the collocation projection of f(u); the convolution
-    uses trapezoidal quadrature on the stored grid, so the residual is O(dt).
+    Returns the grid step, the normalized jumps a_j phi_k(x_j) of X in atom
+    order, the compensator rate r = m / sigma (0 when the measure is
+    symmetric), the collocation projection g_n of f(u(t_n)) on phi_k that the
+    compensator drift integrates (None when r = 0), and X itself: the jumps
+    minus r times the trapezoidal integral of g.
     """
-    real, sigma_used = jump_log(path, "mode_decomposition_check")
+    real, sigma_used = jump_log(path, operation)
     if not (1 <= k <= path.n_modes):
         raise ValueError(f"mode index {k} outside 1..{path.n_modes}")
     times = path.times
@@ -752,16 +754,67 @@ def mode_decomposition_check(path: FieldPath, k: int) -> float:
     jumps = path.f_at_atoms * phi_values(k, real.x)[0] * real.z / sigma_used
     # cumulative jump part of X at grid instants
     idx = np.searchsorted(real.t, times, side="right")
-    cum = np.concatenate(([0.0], np.cumsum(jumps)))
-    X = cum[idx]
-    if real.m_restricted != 0.0:
+    X = np.concatenate(([0.0], np.cumsum(jumps)))[idx]
+    rate, g = real.m_restricted / sigma_used, None
+    if rate != 0.0:
         _, S = _collocation(path.n_modes, path.config.collocation)
-        fproj = (path.config.f(path.modes @ S) * (np.pi / path.config.collocation)) @ S[k - 1]
-        trapezoid = np.concatenate(([0.0], np.cumsum(0.5 * (fproj[1:] + fproj[:-1]) * dt)))
-        X = X - real.m_restricted / sigma_used * trapezoid
+        g = (path.config.f(path.modes @ S) * (np.pi / path.config.collocation)) @ S[k - 1]
+        X = X - rate * np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * dt)))
+    return dt, jumps, rate, g, X
+
+
+def mode_decomposition_check(path: FieldPath, k: int) -> float:
+    """Residual of  u_k(t) = e^{-k^2 t} u_k(0) + X_t - k^2 int_0^t X_s e^{-k^2 (t-s)} ds.
+
+    X is the compensated jump integral of f(u) phi_k against the driving
+    noise, rebuilt from the atom log, with the compensator taken by the
+    trapezoidal rule on the collocation projection of f(u); the convolution
+    uses trapezoidal quadrature on the stored grid, so the residual is O(dt),
+    within `mode_decomposition_budget(path, k)`.
+    """
+    dt, _, _, _, X = _mode_x(path, k, "mode_decomposition_check")
+    times = path.times
     k2 = float(k * k)
     recon = path.modes[0, k - 1] * np.exp(-k2 * times) + X - k2 * _trapezoid_convolution(X, k2, dt)
     return float(np.max(np.abs(recon - path.modes[:, k - 1])))
+
+
+def mode_decomposition_budget(path: FieldPath, k: int) -> float:
+    """Bound on `mode_decomposition_check(path, k)` from its two trapezoidal rules.
+
+    With lam = k^2 dt, the residual is at most the sum of three terms:
+
+    * jumps: k^2 dt/2 max_n A_n, A_n = sum over the jumps of X in panels
+      m <= n of |Delta X| e^{-k^2 (t_n - t_m)}. The trapezoid weighs a jump
+      inside the panel (t_{m-1}, t_m] by dt/2 where the exact convolution
+      weighs it by (1 - e^{-k^2 (t_m - tau)}) / k^2, so it misses by at most
+      dt/2 |Delta X|, and the convolution carries the miss with decay;
+    * compensator: |r| dt (1 + lam/2) max_n |g_n - g_0|. The solver holds the
+      drift r g at its step-start value over a step and the check takes the
+      trapezoid of g; the two differ by r dt/2 (g_n - g_0) at t_n, as the
+      step differences telescope, once in X and once through k^2 times its
+      convolution. It is 0 for constant f;
+    * smooth: (1 + lam) (lam^2/12 max|X| + k^2 dt^2/6 |r| max|g|), the
+      second-order trapezoid error on the continuous part of X_s e^{-k^2 (t-s)},
+      whose slope is -r g.
+
+    The first term, first order in dt and proportional to the normalized
+    jumps, dominates on jump paths, so the budget carries over from one jump
+    law to another where a fixed number does not.
+    """
+    dt, jumps, rate, g, X = _mode_x(path, k, "mode_decomposition_budget")
+    times, real = path.times, path.atom_log
+    k2 = float(k * k)
+    lam = k2 * dt
+    # |jumps| summed per panel (t_{m-1}, t_m], then the decaying sum A_n by one scan
+    panel = np.searchsorted(times, real.t, side="left")
+    b = np.bincount(panel, weights=np.abs(jumps), minlength=len(times))[1:]
+    budget = 0.5 * lam * float(np.max(_atom_states(lam * np.arange(1, len(times)), None, b, np.zeros(1))[0]))
+    smooth = lam * lam / 12.0 * float(np.max(np.abs(X)))
+    if rate != 0.0:
+        budget += abs(rate) * dt * (1.0 + 0.5 * lam) * float(np.max(np.abs(g - g[0])))
+        smooth += lam * dt / 6.0 * abs(rate) * float(np.max(np.abs(g)))
+    return budget + (1.0 + lam) * smooth
 
 
 def _trapezoid_convolution(X, k2, dt):

@@ -255,10 +255,10 @@ def test_criterion_8_identity_suite():
         for k in (1, 2, 5):
             rc = lh.mode_decomposition_check(p_c, k)
             rf = lh.mode_decomposition_check(p_f, k)
-            md_res.append(rc)
+            md_res.append(rc / lh.mode_decomposition_budget(p_c, k))
             md_ratios.append(rc / rf)
     md_ratio = float(np.median(md_ratios))
-    md_ok = max(md_res) <= 1e-2 and 1.6 <= md_ratio <= 2.4
+    md_ok = max(md_res) <= 1.0 and 1.6 <= md_ratio <= 2.4
 
     gamma = lh.LevyModel(lh.GammaSubordinator())
     gsim = lh.SimConfig(noise=lh.LevyNoiseSpec(model=gamma, eps=0.5, eta="atoms:120", rho_budget=1.0),
@@ -292,7 +292,7 @@ def test_criterion_8_identity_suite():
 
     elapsed = time.time() - t0
     ok = md_ok and fac_ok and hij_ok and par_ok and elapsed < 120.0
-    assert _report("8", ok, f"mode-decomp max res {max(md_res):.2e} (<=1e-2), halving {md_ratio:.2f}; "
+    assert _report("8", ok, f"mode-decomp max res/budget {max(md_res):.3f} (<=1), halving {md_ratio:.2f}; "
                             f"factorization halving {fac_ratio:.2f} (both in [1.6,2.4]); "
                             f"H_ij defect {hij_worst:.1e} <= 1e-10; Parseval {par_rel:.1e} <= 1e-6; "
                             f"runtime {elapsed:.0f}s < 120s")

@@ -61,17 +61,25 @@ after["runs"] = lazy()
 gamma = lh.LevyModel(lh.GammaSubordinator())
 lh.sample_marks(gamma, 0.1, 1e-3, 5, stream(1, 0, "marks"))
 after["gamma"] = lazy()
+remark = lh.LevyModel(lh.RemarkDensityFamily())
+lh.sample_marks(remark, 0.1, 1e-3, 5, stream(1, 0, "marks"))
+after["remark"] = lazy()
+custom = lh.LevyModel(lh.CustomDensity(lambda z: np.exp(-z), (0.1, 1.0)))
+lh.sample_marks(custom, 1.0, 0.1, 5, stream(1, 0, "marks"))
+after["custom"] = lazy()
 print(json.dumps(after))
 """
 
 
 def test_stable_and_gaussian_runs_leave_scipy_integrate_and_interpolate_unloaded():
     # a run loads scipy.integrate (adaptive quadrature) and scipy.interpolate
-    # (tabulated inverse CDFs) only when it calls them; a gamma sampler builds a table
+    # (tabulated inverse CDFs) only when it calls them. The built-in families
+    # draw their marks exactly and build no table; a custom density does
     src = str(INIT.resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     loaded = json.loads(done.stdout.strip().splitlines()[-1])
     assert loaded["import"] == [] and loaded["runs"] == []
-    assert "scipy.interpolate" in loaded["gamma"]
+    assert "scipy.interpolate" not in loaded["gamma"] and "scipy.interpolate" not in loaded["remark"]
+    assert "scipy.interpolate" in loaded["custom"]

@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import exp1, gammainc
 from scipy.stats import kstest
 
 import levyheat as lh
@@ -265,19 +265,20 @@ def test_stable_marks_match_the_table_on_the_same_draws(monkeypatch):
 
 
 def _choice_reference_marks(sampler, count, rng):
-    """The former mark draw: rng.choice for the atom or the segment, rng.uniform for the mark."""
+    """The mark draw through rng.choice for the atom or the segment and rng.uniform for
+    the marks mapped from uniforms; the rejection segments draw after them, in turn."""
     if sampler.discrete:
         return rng.choice(sampler.values, size=count, p=sampler.probs)
     which = rng.choice(len(sampler.signs), size=count, p=sampler.probs)
-    u = rng.uniform(0.0, 1.0, size=count)
-    if len(sampler.inverses) == 1:
-        return sampler.signs[which] * sampler.inverses[0](u)
     groups = sampler.group[which]
+    from_uniform = ~sampler.rejects[groups]
+    u = np.empty(count)
+    u[from_uniform] = rng.uniform(0.0, 1.0, size=np.count_nonzero(from_uniform))
     out = np.empty(count)
-    for g, inv in enumerate(sampler.inverses):
+    for g, mark in enumerate(sampler.maps):
         m = groups == g
-        if np.any(m):
-            out[m] = sampler.signs[which[m]] * inv(u[m])
+        r = mark(np.count_nonzero(m), rng) if sampler.rejects[g] else mark(u[m])
+        out[m] = sampler.signs[which[m]] * r
     return out
 
 
@@ -309,9 +310,13 @@ _SAMPLERS = {
 
 @pytest.mark.parametrize("family", list(_SAMPLERS))
 def test_mark_draw_matches_rng_choice(family):
+    # gamma and the remark tail draw by rejection, after the segment draw and
+    # the uniforms of the other marks; every other family's marks are mapped
+    # from uniforms, and its draws are the former rng.choice/rng.uniform ones
     make, eps, eta, pieces = _SAMPLERS[family]
     sampler = make().sampler(eps, eta)
     assert len(sampler.probs) == pieces
+    assert sampler.discrete or sampler.rejects.any() == (family in ("gamma", "remark"))
     for count in (0, 1, 40_001):
         rng, ref = stream(110, count, family), stream(110, count, family)
         got = sampler.sample(count, rng)
@@ -337,6 +342,68 @@ def test_closed_form_marks_follow_the_exact_law(stable_model, remark_model):
     inner = marks[marks <= eps]
     cdf = lambda r: (1.0 / eta - 1.0 / r) / (1.0 / eta - 1.0 / eps)
     assert _ks_report("remark inner, eps 0.1, eta 1e-3", inner, cdf) > 1e-3
+
+
+def _gamma_cell(eps, budget):
+    model = lh.LevyModel(lh.GammaSubordinator())
+    eta = lh.LevyNoiseSpec(model=model, eps=eps, eta=f"atoms:{budget}", rho_budget=1.0).resolve_eta(1.0)
+    return model, eps, eta
+
+
+def _gamma_cdf(eps, eta):
+    # int_eta^r e^-z / z dz over its value at eps
+    return lambda r: (exp1(eta) - exp1(r)) / (exp1(eta) - exp1(eps))
+
+
+def _remark_tail_cdf(lo):
+    """CDF of r^-3 log(1 + r)^-2 on (lo, inf), in s = (lo / r)^2: F(r) = int_s^1 g / int_0^1 g with
+    g(s) = log(1 + lo / sqrt(s))^-2, accumulated by Gauss-Legendre between the sorted points."""
+    from scipy.integrate import quad
+
+    g = lambda s: np.log1p(lo / np.sqrt(s)) ** -2.0
+    total = quad(g, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    xg, wg = legendre_nodes(6)
+
+    def cdf(r):
+        r = np.asarray(r, dtype=float)
+        order = np.argsort(r)
+        s = (lo / r[order]) ** 2
+        top, bottom = np.concatenate(([1.0], s[:-1])), s
+        half = 0.5 * (top - bottom)
+        pieces = half * (g((0.5 * (top + bottom))[:, None] + half[:, None] * xg) @ wg)
+        out = np.empty_like(r)
+        out[order] = np.cumsum(pieces) / total
+        return out
+
+    return cdf
+
+
+# the cells drawn by rejection: the gamma cells of the dichotomy configs, at the
+# eta their atom budgets resolve to, and the remark tail on (1, _TAIL_CAP] and,
+# cut at eta = 2, on (2, _TAIL_CAP]
+_REJECTION_CELLS = {
+    "gamma-1e-1": lambda: (*_gamma_cell(1e-1, 200), None),
+    "gamma-1e-2": lambda: (*_gamma_cell(1e-2, 200), None),
+    "gamma-1e-3": lambda: (*_gamma_cell(1e-3, 200), None),
+    "gamma-0.5": lambda: (*_gamma_cell(0.5, 120), None),
+    "remark-tail": lambda: (lh.LevyModel(lh.RemarkDensityFamily()), 0.1, 1.0, _remark_tail_cdf(1.0)),
+    "remark-tail-above-2": lambda: (lh.LevyModel(lh.RemarkDensityFamily()), 0.1, 2.0, _remark_tail_cdf(2.0)),
+}
+
+
+@pytest.mark.parametrize("cell", list(_REJECTION_CELLS))
+def test_rejection_marks_follow_the_exact_law(cell):
+    model, eps, eta, cdf = _REJECTION_CELLS[cell]()
+    n = 1_000_000
+    marks = np.abs(lh.sample_marks(model, eps, eta, n, stream(111, 0, cell)))
+    assert _ks_report(f"{cell}, eta {eta:.3g}", marks, cdf or _gamma_cdf(eps, eta)) > 1e-3
+    # the acceptance of the sampler's own proposals against its exact rate
+    (draw,) = {seg.draw for seg in model.base.segments(eps, eta)}
+    u, v = stream(112, 0, cell).random((2, n))
+    accepted = np.mean(v < draw.accept(draw.propose(u)))
+    se = math.sqrt(draw.rate * (1.0 - draw.rate) / n)
+    print(f"[acceptance] {cell}: measured {accepted:.6f}, exact {draw.rate:.6f}")
+    assert abs(accepted - draw.rate) <= 4.0 * se
 
 
 def test_finite_mass_segment_at_the_origin_samples():

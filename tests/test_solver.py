@@ -402,26 +402,30 @@ def test_mode_decomposition_residual_and_refinement():
     p2 = lh.simulate_path(fine, stream(7, 0, "atoms"))
     r1 = lh.mode_decomposition_check(p1, 2)
     r2 = lh.mode_decomposition_check(p2, 2)
-    assert r1 <= 1e-2
+    assert r1 <= lh.mode_decomposition_budget(p1, 2)
     assert 1.6 <= r1 / r2 <= 2.4
 
 
 @pytest.mark.parametrize("f", [lh.constant_f(1.0), lh.affine_f(0.25, 1.0)], ids=["constant", "affine"])
 def test_mode_decomposition_with_compensator(f, gamma_model):
-    # asymmetric gamma noise, so the compensator drift enters X; the refinement
-    # band is the one of `levyheat identities`
+    # asymmetric gamma noise, so the compensator drift enters X. The residual
+    # stays within its derived budget on every stream label tried, although
+    # with the largest jumps it reaches 1.26e-2 / 1.44e-2 (constant / affine)
+    # on "identities"; the refinement band is the one of `levyheat identities`
     cfg = small_sim(gamma_model, 0.5, "atoms:120", f=f, steps=1024, modes=32, collocation=128, rho=1.0)
-    res, ratios = [], []
-    for i in range(8):
-        p1 = lh.simulate_path(cfg, stream(12345, i, "md"))
-        p2 = lh.simulate_path(replace(cfg, steps=2048), stream(12345, i, "md"))
-        assert p1.atom_log.m_restricted != 0.0
-        for k in (1, 2, 5):
-            r1 = lh.mode_decomposition_check(p1, k)
-            res.append(r1)
-            ratios.append(r1 / lh.mode_decomposition_check(p2, k))
-    assert max(res) <= 1e-2
-    assert 1.4 <= np.median(ratios) <= 3.0
+    for seed, label in ((12345, "md"), (12345, "identities"), (1, "atoms"), (0, "t"), (12345, "crit8")):
+        ratios = []
+        for i in range(8):
+            p1 = lh.simulate_path(cfg, stream(seed, i, label))
+            assert p1.atom_log.m_restricted != 0.0
+            p2 = lh.simulate_path(replace(cfg, steps=2048), stream(seed, i, label)) if label == "md" else None
+            for k in (1, 2, 5):
+                r1 = lh.mode_decomposition_check(p1, k)
+                assert r1 <= lh.mode_decomposition_budget(p1, k), (label, i, k)
+                if p2 is not None:
+                    ratios.append(r1 / lh.mode_decomposition_check(p2, k))
+        if label == "md":
+            assert 1.4 <= np.median(ratios) <= 3.0
 
 
 def test_identity_checks_account_for_initial_data():
