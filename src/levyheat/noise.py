@@ -108,8 +108,10 @@ def simulate_levy_noise(
             f"restriction above eta={eta} carries no mass", operation="simulate_levy_noise"
         )
     n = int(rng.poisson(expected))
-    t = rng.uniform(0.0, T, size=n)
-    x = rng.uniform(0.0, math.pi, size=n)
+    # bitwise rng.uniform(0.0, high, n), which computes 0.0 + high * u, without
+    # its parameter handling
+    t = T * rng.random(n)
+    x = math.pi * rng.random(n)
     z = measures.sample_marks(model, eps, eta, n, rng) if n else np.empty(0)
     return LevyNoiseRealization(
         t=t,

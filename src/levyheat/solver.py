@@ -32,6 +32,9 @@ u_k(t) = sum_{t_j <= t} a_j phi_k(x_j) e^{-k^2 (t - t_j)} minus the drift, and
 one atom kernel (_mode_rows, _atom_kernel, _atom_states) evaluates it for the
 additive path, the terminal pairings, the martingale replay and, with the
 recorded f(u(t_j-, x_j)) per atom, the jump part of the factorization check.
+Evaluated at one time, atom j of age tau_j runs only the modes up to
+ceil(sqrt(53 ln 2 / tau_j)): every later mode is damped by e^{-k^2 tau_j} < 2^-53
+(_atom_kernel states the bound on what this drops).
 Every exact scan y <- e^{-k^2 dt} y + b is _atom_states: the additive path,
 the martingale replay, the exact Gaussian path (grid steps as atoms, one
 amplitude per mode) and the mode-decomposition convolution (one mode).
@@ -97,6 +100,12 @@ _SCAN_GROWTH = 512.0
 _FILL_MODES = 16
 # grid steps per noise draw of the Gaussian Euler branch
 _NOISE_CHUNK = 256
+# 53 ln 2: a mode with k^2 tau above it is damped by e^{-k^2 tau} < 2^-53, below
+# double precision; the terminal kernel drops it (_mode_counts)
+_HEAT_CUT = 53.0 * math.log(2.0)
+# mode steps (kmax * atoms) below which a kernel block runs every mode in place:
+# counting and ordering the atoms costs ~0.1 ms, more than the cut saves there
+_CUT_MIN_STEPS = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +320,16 @@ def sine_series(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _atom_kernel(coefficients, np.asarray(x, dtype=float), None)[0]
 
 
-def _mode_rows(x, tau, kmax: int):
+def _mode_rows(x, tau, kmax: int, sizes=None):
     """Yield sin(kx) e^{-k^2 tau} for k = 1..kmax, elementwise over atoms.
 
     Either factor may be left out by passing None. sin(kx) follows the
     two-term recurrence sin((k+1)x) = 2 cos(x) sin(kx) - sin((k-1)x), and
     e^{-k^2 tau} = e^{-(k-1)^2 tau} e^{-(2k-1) tau} with e^{-(2k-1) tau}
     advanced by the factor e^{-2 tau}: three transcendental calls per atom
-    for any number of modes. A yielded row is overwritten by the next one.
+    for any number of modes. With `sizes` (non-increasing, one per mode) row
+    k covers only the first sizes[k-1] atoms, and the recurrence state
+    shrinks to that prefix. A yielded row is overwritten by the next one.
     """
     if x is not None:
         s_prev = np.zeros_like(x)
@@ -328,8 +339,15 @@ def _mode_rows(x, tau, kmax: int):
         odd = np.exp(-tau)                  # e^{-(2k-1) tau}
         decay = odd.copy() if kmax > 1 else odd  # e^{-k^2 tau}
         step = odd * odd if kmax > 1 else None
+    n = len(x if tau is None else tau)
     for k in range(1, kmax + 1):
         if k > 1:
+            if sizes is not None and sizes[k - 1] < n:
+                n = sizes[k - 1]
+                if x is not None:
+                    s_prev, s_cur, two_cos = s_prev[:n], s_cur[:n], two_cos[:n]
+                if tau is not None:
+                    odd, decay, step = odd[:n], decay[:n], step[:n]
             if x is not None:
                 s_prev, s_cur = s_cur, two_cos * s_cur - s_prev
             if tau is not None:
@@ -343,13 +361,37 @@ def _mode_rows(x, tau, kmax: int):
             yield s_cur * decay
 
 
+def _mode_counts(tau, kmax: int) -> np.ndarray:
+    """Modes each atom needs: min(kmax, ceil(sqrt(_HEAT_CUT / tau))), kmax for tau <= 0 or non-finite.
+
+    Every mode k above the count has k^2 tau > _HEAT_CUT, so e^{-k^2 tau} < 2^-53.
+    """
+    with np.errstate(all="ignore"):
+        counts = np.fmin(np.ceil(np.sqrt(_HEAT_CUT / tau)), kmax)  # fmin maps NaN to kmax
+    counts[~(counts > 0)] = kmax  # tau = +inf (and -0.0 from tau = -inf)
+    return counts.astype(np.int16 if kmax < 2**15 else np.intp)  # 16-bit keys sort by radix
+
+
 def _atom_kernel(coeffs, x, tau) -> np.ndarray:
     """w[p, j] = sum_k coeffs[p, k-1] phi_k(x_j) e^{-k^2 tau_j} for every atom j.
 
-    `coeffs` holds one row of sine coefficients per output row; modes above
-    the highest nonzero column are never formed. Passing x or tau as None
-    leaves out phi_k(x) or e^{-k^2 tau}. Atoms are taken _ATOM_BLOCK at a
-    time, so the temporaries are O(rows * _ATOM_BLOCK) floats.
+    `coeffs` holds one row of sine coefficients per output row; kmax is its
+    highest nonzero column. Passing x or tau as None leaves out phi_k(x) or
+    e^{-k^2 tau}. Atoms are taken _ATOM_BLOCK at a time, so the temporaries
+    are O(rows * _ATOM_BLOCK) floats.
+
+    With tau, atom j keeps only its first min(kmax, ceil(sqrt(53 ln 2 / tau_j)))
+    modes (_mode_counts; all kmax for tau_j = 0 or non-finite): every
+    dropped mode is damped by e^{-k^2 tau_j} < 2^-53. A block of at least
+    _CUT_MIN_STEPS mode steps stops its recurrence at its largest count kb;
+    when the counts save at least half of its kb steps per atom, its atoms are
+    ordered by count, largest first, so the recurrence runs on a shrinking
+    prefix, and the block is scattered back to the input order. Otherwise
+    (kmax = 1, a small block, or every tau tiny) every atom runs the block's
+    modes in place. What the cut drops from one atom and row is at most
+    2^-53 sqrt(2/pi) max|c| / (1 - e^{-2 * 53 ln 2 / kmax}) (without the
+    sqrt(2/pi) when x is None), about one rounding unit of a weight of size
+    max|c|.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
     n = len(x if tau is None else tau)
@@ -361,10 +403,27 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
     for lo in range(0, n, _ATOM_BLOCK):
         part = slice(lo, lo + _ATOM_BLOCK)
         block = out[:, part]
-        modes = _mode_rows(None if x is None else x[part], None if tau is None else tau[part], kmax)
-        for k, row in enumerate(modes):
-            if nonzero[k]:
+        xb = None if x is None else x[part]
+        tb = None if tau is None else tau[part]
+        kb, sizes = kmax, None
+        if tb is not None and kmax * len(tb) >= _CUT_MIN_STEPS:
+            counts = _mode_counts(tb, kmax)
+            kb = int(counts.max())
+            if 2 * int(counts.sum()) <= kb * len(tb):
+                order = np.argsort(-counts, kind="stable")
+                sizes = (len(tb) - np.cumsum(np.bincount(counts, minlength=kb + 1))[:kb]).tolist()
+                xb = None if xb is None else xb[order]
+                tb = tb[order]
+                acc = np.zeros_like(block)
+        for k, row in enumerate(_mode_rows(xb, tb, kb, sizes)):
+            if not nonzero[k]:
+                continue
+            if sizes is None:
                 block += coeffs[:, k, None] * row
+            else:
+                acc[:, :len(row)] += coeffs[:, k, None] * row
+        if sizes is not None:
+            block[:, order] = acc
     if x is not None:
         out *= np.sqrt(2.0 / np.pi)
     return out

@@ -9,12 +9,14 @@ can be farmed out to workers in any order and still reproduce bit-identically.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["stream"]
 
 
+@lru_cache(maxsize=256)
 def _tag_to_int(tag: str) -> int:
     return int.from_bytes(hashlib.blake2s(tag.encode("utf-8"), digest_size=8).digest(), "little")
 

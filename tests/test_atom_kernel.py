@@ -101,3 +101,107 @@ def test_additive_path_and_replay_match_reference(case, seeds):
         assert min(sizes) == 0 < max(sizes)
     if case == "stable":
         assert sizes[0] > 2 * solver._ATOM_BLOCK
+
+
+# ---------------------------------------------------------------------------
+# per-atom mode cut of the terminal kernel
+# ---------------------------------------------------------------------------
+
+def _tail_bound(c, with_x=True):
+    """The documented bound on the dropped modes of one atom and row (solver._atom_kernel)."""
+    kmax = np.flatnonzero(c)[-1] + 1
+    scale = math.sqrt(2.0 / math.pi) if with_x else 1.0
+    return 2.0 ** -53 * scale * np.max(np.abs(c)) / (1.0 - math.exp(-2.0 * solver._HEAT_CUT / kmax))
+
+
+def _uncut_kernel(coeffs, x, tau):
+    """Every mode up to the highest nonzero column for every atom: the kernel without the cut."""
+    kmax = np.flatnonzero(coeffs.any(axis=0))[-1] + 1
+    out = np.zeros((len(coeffs), len(tau)))
+    for k, row in enumerate(solver._mode_rows(x, tau, kmax)):
+        out += coeffs[:, k, None] * row
+    return out if x is None else out * math.sqrt(2.0 / math.pi)
+
+
+def _spread_atoms(n, T, seed=3):
+    """n atoms with times uniform on [0, T] (so tau = T - t spread over [0, T]), tau = 0 and T included."""
+    rng = np.random.default_rng(seed)
+    t, x = T * rng.random(n), math.pi * rng.random(n)
+    t[:3], x[:3] = (T, 0.0, T), math.pi / 2
+    return t, x
+
+
+def _coefficient_rows(K):
+    rows = [f.coefficients for f in _functionals(K)] + [np.random.default_rng(4).standard_normal(K)]
+    return np.array([solver.fit_coefficients(c, K) for c in rows])
+
+
+def test_cut_kernel_matches_untruncated_sum():
+    K, T = 64, 1.0
+    n = 40_000
+    assert n > 2 * solver._ATOM_BLOCK
+    t, x = _spread_atoms(n, T)
+    t[2 * solver._ATOM_BLOCK:] *= 0.5  # the last block holds only atoms of age >= T / 2
+    coeffs = _coefficient_rows(K)
+    tau = T - t
+    assert tau.min() == 0.0 and tau.max() == T
+    # the first two blocks run the reordered path, the last one every atom to
+    # the block's largest count in place
+    counts = [solver._mode_counts(tau[lo:lo + solver._ATOM_BLOCK], K) for lo in range(0, n, solver._ATOM_BLOCK)]
+    assert [2 * int(c.sum()) <= int(c.max()) * len(c) for c in counts] == [True, True, False]
+    assert counts[-1].max() < K
+    got = solver._atom_kernel(coeffs, x, tau)
+    uncut = _uncut_kernel(coeffs, x, tau)
+    for p, c in enumerate(coeffs):
+        # the cut moves each weight by at most the documented tail bound
+        tol = _tail_bound(c) + 1e-15 * np.max(np.abs(c))
+        assert np.max(np.abs(got[p] - uncut[p])) <= tol, p
+        # and against the direct untruncated sum it adds no more than that to
+        # the recurrence's own rounding (up to ~1e-12 where |w| ~ 20)
+        want = ref.terminal_kernel_weights(c, T, t, x)
+        assert np.all(np.abs(got[p] - want) <= np.abs(uncut[p] - want) + tol), p
+        assert _close(got[p], want), p
+
+
+def test_cut_decay_only_kernel():
+    # the x = None form of the martingale drift: sum_k c_k e^{-k^2 tau}
+    K, T = 64, 1.0
+    t, _ = _spread_atoms(3 * solver._ATOM_BLOCK, T, seed=5)
+    tau = T - t
+    coeffs = _coefficient_rows(K)
+    got = solver._atom_kernel(coeffs, None, tau)
+    uncut = _uncut_kernel(coeffs, None, tau)
+    k = np.arange(1.0, K + 1.0)
+    for p, c in enumerate(coeffs):
+        tol = _tail_bound(c, with_x=False) + 1e-15 * np.max(np.abs(c))
+        assert np.max(np.abs(got[p] - uncut[p])) <= tol, p
+        want = np.array([c @ np.exp(-k * k * s) for s in tau[:2000]])
+        assert _close(got[p, :2000], want), p
+
+
+def test_mode_counts_keep_every_mode_without_a_finite_positive_tau():
+    tau = np.array([0.0, np.inf, np.nan, -np.inf, -0.5, 5e-324, 1.0, 1e300])
+    # tau = 1: ceil(sqrt(53 ln 2)) = 7; a huge tau keeps mode 1
+    assert solver._mode_counts(tau, 63).tolist() == [63, 63, 63, 63, 63, 63, 7, 1]
+    # a non-finite tau in a reordered block: the atom runs every mode, the others are unmoved
+    K, T = 64, 1.0
+    t, x = _spread_atoms(5000, T, seed=6)
+    tau = T - t
+    tau[10], tau[11] = np.nan, np.inf
+    coeffs = _coefficient_rows(K)
+    got = solver._atom_kernel(coeffs, x, tau)
+    uncut = _uncut_kernel(coeffs, x, tau)
+    assert np.all(np.isnan(got[:, 10])) and np.all(got[:, 11] == 0.0)
+    keep = np.isfinite(tau)
+    assert np.max(np.abs(got[:, keep] - uncut[:, keep])) <= 1e-15 * np.max(np.abs(coeffs))
+
+
+def test_mode1_kernel_is_unchanged():
+    # kmax = 1 (the stable mode-1 pairing) never cuts: bitwise the one-mode product
+    t, x = _spread_atoms(2 * solver._ATOM_BLOCK + 7, 1.0, seed=7)
+    tau = 1.0 - t
+    coeffs = np.zeros((2, 64))
+    coeffs[:, 0] = (1.0, -0.3)
+    got = solver._atom_kernel(coeffs, x, tau)
+    want = (0.0 + coeffs[:, :1] * (np.sin(x) * np.exp(-tau))) * np.sqrt(2.0 / np.pi)
+    assert np.array_equal(got, want)

@@ -91,6 +91,22 @@ def test_cell_constants_are_computed_once_per_cell(monkeypatch):
         lh.simulate_levy_noise(model, eps, eta, 1.0, stream(21, 0, "atoms"), atom_cap=1.0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 130, 40_000])
+@pytest.mark.parametrize("T", [1.0, 0.7, math.pi])
+def test_scaled_random_is_bitwise_uniform(n, T):
+    # simulate_levy_noise draws times and positions as high * rng.random(n):
+    # bitwise the draws of rng.uniform(0.0, high, n) on the same stream
+    a, b = stream(17, 0, "atoms"), stream(17, 0, "atoms")
+    for high in (T, math.pi):
+        assert (high * a.random(n)).tobytes() == b.uniform(0.0, high, n).tobytes()
+    model = lh.LevyModel(lh.CompoundPoisson(((1.0, 2.0),)))
+    real = lh.simulate_levy_noise(model, 2.0, 0.0, T, stream(17, 1, "atoms"))
+    rng = stream(17, 1, "atoms")
+    m = int(rng.poisson(real.intensity * T * math.pi))
+    assert rng.uniform(0.0, T, m).tobytes() == real.t.tobytes()
+    assert rng.uniform(0.0, math.pi, m).tobytes() == real.x.tobytes()
+
+
 def test_realization_sorted_and_in_domain(gamma_model):
     # realizations come in draw order; the path solver's atom log is in time order
     eta = lh.auto_inner_cutoff(gamma_model, 0.1, 1.0)
