@@ -53,13 +53,10 @@ from .noise import (
 )
 from .sobolev import (
     SmoothBump,
-    dual_norm,
     h_ij_closed_form,
     h_ij_quadrature,
     pairing,
-    sobolev_norm,
     space_time_parseval,
-    space_time_projection,
 )
 from .solver import (
     FieldPath,
@@ -79,13 +76,10 @@ from .solver import (
     simulate_path,
 )
 from .stats import (
-    CharacteristicsEstimate,
     ComparisonReport,
     MartingaleProbe,
-    SampleSet,
     TerminalFunctional,
     bump_functional,
-    characteristics_estimate,
     characteristics_sample,
     collect_terminal_samples,
     dichotomy_experiment,

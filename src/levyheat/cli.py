@@ -196,11 +196,15 @@ def build_multiplier(cfg: dict):
     raise ConfigError(f"unknown f.kind {kind!r}")
 
 
-def _resolve_eta(cfg: dict):
+def _levy_spec(cfg: dict, model, eps: float) -> LevyNoiseSpec:
+    """The Levy noise of `model` at `eps` under the config's cutoff, budgets and normalization."""
+    # "auto" selects eta per cell from the budget; a float or "atoms:<count>" resolves per cell downstream
     eta = cfg["noise.eta"]
-    if eta == "auto":
-        return None  # per-cell budget-driven selection
-    return eta  # float or "atoms:<count>", resolved per cell downstream
+    return LevyNoiseSpec(
+        model=model, eps=eps, eta=None if eta == "auto" else eta,
+        rho_budget=cfg["budget.rho"], atom_cap=cfg["budget.atom_cap"],
+        normalization=cfg["noise.normalization"],
+    )
 
 
 def _sim_config(cfg: dict, noise_spec) -> SimConfig:
@@ -247,12 +251,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
         grid = cfg.get("epsilon.grid")
         if not grid:
             raise ConfigError("simulate needs epsilon.grid (first entry is used)")
-        eps = grid[0]
-        noise_spec = LevyNoiseSpec(
-            model=model, eps=eps, eta=_resolve_eta(cfg),
-            rho_budget=cfg["budget.rho"], atom_cap=cfg["budget.atom_cap"],
-            normalization=cfg["noise.normalization"],
-        )
+        noise_spec = _levy_spec(cfg, model, grid[0])
     sim = _sim_config(cfg, noise_spec)
     for i in range(cfg["simulate.paths"]):
         path = simulate_path(sim, stream(seed, i, "simulate"))
@@ -291,12 +290,7 @@ def cmd_compare(cfg: dict, out_dir: Path, seed: int) -> int:
     if not grid:
         raise ConfigError("compare needs a nonempty epsilon.grid")
     model = build_model(cfg)
-    template = LevyNoiseSpec(
-        model=model, eps=grid[0], eta=_resolve_eta(cfg),
-        rho_budget=cfg["budget.rho"], atom_cap=cfg["budget.atom_cap"],
-        normalization=cfg["noise.normalization"],
-    )
-    sim = _sim_config(cfg, template)
+    sim = _sim_config(cfg, _levy_spec(cfg, model, grid[0]))
     report = stats_mod.dichotomy_experiment(
         [model], grid, _functional_battery(cfg), sim, cfg["paths"], seed,
         kappa_ref=cfg["compare.kappa_ref"],

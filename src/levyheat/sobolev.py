@@ -1,7 +1,7 @@
 """Sobolev-space utilities on [0, pi] and the space-time sine basis.
 
 Everything is expressed through sine coefficients <., phi_k>, truncated at
-the path's mode count; H_r norms weight those coefficients by (1 + k^2)^r.
+the path's mode count.
 The space-time basis is psi_ij(t, x) = phibar_i(t) phi_j(x) with
 phibar_i(t) = sqrt(2/T) sin(i pi t / T).
 """
@@ -18,31 +18,12 @@ from .quadrature import gauss_legendre
 from .solver import FieldPath, fit_coefficients, grid_index
 
 __all__ = [
-    "dual_norm",
-    "sobolev_norm",
     "pairing",
     "h_ij_closed_form",
     "h_ij_quadrature",
-    "space_time_projection",
     "space_time_parseval",
     "SmoothBump",
 ]
-
-
-def sobolev_norm(coefficients: np.ndarray, r: float) -> float:
-    """H_r norm sqrt(sum (1 + k^2)^r c_k^2); r < 0 gives the dual norm."""
-    c = np.asarray(coefficients, dtype=float)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coefficients must be finite")
-    k = np.arange(1, len(c) + 1, dtype=float)
-    return float(np.sqrt(np.sum((1.0 + k * k) ** r * c * c)))
-
-
-def dual_norm(coefficients: np.ndarray, r: float) -> float:
-    """H_{-r} norm for r > 0 (the Riesz dual expression)."""
-    if r <= 0:
-        raise ValueError("dual_norm expects a positive order r")
-    return sobolev_norm(coefficients, -r)
 
 
 def pairing(path: FieldPath, t: float, phi_coefficients: np.ndarray) -> float:
@@ -98,27 +79,8 @@ def _check_hij_args(i, j, s, y, T):
 
 
 # ---------------------------------------------------------------------------
-# space-time projections
+# space-time Parseval check
 # ---------------------------------------------------------------------------
-
-def space_time_projection(path: FieldPath, i: int, j: int) -> float:
-    """<u, psi_ij> via the sine transform in time of the stored mode j.
-
-    The interior-node rectangle rule is the discrete sine transform here and
-    is exact for trajectories band-limited below the grid Nyquist index.
-    """
-    if j < 1 or j > path.n_modes:
-        raise ValueError(f"space mode {j} outside 1..{path.n_modes}")
-    if i < 1:
-        raise ValueError("time mode must be >= 1")
-    T = path.times[-1]
-    dt = path.times[1] - path.times[0]
-    tb = math.sqrt(2.0 / T) * np.sin(i * math.pi * path.times / T)
-    traj = path.modes[:, j - 1]
-    w = np.full_like(path.times, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return float(np.sum(w * tb * traj))
-
 
 def space_time_parseval(path: FieldPath) -> tuple[float, float]:
     """(sum_{ij} <u, psi_ij>^2, ||u||_{L^2}^2) under the shared grid quadrature, i < N."""
@@ -151,9 +113,7 @@ class SmoothBump:
     even, so the sin(k c) cos(k t) part of sin(k x) is summed over half of
     them and the cos(k c) sin(k t) part cancels pair by pair; the even-k
     coefficients of a bump centered at pi/2 come out at their exact ~1e-16
-    size. They are computed once per mode count and cached; second-derivative
-    coefficients follow from integration by parts
-    (<phi'', phi_k> = -k^2 <phi, phi_k>, boundary terms vanish).
+    size. They are computed once per mode count and cached.
     """
 
     def __init__(self, center: float = math.pi / 2, width: float = 1.0):
@@ -177,10 +137,6 @@ class SmoothBump:
 
     def sine_coefficients(self, n_modes: int) -> np.ndarray:
         return np.array(self._coeff_cache(n_modes))
-
-    def second_derivative_coefficients(self, n_modes: int) -> np.ndarray:
-        k = np.arange(1, n_modes + 1, dtype=float)
-        return -(k * k) * self.sine_coefficients(n_modes)
 
     def __hash__(self):
         return hash((self.center, self.width))

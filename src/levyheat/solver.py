@@ -765,24 +765,24 @@ def _levy_path_general(config, real):
 # evaluation and identity checks
 # ---------------------------------------------------------------------------
 
-def grid_index(path: FieldPath, t: float, operation: str, *, nearest: bool = False) -> int:
-    """Index of the stored instant t (or of the nearest one); errors name `operation`."""
+def grid_index(path: FieldPath, t: float, operation: str) -> int:
+    """Index of the stored instant t; errors name `operation`."""
     times = path.times
     if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
         raise OutOfRangeError(f"t={t} outside [0, {times[-1]}]", operation=operation)
     idx = int(round((t - times[0]) / (times[1] - times[0])))
     idx = min(max(idx, 0), len(times) - 1)
-    if not nearest and abs(times[idx] - t) > 1e-9 * max(1.0, times[-1]):
+    if abs(times[idx] - t) > 1e-9 * max(1.0, times[-1]):
         raise OutOfRangeError(f"t={t} is not a grid instant", operation=operation)
     return idx
 
 
-def evaluate(path: FieldPath, t: float, x, *, nearest: bool = False):
+def evaluate(path: FieldPath, t: float, x):
     """Point value sum_k u_k(t) phi_k(x) at a stored instant."""
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0) or np.any(x_arr > np.pi):
         raise OutOfRangeError(f"x={x} outside [0, pi]", operation="evaluate")
-    idx = grid_index(path, t, "evaluate", nearest=nearest)
+    idx = grid_index(path, t, "evaluate")
     coeff = path.modes[idx]
     vals = coeff @ phi_values(np.arange(1, path.n_modes + 1), x_arr)
     return vals if vals.shape else float(vals)

@@ -1,7 +1,7 @@
 """Distributional comparison and martingale-problem diagnostics.
 
 The weak-convergence dichotomy is probed through finite-dimensional
-functionals of the solution (terminal pairings, point values, path norms):
+functionals of the solution (terminal pairings and point values):
 per (model, eps) a Levy sample is compared against a Gaussian-driven
 reference via the two-sample Kolmogorov-Smirnov statistic and an empirical
 characteristic-function distance, reported next to the measure-level AR
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from scipy.special import kolmogorov
 
 from .errors import ConfigMismatchError, EmptySampleError
 from .measures import LevyModel, ar_statistic
-from .quadrature import gauss_legendre, legendre_nodes
+from .quadrature import legendre_nodes
 from .sobolev import SmoothBump
 from .solver import (
     FieldPath,
@@ -52,14 +52,11 @@ from . import solver as solver_mod
 from .streams import stream
 
 __all__ = [
-    "SampleSet",
     "ks_two_sample",
     "ecf_distance",
     "MartingaleProbe",
     "MartingaleResidualRow",
     "martingale_residual",
-    "CharacteristicsEstimate",
-    "characteristics_estimate",
     "characteristics_sample",
     "TerminalFunctional",
     "mode_functional",
@@ -81,35 +78,22 @@ _PSI_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
-# sample containers and two-sample statistics
+# two-sample statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Observations of one scalar functional plus their provenance."""
-
-    values: np.ndarray
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.size < 2:
-            raise EmptySampleError("a sample set needs at least two observations")
-        if not np.all(np.isfinite(vals)):
-            raise EmptySampleError("sample values must be finite")
-        object.__setattr__(self, "values", vals)
-
-
-def _values(sample) -> np.ndarray:
-    vals = sample.values if isinstance(sample, SampleSet) else np.asarray(sample, dtype=float)
+def _values(sample, operation: str) -> np.ndarray:
+    """The sample as a float array; empty or non-finite input raises naming `operation`."""
+    vals = np.asarray(sample, dtype=float)
     if vals.size == 0:
-        raise EmptySampleError("empty sample", operation="ks_two_sample")
+        raise EmptySampleError("empty sample", operation=operation)
+    if not np.isfinite(vals).all():
+        raise EmptySampleError("sample values must be finite", operation=operation)
     return vals
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Classical two-sample KS statistic with the asymptotic Kolmogorov p-value."""
-    xa, xb = np.sort(_values(a)), np.sort(_values(b))
+    xa, xb = np.sort(_values(a, "ks_two_sample")), np.sort(_values(b, "ks_two_sample"))
     n, m = len(xa), len(xb)
     grid = np.concatenate([xa, xb])
     fa = np.searchsorted(xa, grid, side="right") / n
@@ -122,7 +106,7 @@ def ks_two_sample(a, b) -> tuple[float, float]:
 
 def ecf_distance(a, b, xi_grid: Sequence[float] = _DEFAULT_ECF_GRID) -> float:
     """max_xi |ecf_a(xi) - ecf_b(xi)|; bounded by 2 for any input."""
-    xa, xb = _values(a), _values(b)
+    xa, xb = _values(a, "ecf_distance"), _values(b, "ecf_distance")
     xi = np.asarray(xi_grid, dtype=float)
     if xi.size == 0:
         raise ValueError("xi grid must be nonempty")
@@ -249,11 +233,6 @@ def _compensator_psis(model: LevyModel, eps: float, eta: float,
     return [complex(wx @ psi(a)) for a in amps]
 
 
-def _compensator_psi(model: LevyModel, eps: float, eta: float, amp_of_x: Callable[[np.ndarray], np.ndarray]) -> complex:
-    """int_0^pi int (e^{i a(x) z} - 1 - i a(x) z) Q_eps|_{|z|>eta}(dz) dx."""
-    return _compensator_psis(model, eps, eta, [amp_of_x])[0]
-
-
 def _probe_values(path: FieldPath, probes: Sequence[MartingaleProbe], psis: Sequence[complex],
                   coeffs: Sequence[np.ndarray], coeffs_dd: Sequence[np.ndarray]):
     """Per-path (M_t - M_s, <u_s, phi>) for each probe.
@@ -374,38 +353,6 @@ def martingale_residual(
 # semimartingale characteristics from the atom log
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CharacteristicsEstimate:
-    times: np.ndarray
-    quadratic_sum: np.ndarray   # cumulative sum of jump^2 1{|jump| <= h}
-    drift: np.ndarray           # B^h estimate (compensator of removed big jumps)
-    big_jump_count: int
-    jump_sizes: np.ndarray      # realized jumps of <u, phi>
-
-
-def characteristics_estimate(path: FieldPath, phi_coefficients, h: float) -> CharacteristicsEstimate:
-    """Truncated quadratic variation, drift and big-jump count of <u, phi>."""
-    if h <= 0:
-        raise ValueError("truncation level h must be positive")
-    real, sigma_used = jump_log(path, "characteristics_estimate")
-    K = path.n_modes
-    c = fit_coefficients(phi_coefficients, K)
-    jumps = path.f_at_atoms * solver_mod.sine_series(c, real.x) * real.z / sigma_used
-    small = np.abs(jumps) <= h
-    idx = np.searchsorted(real.t, path.times, side="right")
-    cum = np.concatenate(([0.0], np.cumsum(np.where(small, jumps**2, 0.0))))
-    quad = cum[idx]
-    big_count = int(np.sum(~small))
-    # drift: -int_0^t int x 1{|x|>h} nu(ds, dx), computed from the simulated measure
-    if path.config.f.is_constant:
-        cval = path.config.f.constant_value
-        rate = _big_jump_drift_rate(path.config.noise.model, real.eps, real.eta, c, cval / sigma_used, h)
-        drift = -rate * path.times
-    else:
-        drift = np.full_like(path.times, np.nan)  # needs the random field; not estimated
-    return CharacteristicsEstimate(path.times, quad, drift, big_count, jumps)
-
-
 def characteristics_sample(
     config: SimConfig,
     phi_coefficients,
@@ -418,8 +365,8 @@ def characteristics_sample(
     """Terminal truncated quadratic sums and big-jump counts over many paths.
 
     Constant-f fast route: jump sizes of <u, phi> depend only on the atom log,
-    so no field solve is needed. Agrees path-by-path with
-    `characteristics_estimate` on solver output (same streams).
+    so no field solve is needed; path i draws the atoms that `simulate_path`
+    draws on the same stream.
     """
     if not config.f.is_constant:
         raise ConfigMismatchError("fast characteristics sampling needs a constant multiplier")
@@ -442,26 +389,6 @@ def characteristics_sample(
         else:
             quad[i], bigs[i] = 0.0, 0
     return quad, bigs
-
-
-def _big_jump_drift_rate(model, eps, eta, coeffs, scale, h) -> float:
-    """int_0^pi int (s phi(x) z) 1{|s phi(x) z| > h} Q(dz) dx for s = f/sigma."""
-    K = len(coeffs)
-    if model.base.symmetric(eps):
-        return 0.0
-
-    def inner(x):
-        x = np.atleast_1d(x)
-        amp = scale * (coeffs @ phi_values(np.arange(1, K + 1), x))
-        out = np.zeros_like(amp)
-        for i, a in enumerate(amp):
-            if a == 0.0:
-                continue
-            cut = max(abs(h / a), eta)
-            out[i] = a * model.base.moment1(eps, cut)
-        return out
-
-    return gauss_legendre(inner, 0.0, math.pi, 256)
 
 
 # ---------------------------------------------------------------------------

@@ -83,3 +83,14 @@ def test_stable_and_gaussian_runs_leave_scipy_integrate_and_interpolate_unloaded
     assert loaded["import"] == [] and loaded["runs"] == []
     assert "scipy.interpolate" not in loaded["gamma"] and "scipy.interpolate" not in loaded["remark"]
     assert "scipy.interpolate" in loaded["custom"]
+
+
+def test_readme_library_tour_runs():
+    # every name the README's library tour shows must stay importable and callable
+    root = INIT.resolve().parents[2]
+    readme = (root / "README.md").read_text()
+    [tour] = [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
+    env = dict(os.environ, PYTHONPATH=str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", tour], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

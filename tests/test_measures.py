@@ -564,7 +564,7 @@ def test_compensator_psi_compound_poisson_atom_sum():
         re = quad(lambda x: math.cos(_amp(x) * z) - 1.0, 0.0, math.pi, epsabs=0.0, epsrel=1e-13)[0]
         im = quad(lambda x: math.sin(_amp(x) * z) - _amp(x) * z, 0.0, math.pi, epsabs=0.0, epsrel=1e-13)[0]
         expect += w * complex(re, im)
-    got = stats._compensator_psi(model, 1.0, 0.1, _amp)
+    [got] = stats._compensator_psis(model, 1.0, 0.1, [_amp])
     assert abs(got - expect) <= 1e-10 * abs(expect)
 
 
@@ -583,5 +583,5 @@ def test_compensator_psi_gamma_matches_quad_over_z():
         im = (quad(lambda z: math.sin(a * z) * math.exp(-z) / z, eta, eps, epsabs=0.0, epsrel=1e-13)[0]
               - a * (math.exp(-eta) - math.exp(-eps)))
         expect += wi * complex(re, im)
-    got = stats._compensator_psi(lh.LevyModel(lh.GammaSubordinator()), eps, eta, _amp)
+    [got] = stats._compensator_psis(lh.LevyModel(lh.GammaSubordinator()), eps, eta, [_amp])
     assert abs(got - expect) <= 1e-10 * abs(expect)

@@ -21,41 +21,8 @@ def _synthetic_path(amplitudes, modes=32, steps=512, T=1.0):
 
 
 # ---------------------------------------------------------------------------
-# norms
+# pairings
 # ---------------------------------------------------------------------------
-
-def test_dual_norm_examples():
-    v = np.zeros(16)
-    v[0] = 1.0
-    assert lh.dual_norm(v, 1.0) == pytest.approx(math.sqrt(0.5), rel=1e-14)
-    assert lh.dual_norm(np.zeros(8), 2.0) == 0.0
-
-
-def test_dual_norm_partial_sum_oracle():
-    K = 10_000
-    k = np.arange(1, K + 1, dtype=float)
-    coeffs = 1.0 / k
-    oracle = math.sqrt(np.sum((1.0 + k * k) ** -1.0 * k ** -2.0))
-    got = lh.dual_norm(coeffs, 1.0)
-    tail_bound = math.sqrt(np.sum(np.arange(K + 1, K + 100000, dtype=float) ** -4.0))
-    assert abs(got - oracle) <= tail_bound
-
-
-def test_dual_norm_monotone_in_order():
-    rng = np.random.default_rng(5)
-    v = rng.normal(size=64)
-    norms = [lh.dual_norm(v, r) for r in (0.5, 1.0, 2.0, 4.0)]
-    assert all(a >= b for a, b in zip(norms, norms[1:]))
-
-
-def test_embedding_chain():
-    # ||v||_{-r} <= ||v||_{L^2} <= ||v||_q for finite coefficient vectors
-    rng = np.random.default_rng(6)
-    v = rng.normal(size=64)
-    l2 = math.sqrt(np.sum(v * v))
-    for q, r in ((0.3, 0.7), (1.0, 1.0), (2.0, 0.5)):
-        assert lh.sobolev_norm(v, -r) <= l2 <= lh.sobolev_norm(v, q)
-
 
 def test_pairing_orthonormality(cp_symmetric):
     cfg = small_sim(cp_symmetric, 2.0, 0.0)
@@ -123,20 +90,8 @@ def test_hij_decay_bound():
 
 
 # ---------------------------------------------------------------------------
-# space-time projection
+# space-time Parseval
 # ---------------------------------------------------------------------------
-
-def test_projection_on_basis_element():
-    path = _synthetic_path({(1, 1): 1.0})
-    assert lh.space_time_projection(path, 1, 1) == pytest.approx(1.0, abs=1e-8)
-    assert lh.space_time_projection(path, 2, 1) == pytest.approx(0.0, abs=1e-10)
-    assert lh.space_time_projection(path, 1, 2) == 0.0
-
-
-def test_projection_zero_path():
-    path = _synthetic_path({})
-    assert lh.space_time_projection(path, 1, 1) == 0.0
-
 
 def test_parseval_band_limited():
     path = _synthetic_path({(1, 1): 1.0, (3, 2): 0.4, (7, 5): -0.2, (2, 9): 0.05})
@@ -158,12 +113,9 @@ def test_bump_compact_support_and_sup():
         lh.SmoothBump(center=0.5, width=1.0)  # support leaves (0, pi)
 
 
-def test_bump_second_derivative_coefficients():
+def test_bump_series_reproduces_bump():
     bump = lh.SmoothBump()
     c = bump.sine_coefficients(24)
-    cdd = bump.second_derivative_coefficients(24)
-    k = np.arange(1, 25)
-    assert np.allclose(cdd, -(k ** 2) * c)
     # coefficients reproduce the bump pointwise (smooth -> fast decay)
     # symmetric bump: even-k coefficients vanish; decay is Gevrey-type
     assert np.max(np.abs(c[1::2])) < 1e-14

@@ -54,13 +54,14 @@ def test_ks_empty_raises():
         lh.ks_two_sample(np.array([]), np.ones(3))
 
 
-def test_sample_set_validation():
-    with pytest.raises(EmptySampleError):
-        lh.SampleSet(np.array([1.0]))
-    with pytest.raises(EmptySampleError):
-        lh.SampleSet(np.array([1.0, np.nan]))
-    ss = lh.SampleSet(np.array([0.0, 1.0]), provenance={"kind": "test"})
-    assert lh.ks_two_sample(ss, ss)[0] == 0.0
+@pytest.mark.parametrize("bad", [[], [np.nan, 1.0, 2.0], [np.inf, 1.0, 2.0]], ids=["empty", "nan", "inf"])
+@pytest.mark.parametrize("operation", ["ks_two_sample", "ecf_distance"])
+def test_two_sample_statistics_reject_empty_and_non_finite(operation, bad):
+    good = np.array([0.0, 1.0, 2.0])
+    for a, b in ((np.array(bad), good), (good, np.array(bad))):
+        with pytest.raises(EmptySampleError) as err:
+            getattr(lh, operation)(a, b)
+        assert err.value.operation == operation
 
 
 def test_ecf_examples():
@@ -121,9 +122,9 @@ def test_martingale_second_moment_bounded_across_eps(gamma_model):
         vals = []
         for i in range(60):
             path = lh.simulate_path(cfg, stream(37, i, f"m2:{eps}"))
-            psi = st._compensator_psi(
+            [psi] = st._compensator_psis(
                 gamma_model, eps, path.atom_log.eta,
-                lambda x: probe.xi * st.phi_values(np.arange(1, 33), x).T @ coeffs)
+                [lambda x: probe.xi * st.phi_values(np.arange(1, 33), x).T @ coeffs])
             [(dM, _)] = st._probe_values(path, [probe], [psi], [coeffs], [cdd])
             vals.append(abs(dM) ** 2)
         bounds.append(np.mean(vals))
@@ -228,7 +229,7 @@ def _martingale_paths(gamma_model, n):
 
 def test_martingale_zero_frequency_probe(gamma_model):
     probe = lh.MartingaleProbe(0.0, lh.SmoothBump(), 0.25, 0.75)
-    assert st._compensator_psi(gamma_model, 0.1, 1e-4, lambda x: 0.0 * x) == 0.0
+    assert st._compensator_psis(gamma_model, 0.1, 1e-4, [lambda x: 0.0 * x])[0] == 0.0
     with np.errstate(divide="raise", invalid="raise"):
         rows = lh.martingale_residual(_martingale_paths(gamma_model, 4), probe)
     for r in rows:
@@ -285,19 +286,6 @@ def test_martingale_rows_match_reference_psi(monkeypatch):
 # characteristics
 # ---------------------------------------------------------------------------
 
-def test_characteristics_partition_identity(cp_symmetric):
-    cfg = small_sim(cp_symmetric, 2.0, 0.0, steps=256)
-    path = lh.simulate_path(cfg, stream(41, 0, "t"))
-    phihat = lh.SmoothBump().sine_coefficients(32)
-    est_small = lh.characteristics_estimate(path, phihat, h=0.2)
-    est_all = lh.characteristics_estimate(path, phihat, h=1e9)
-    # omitted big jumps plus kept quadratic sum recovers the full sum exactly
-    big_part = np.sum(est_small.jump_sizes ** 2) - est_small.quadratic_sum[-1]
-    assert est_all.big_jump_count == 0
-    assert est_all.quadratic_sum[-1] == pytest.approx(
-        est_small.quadratic_sum[-1] + big_part, rel=1e-14)
-
-
 def test_characteristics_fast_route_agreement(gamma_model):
     eta = lh.eta_for_atom_budget(gamma_model, 0.1, 1.0, 80.0)
     cfg = small_sim(gamma_model, 0.1, eta, steps=512, modes=32, collocation=128)
@@ -305,29 +293,19 @@ def test_characteristics_fast_route_agreement(gamma_model):
     quad, bigs = st.characteristics_sample(cfg, phihat, 0.5, 5, 43)
     for i in range(5):
         path = lh.simulate_path(cfg, stream(43, i, "atoms"))
-        est = lh.characteristics_estimate(path, phihat, 0.5)
-        assert est.quadratic_sum[-1] == pytest.approx(quad[i], abs=1e-10)
-        assert est.big_jump_count == bigs[i]
+        real = path.atom_log
+        # the solver's jumps of <u, phi>, in time order
+        jumps = path.f_at_atoms * lh.solver.sine_series(phihat, real.x) * real.z / real.sigma
+        small = np.abs(jumps) <= 0.5
+        assert float(np.sum(jumps[small] ** 2)) == pytest.approx(quad[i], abs=1e-10)
+        assert int(np.sum(~small)) == bigs[i]
         # both routes evaluate <phi, basis> with sine_series: the jump sizes agree
         # exactly, the solver's in time order and the fast route's in draw order,
         # so the fast route's sum is reproduced bit for bit from them
-        jumps = est.jump_sizes
-        real = path.atom_log
-        assert np.array_equal(jumps, lh.solver.sine_series(phihat, real.x) * real.z / real.sigma)
         drawn = cfg.noise.simulate(cfg.T, stream(43, i, "atoms"))
         drawn_jumps = lh.solver.sine_series(phihat, drawn.x) * drawn.z / drawn.sigma
         assert np.array_equal(np.sort(jumps), np.sort(drawn_jumps))
         assert quad[i] == float(np.sum(np.where(np.abs(drawn_jumps) <= 0.5, drawn_jumps**2, 0.0)))
-
-
-def test_characteristics_drift_sign(gamma_model):
-    # positive jumps only: removed-big-jump compensator pushes drift negative
-    eta = lh.eta_for_atom_budget(gamma_model, 0.5, 1.0, 80.0)
-    cfg = small_sim(gamma_model, 0.5, eta, steps=256, modes=32, collocation=128)
-    path = lh.simulate_path(cfg, stream(44, 0, "atoms"))
-    est = lh.characteristics_estimate(path, lh.SmoothBump().sine_coefficients(32), h=0.3)
-    assert est.drift[-1] <= 0.0
-    assert est.drift[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
