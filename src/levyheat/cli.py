@@ -98,7 +98,7 @@ _DEFAULTS = {
     "budget.atom_cap": 1e8,
     "paths": 1000,
     "seed": 12345,
-    "workers": 1,
+    "workers": None,              # every available core; see collect_terminal_samples
     "out.dir": ".",
     "compare.functionals": ["mode1"],
     "compare.kappa_ref": 1.0,
@@ -154,6 +154,9 @@ def parse_config(text: str) -> dict:
 
 
 def config_hash(cfg: dict, command: str, seed: int) -> str:
+    # no output byte depends on the worker count, so it is hashed at one fixed
+    # value (1, the former default): every count gives the header of a serial run
+    cfg = {**cfg, "workers": 1}
     canon = "\n".join(f"{k}={cfg[k]!r}" for k in sorted(cfg)) + f"\ncmd={command}\nseed={seed}\nv={__version__}"
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -405,7 +408,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--out", default=None, help="output directory (overrides out.dir)")
     parser.add_argument("--seed", type=int, default=None, help="base seed (overrides seed)")
-    parser.add_argument("--workers", type=int, default=None, help="worker pool size")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="upper bound on the threads of compare (default: every available core; "
+                             f"1 runs serially, as does any cell of fewer than "
+                             f"{stats_mod._FAN_OUT_MIN_ATOMS} expected atoms per path)")
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(Path(args.config).read_text())

@@ -111,8 +111,8 @@ class _Segment:
 
     A piece whose law is known exactly carries its `mass`, int q(r) dr over
     the piece, and one way to draw r from q restricted to it: `quantile`, the
-    inverse CDF in closed form, mapping u in [0, 1) to r in [lo, hi] with
-    quantile(0) = lo, or `draw(count, rng)`, which returns `count` draws that
+    inverse CDF in closed form, mapping u in [0, 1) to r in [lo, hi] in place
+    with quantile(0) = lo, or `draw(count, rng)`, which returns `count` draws that
     depend only on the state of rng and on count. Mirrored pieces share one
     quantile or draw object. The mark sampler tabulates the inverse CDF of a
     piece that has neither.
@@ -158,11 +158,20 @@ def _power_quantile(lo: float, hi: float, alpha: float) -> Callable[[np.ndarray]
     """Inverse CDF of the density r^(-1-alpha) on (lo, hi], 0 < lo < hi < inf:
     r = (lo^-alpha - u (lo^-alpha - hi^-alpha))^(-1/alpha), written as
     lo (1 - u (1 - (lo/hi)^alpha))^(-1/alpha) so that quantile(0) = lo exactly
-    and tiny lo does not overflow. None at lo = 0, where the mass is infinite."""
+    and tiny lo does not overflow. None at lo = 0, where the mass is infinite.
+    The map overwrites u with r and returns it."""
     if lo == 0.0:
         return None
     c = -math.expm1(alpha * math.log(lo / hi))
-    return lambda u: lo * (1.0 - u * c) ** (-1.0 / alpha)
+
+    def quantile(u):
+        u *= c
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / alpha
+        u *= lo
+        return u
+
+    return quantile
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,13 +606,14 @@ class _MarkSampler:
         if len(self.maps) == 1:
             # one map for every segment (the stable pair, gamma, a remark cell above eps): no masks
             mark = self.maps[0]
-            if self.rejects[0]:
-                return self.signs[which] * mark(count, rng)
-            # the uniforms come before signs[which]: gathering the signs first
-            # made 40k-mark stable cells ~11% slower end to end (the order in
-            # which the temporaries are allocated and freed)
-            u = rng.random(count)
-            return self.signs[which] * mark(u)
+            # the signs are +-1, so negating the marks of the negative segments
+            # gives signs[which] * r; the flags, an eighth of the indices in
+            # size, let the indices go before the marks are drawn
+            flip = (self.signs < 0)[which]
+            del which
+            r = mark(count, rng) if self.rejects[0] else mark(rng.random(count))
+            np.negative(r, out=r, where=flip)
+            return r
         groups = self.group[which]
         from_uniform = ~self.rejects[groups]
         u = np.empty(count)

@@ -86,9 +86,7 @@ def simulate_levy_noise(
         raise ValueError("horizon must be positive")
     if eta < 0:
         raise ValueError("inner cutoff must be nonnegative")
-    var, lam, retained2, m_restricted = model.memo(
-        ("noise_cell", eps, eta), lambda: _cell_moments(model, eps, eta)
-    )
+    var, lam, retained2, m_restricted = _cell(model, eps, eta)
     dropped = max(0.0, 1.0 - retained2 / var)
     if dropped > rho_budget:
         raise BudgetExceededError(
@@ -127,6 +125,11 @@ def simulate_levy_noise(
         intensity=lam,
         model_name=model.name,
     )
+
+
+def _cell(model: measures.LevyModel, eps: float, eta: float) -> tuple[float, float, float, float]:
+    """The moments of the (eps, eta) cell (`_cell_moments`), computed once and kept on the model."""
+    return model.memo(("noise_cell", eps, eta), lambda: _cell_moments(model, eps, eta))
 
 
 def _cell_moments(model: measures.LevyModel, eps: float, eta: float) -> tuple[float, float, float, float]:

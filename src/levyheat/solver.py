@@ -218,6 +218,10 @@ class LevyNoiseSpec:
             return float(self.eta)
         return self.model.memo(("eta", self.eps, self.eta, self.rho_budget, self.atom_cap, T), search)
 
+    def expected_atoms(self, T: float) -> float:
+        """Expected atom count pi T lambda of one realization on [0, T] at the resolved inner cutoff."""
+        return noise_mod._cell(self.model, self.eps, self.resolve_eta(T))[1] * T * math.pi
+
     def simulate(self, T: float, rng: np.random.Generator) -> "noise_mod.LevyNoiseRealization":
         """One noise realization on [0, T] at the resolved inner cutoff."""
         return noise_mod.simulate_levy_noise(self.model, self.eps, self.resolve_eta(T), T, rng,
@@ -332,11 +336,12 @@ def _mode_rows(x, tau, kmax: int, sizes=None):
     shrinks to that prefix. A yielded row is overwritten by the next one.
     """
     if x is not None:
-        s_prev = np.zeros_like(x)
+        s_prev = np.zeros_like(x) if kmax > 1 else None
         s_cur = np.sin(x)
         two_cos = 2.0 * np.cos(x) if kmax > 1 else None
     if tau is not None:
-        odd = np.exp(-tau)                  # e^{-(2k-1) tau}
+        odd = np.negative(tau)
+        np.exp(odd, out=odd)                # e^{-(2k-1) tau}
         decay = odd.copy() if kmax > 1 else odd  # e^{-k^2 tau}
         step = odd * odd if kmax > 1 else None
     n = len(x if tau is None else tau)
@@ -358,7 +363,8 @@ def _mode_rows(x, tau, kmax: int, sizes=None):
         elif x is None:
             yield decay
         else:
-            yield s_cur * decay
+            # the last row takes the buffer of sin(kx), which is not needed after it
+            yield s_cur * decay if k < kmax else np.multiply(s_cur, decay, out=s_cur)
 
 
 def _mode_counts(tau, kmax: int) -> np.ndarray:

@@ -158,6 +158,15 @@ def test_compare_workers_invariant(tmp_path):
     assert a[1:] == b[1:]  # identical rows regardless of worker fan-out
 
 
+def test_compare_workers_default_and_validation(tmp_path, capsys):
+    assert parse_config("")["workers"] is None  # every available core, as in the library
+    cfg_file = tmp_path / "cmp.cfg"
+    cfg_file.write_text(GAMMA_COMPARE_CFG)
+    assert main(["compare", "--config", str(cfg_file), "--out", str(tmp_path), "--workers", "0"]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "compare.csv").exists()
+
+
 def test_identities_pass(tmp_path):
     cfg_file = tmp_path / "id.cfg"
     cfg_file.write_text("identities.steps = 1024\nidentities.modes = 32\n")

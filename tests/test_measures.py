@@ -239,7 +239,8 @@ def test_remark_mark_sampler_matches_tail_mass(remark_model):
 def test_power_quantile_maps_onto_the_segment():
     q = measures._power_quantile(1e-6, 1e-3, 1.5)
     u = np.array([0.0, 0.25, 0.5, 1.0 - 2.0 ** -53])
-    r = q(u)
+    r = q(u.copy())
+    assert np.array_equal(q(u.copy()), r)  # the map overwrites its argument, and only that
     assert r[0] == 1e-6 and np.all(np.diff(r) > 0) and r[-1] <= 1e-3
     # u = F(r) for the restricted law of r^-2.5 on (lo, hi]
     cdf = (1e-6 ** -1.5 - r ** -1.5) / (1e-6 ** -1.5 - 1e-3 ** -1.5)

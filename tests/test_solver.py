@@ -196,7 +196,7 @@ def _gaussian_modes(cfg, seed):
 
 def test_gaussian_path_in_forked_child_matches_parent():
     # the parent's path starts and joins a draw-ahead thread; a forked child
-    # (as collect_terminal_samples makes them) must start its own
+    # (as a caller's process pool makes it) must start its own
     cfg = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=lh.affine_f(0.25, 1.0), T=1.0, modes=16,
                        collocation=64, steps=3 * lh.solver._NOISE_CHUNK)
     want = _gaussian_modes(cfg, 5)

@@ -1,5 +1,7 @@
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ from scipy.stats import kstest
 
 import levyheat as lh
 from levyheat import stats as st
-from levyheat.errors import ConfigMismatchError, EmptySampleError, MissingAtomLogError
+from levyheat.errors import AtomCapExceededError, ConfigMismatchError, EmptySampleError, MissingAtomLogError
 from levyheat.streams import stream
 
 from conftest import small_sim
@@ -378,6 +380,106 @@ def test_terminal_sampler_memory_bounded_in_paths(stable_model):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 2e6
+
+
+# ---------------------------------------------------------------------------
+# thread fan-out over path blocks
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Two available cores on any machine; the list of thread pools that stats creates."""
+    monkeypatch.setattr(st, "_available_cores", lambda: 2)
+    made = []
+
+    class Spy(ThreadPoolExecutor):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self)
+
+    monkeypatch.setattr(st, "ThreadPoolExecutor", Spy)
+    return made
+
+
+def _stable_cell(stable_model, eta="atoms:40000"):
+    cfg = small_sim(stable_model, 1e-3, eta, modes=64, collocation=256, steps=4096,
+                    normalization="retained", rho=1.0)
+    assert cfg.noise.expected_atoms(cfg.T) >= st._FAN_OUT_MIN_ATOMS
+    return cfg
+
+
+@pytest.mark.parametrize("eta,n_paths", [
+    ("atoms:40000", 5),  # every path alone in its atom block
+    ("atoms:6000", 7),   # serial atom blocks {0, 1}, {2, 3}, ...; the threads split at path 3
+])
+def test_threaded_cell_matches_serial_bitwise(stable_model, executors, eta, n_paths):
+    # mode1 and point: kmax 64, the kernel's mode-cut path
+    cfg = _stable_cell(stable_model, eta)
+    fns = [st.mode_functional(1, 64), st.point_functional(math.pi / 2, 64, name="point")]
+    phihat = lh.SmoothBump().sine_coefficients(64)
+    serial = st.collect_terminal_samples(cfg, fns, n_paths, 11, workers=1)
+    quad1, bigs1 = st.characteristics_sample(cfg, phihat, 1.0, n_paths, 11, workers=1)
+    assert executors == []
+    before = threading.active_count()
+    threaded = st.collect_terminal_samples(cfg, fns, n_paths, 11)
+    quad2, bigs2 = st.characteristics_sample(cfg, phihat, 1.0, n_paths, 11, workers=2)
+    assert len(executors) == 2
+    assert threading.active_count() == before
+    for f in fns:
+        assert np.array_equal(serial[f.name], threaded[f.name])
+    assert np.array_equal(quad1, quad2) and np.array_equal(bigs1, bigs2)
+
+
+def test_error_in_a_worker_thread_reaches_the_caller(stable_model, executors, monkeypatch):
+    # only the paths that a pool thread simulates exceed their atom cap
+    cfg = _stable_cell(stable_model)
+    original = lh.noise.simulate_levy_noise
+    raised_in = []
+
+    def spy(model, eps, eta, T, rng, **kw):
+        if threading.current_thread() is not threading.main_thread():
+            raised_in.append(threading.current_thread())
+            kw["atom_cap"] = 1.0
+        return original(model, eps, eta, T, rng, **kw)
+
+    monkeypatch.setattr(lh.noise, "simulate_levy_noise", spy)
+    before = threading.active_count()
+    with pytest.raises(AtomCapExceededError) as got:
+        st.collect_terminal_samples(cfg, [st.mode_functional(1, 64)], 4, 2)
+    assert got.value.operation == "simulate_levy_noise"
+    assert len(raised_in) == 1 and len(executors) == 1
+    assert threading.active_count() == before
+
+
+def test_cells_below_the_gate_run_on_the_calling_thread(gamma_model, executors):
+    cfg = small_sim(gamma_model, 1e-3, "atoms:200", modes=16, collocation=64, steps=64,
+                    normalization="retained", rho=1.0)
+    assert cfg.noise.expected_atoms(cfg.T) < st._FAN_OUT_MIN_ATOMS
+    gauss = replace(cfg, noise=lh.GaussianNoiseSpec())
+    fns = [st.mode_functional(1, 16)]
+    st.collect_terminal_samples(cfg, fns, 8, 1, workers=2)
+    st.collect_terminal_samples(gauss, fns, 8, 1, workers=2)
+    st.characteristics_sample(cfg, (1.0,), 0.5, 8, 1, workers=2)
+    assert executors == []
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True])
+def test_workers_must_be_none_or_a_positive_int(gamma_model, workers):
+    cfg = small_sim(gamma_model, 0.1, "atoms:60")
+    with pytest.raises(ValueError, match="workers"):
+        st.collect_terminal_samples(cfg, [st.mode_functional(1, 8)], 2, 1, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        st.characteristics_sample(cfg, (1.0,), 0.5, 2, 1, workers=workers)
+
+
+def test_thread_count_is_capped_at_cores_and_paths(monkeypatch):
+    # computed without starting a thread, whatever the requested count
+    monkeypatch.setattr(st, "_available_cores", lambda: 2)
+    assert st._thread_count(10**9, 12) == 2
+    assert st._thread_count(10**9, 1) == 1
+    assert st._thread_count(None, 12) == 2
+    assert st._thread_count(1, 12) == 1
+    assert st._thread_count(None, 0) == 1
 
 
 def test_gaussian_control_ks():
