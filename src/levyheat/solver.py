@@ -218,10 +218,6 @@ class LevyNoiseSpec:
             return float(self.eta)
         return self.model.memo(("eta", self.eps, self.eta, self.rho_budget, self.atom_cap, T), search)
 
-    def expected_atoms(self, T: float) -> float:
-        """Expected atom count pi T lambda of one realization on [0, T] at the resolved inner cutoff."""
-        return noise_mod._cell(self.model, self.eps, self.resolve_eta(T))[1] * T * math.pi
-
     def simulate(self, T: float, rng: np.random.Generator) -> "noise_mod.LevyNoiseRealization":
         """One noise realization on [0, T] at the resolved inner cutoff."""
         return noise_mod.simulate_levy_noise(self.model, self.eps, self.resolve_eta(T), T, rng,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
@@ -49,6 +50,7 @@ from .solver import (
     jump_log,
     phi_values,
 )
+from . import noise as noise_mod
 from . import solver as solver_mod
 from .streams import stream
 
@@ -369,14 +371,14 @@ def characteristics_sample(
     base_seed: int,
     *,
     purpose: str = "atoms",
-    workers: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal truncated quadratic sums and big-jump counts over many paths.
 
     Constant-f fast route: jump sizes of <u, phi> depend only on the atom log,
     so no field solve is needed; path i draws the atoms that `simulate_path`
-    draws on the same stream. `workers` bounds the threads as in
-    `collect_terminal_samples`; the result does not depend on it.
+    draws on the same stream. The paths run on threads as in
+    `collect_terminal_samples` with its default `workers`; the result does
+    not depend on the thread count.
     """
     if not config.f.is_constant:
         raise ConfigMismatchError("fast characteristics sampling needs a constant multiplier")
@@ -393,15 +395,17 @@ def characteristics_sample(
         small = np.abs(jumps) <= h
         return float(np.sum(np.where(small, jumps**2, 0.0))), int(np.sum(~small))
 
-    def block(lo, hi):
+    def block(lo, hi, stop):
         # one path's arrays are freed before the next path is drawn
         quad = np.empty(hi - lo)
         bigs = np.empty(hi - lo, dtype=int)
         for i in range(lo, hi):
+            if stop.is_set():
+                break
             quad[i - lo], bigs[i - lo] = path_sums(spec.simulate(config.T, stream(base_seed, i, purpose)))
         return quad, bigs
 
-    blocks = _path_blocks(block, config, n_paths, workers)
+    blocks = _path_blocks(block, config, n_paths, None)
     if len(blocks) == 1:
         return blocks[0]
     quads, bigs = zip(*blocks)
@@ -491,37 +495,57 @@ def collect_terminal_samples(
     contiguous block of paths per thread, in one call that joins its threads
     before it returns; every other cell runs on the calling thread, whatever
     `workers` says. Per-path streams make the result independent of the
-    split: `workers=1` gives the same bits.
+    split: `workers=1` gives the same bits. Each thread holds its own path in
+    flight, so peak memory grows with the thread count (about 2.4 MB per
+    thread at 40000 atoms per path and 64 modes).
     """
     if not config.f.is_constant:
         raise ConfigMismatchError("fast terminal sampling needs a constant multiplier")
-    blocks = _path_blocks(lambda lo, hi: _terminal_block((config, functionals, lo, hi, base_seed, purpose)),
-                          config, n_paths, workers)
+    blocks = _path_blocks(
+        lambda lo, hi, stop: _terminal_block((config, functionals, lo, hi, base_seed, purpose), stop),
+        config, n_paths, workers)
     if len(blocks) == 1:
         return blocks[0]
     return {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
 
 
-def _path_blocks(block: Callable[[int, int], object], config: SimConfig, n_paths: int,
-                 workers: int | None) -> list:
-    """[block(lo, hi)] over contiguous ranges of the paths 0..n_paths-1, in path order.
+def _path_blocks(block: Callable[[int, int, threading.Event], object], config: SimConfig,
+                 n_paths: int, workers: int | None) -> list:
+    """[block(lo, hi, stop)] over contiguous ranges of the paths 0..n_paths-1, in path order.
 
     A Levy cell of at least _FAN_OUT_MIN_ATOMS expected atoms per path takes
     one range per thread (`_thread_count`); any other cell, or one thread,
     takes the single range (0, n_paths). The pool threads are started and
     joined inside the call, and an error raised in a block reaches the caller.
+    `stop` is set once any block raises (an interrupt of the calling thread
+    too); a block checks it before each path and returns early, so a failure
+    waits for one path per thread, not for the other blocks.
     """
     threads = _thread_count(workers, n_paths)
-    spec = config.noise
-    if threads == 1 or spec.kind != "levy" or spec.expected_atoms(config.T) < _FAN_OUT_MIN_ATOMS:
-        return [block(0, n_paths)]
+    stop = threading.Event()
+    if threads == 1 or config.noise.kind != "levy" or _expected_atoms(config) < _FAN_OUT_MIN_ATOMS:
+        return [block(0, n_paths, stop)]
     cuts = [n_paths * j // threads for j in range(threads + 1)]
+
+    def run(lo, hi):
+        try:
+            return block(lo, hi, stop)
+        except BaseException:
+            stop.set()
+            raise
+
     # the calling thread runs the first block: one thread fewer to start, and
     # a lower peak RSS than with every block on a pool thread (measured)
     with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        futures = [pool.submit(block, lo, hi) for lo, hi in zip(cuts[1:], cuts[2:])]
-        first = block(cuts[0], cuts[1])
+        futures = [pool.submit(run, lo, hi) for lo, hi in zip(cuts[1:], cuts[2:])]
+        first = run(cuts[0], cuts[1])
         return [first] + [f.result() for f in futures]
+
+
+def _expected_atoms(config: SimConfig) -> float:
+    """Expected atom count pi T lambda of one path of a Levy configuration."""
+    spec: LevyNoiseSpec = config.noise
+    return noise_mod._cell(spec.model, spec.eps, spec.resolve_eta(config.T))[1] * config.T * math.pi
 
 
 def _thread_count(workers: int | None, n_paths: int) -> int:
@@ -540,7 +564,8 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _terminal_block(args) -> dict[str, np.ndarray]:
+def _terminal_block(args, stop: threading.Event | None = None) -> dict[str, np.ndarray]:
+    """Terminal samples of paths lo..hi-1; a set `stop` ends the block before its next path."""
     config, functionals, lo, hi, base_seed, purpose = args
     cval = config.f.constant_value
     K, T = config.modes, config.T
@@ -583,13 +608,14 @@ def _terminal_block(args) -> dict[str, np.ndarray]:
     # path larger than the block is flushed alone
     batch, n_atoms = [], 0
     for i in range(lo, hi):
+        if stop is not None and stop.is_set():
+            break
         real = spec.simulate(T, stream(base_seed, i, purpose))
         if batch and n_atoms + len(real) > solver_mod._ATOM_BLOCK:
             flush(batch)
             n_atoms = 0
         batch.append((i, real))
         n_atoms += len(real)
-
         if n_atoms >= solver_mod._ATOM_BLOCK:
             flush(batch)
             n_atoms = 0

@@ -158,6 +158,33 @@ def test_compare_workers_invariant(tmp_path):
     assert a[1:] == b[1:]  # identical rows regardless of worker fan-out
 
 
+def test_compare_threaded_stable_cell_matches_serial(tmp_path, monkeypatch):
+    # 6000 atoms per path is above the fan-out gate, so the default run splits
+    # each Levy cell over two threads; --workers 1 runs it serially
+    from concurrent.futures import ThreadPoolExecutor
+    from levyheat import stats
+    monkeypatch.setattr(stats, "_available_cores", lambda: 2)
+    pools = []
+
+    class Spy(ThreadPoolExecutor):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            pools.append(self)
+
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", Spy)
+    cfg_file = tmp_path / "stable.cfg"
+    cfg_file.write_text("model.family = stable\nmodel.alpha = 1.5\nepsilon.grid = 1e-2, 1e-3\n"
+                        "solver.modes = 64\nsolver.collocation = 256\nsolver.steps = 4096\n"
+                        "noise.eta = atoms:6000\nnoise.normalization = retained\nbudget.rho = 1.0\n"
+                        "paths = 9\ncompare.functionals = mode1, point\n")
+    one, auto = tmp_path / "w1", tmp_path / "auto"
+    assert main(["compare", "--config", str(cfg_file), "--out", str(one), "--seed", "3", "--workers", "1"]) == 0
+    assert pools == []
+    assert main(["compare", "--config", str(cfg_file), "--out", str(auto), "--seed", "3"]) == 0
+    assert len(pools) == 2  # one per Levy cell
+    assert (one / "compare.csv").read_bytes() == (auto / "compare.csv").read_bytes()
+
+
 def test_compare_workers_default_and_validation(tmp_path, capsys):
     assert parse_config("")["workers"] is None  # every available core, as in the library
     cfg_file = tmp_path / "cmp.cfg"

@@ -365,8 +365,10 @@ def test_terminal_sampler_workers_invariant(gamma_model):
             assert alone[f.name][0] == one[f.name][i]
 
 
-def test_terminal_sampler_memory_bounded_in_paths(stable_model):
-    # ~40k atoms per path: each path is its own block, so the peak does not grow with the path count
+def test_terminal_sampler_memory_bounded_in_paths(stable_model, monkeypatch):
+    # ~40k atoms per path: each path is its own block, so the peak does not grow with the path count.
+    # Two cores on any machine: each thread holds a path, so only the path count may change here
+    monkeypatch.setattr(st, "_available_cores", lambda: 2)
     cfg = small_sim(stable_model, 1e-3, "atoms:40000", modes=64, collocation=256, steps=4096,
                     normalization="retained", rho=1.0)
     fns = [st.mode_functional(1, 64)]
@@ -404,7 +406,7 @@ def executors(monkeypatch):
 def _stable_cell(stable_model, eta="atoms:40000"):
     cfg = small_sim(stable_model, 1e-3, eta, modes=64, collocation=256, steps=4096,
                     normalization="retained", rho=1.0)
-    assert cfg.noise.expected_atoms(cfg.T) >= st._FAN_OUT_MIN_ATOMS
+    assert st._expected_atoms(cfg) >= st._FAN_OUT_MIN_ATOMS
     return cfg
 
 
@@ -412,17 +414,19 @@ def _stable_cell(stable_model, eta="atoms:40000"):
     ("atoms:40000", 5),  # every path alone in its atom block
     ("atoms:6000", 7),   # serial atom blocks {0, 1}, {2, 3}, ...; the threads split at path 3
 ])
-def test_threaded_cell_matches_serial_bitwise(stable_model, executors, eta, n_paths):
+def test_threaded_cell_matches_serial_bitwise(stable_model, executors, monkeypatch, eta, n_paths):
     # mode1 and point: kmax 64, the kernel's mode-cut path
     cfg = _stable_cell(stable_model, eta)
     fns = [st.mode_functional(1, 64), st.point_functional(math.pi / 2, 64, name="point")]
     phihat = lh.SmoothBump().sine_coefficients(64)
     serial = st.collect_terminal_samples(cfg, fns, n_paths, 11, workers=1)
-    quad1, bigs1 = st.characteristics_sample(cfg, phihat, 1.0, n_paths, 11, workers=1)
+    monkeypatch.setattr(st, "_available_cores", lambda: 1)  # characteristics_sample takes every core
+    quad1, bigs1 = st.characteristics_sample(cfg, phihat, 1.0, n_paths, 11)
+    monkeypatch.setattr(st, "_available_cores", lambda: 2)
     assert executors == []
     before = threading.active_count()
     threaded = st.collect_terminal_samples(cfg, fns, n_paths, 11)
-    quad2, bigs2 = st.characteristics_sample(cfg, phihat, 1.0, n_paths, 11, workers=2)
+    quad2, bigs2 = st.characteristics_sample(cfg, phihat, 1.0, n_paths, 11)
     assert len(executors) == 2
     assert threading.active_count() == before
     for f in fns:
@@ -430,36 +434,43 @@ def test_threaded_cell_matches_serial_bitwise(stable_model, executors, eta, n_pa
     assert np.array_equal(quad1, quad2) and np.array_equal(bigs1, bigs2)
 
 
-def test_error_in_a_worker_thread_reaches_the_caller(stable_model, executors, monkeypatch):
-    # only the paths that a pool thread simulates exceed their atom cap
+@pytest.mark.parametrize("fails_in", ["pool", "caller"])
+def test_a_failing_block_reaches_the_caller_and_stops_the_other(stable_model, executors, monkeypatch, fails_in):
+    # 40 paths, 20 per thread: the first path of one block exceeds its atom
+    # cap; the error reaches the caller, and the other block stops at its next
+    # path instead of running its 20
     cfg = _stable_cell(stable_model)
     original = lh.noise.simulate_levy_noise
-    raised_in = []
+    simulated = {"pool": 0, "caller": 0}
 
     def spy(model, eps, eta, T, rng, **kw):
-        if threading.current_thread() is not threading.main_thread():
-            raised_in.append(threading.current_thread())
+        side = "caller" if threading.current_thread() is threading.main_thread() else "pool"
+        simulated[side] += 1
+        if side == fails_in:
             kw["atom_cap"] = 1.0
         return original(model, eps, eta, T, rng, **kw)
 
     monkeypatch.setattr(lh.noise, "simulate_levy_noise", spy)
     before = threading.active_count()
     with pytest.raises(AtomCapExceededError) as got:
-        st.collect_terminal_samples(cfg, [st.mode_functional(1, 64)], 4, 2)
+        st.collect_terminal_samples(cfg, [st.mode_functional(1, 64)], 40, 2)
     assert got.value.operation == "simulate_levy_noise"
-    assert len(raised_in) == 1 and len(executors) == 1
+    with pytest.raises(AtomCapExceededError):
+        st.characteristics_sample(cfg, (1.0,), 0.5, 40, 2)
+    assert simulated[fails_in] == 2 and len(executors) == 2
+    assert simulated["caller" if fails_in == "pool" else "pool"] < 2 * 20
     assert threading.active_count() == before
 
 
 def test_cells_below_the_gate_run_on_the_calling_thread(gamma_model, executors):
     cfg = small_sim(gamma_model, 1e-3, "atoms:200", modes=16, collocation=64, steps=64,
                     normalization="retained", rho=1.0)
-    assert cfg.noise.expected_atoms(cfg.T) < st._FAN_OUT_MIN_ATOMS
+    assert st._expected_atoms(cfg) < st._FAN_OUT_MIN_ATOMS
     gauss = replace(cfg, noise=lh.GaussianNoiseSpec())
     fns = [st.mode_functional(1, 16)]
     st.collect_terminal_samples(cfg, fns, 8, 1, workers=2)
     st.collect_terminal_samples(gauss, fns, 8, 1, workers=2)
-    st.characteristics_sample(cfg, (1.0,), 0.5, 8, 1, workers=2)
+    st.characteristics_sample(cfg, (1.0,), 0.5, 8, 1)
     assert executors == []
 
 
@@ -468,8 +479,6 @@ def test_workers_must_be_none_or_a_positive_int(gamma_model, workers):
     cfg = small_sim(gamma_model, 0.1, "atoms:60")
     with pytest.raises(ValueError, match="workers"):
         st.collect_terminal_samples(cfg, [st.mode_functional(1, 8)], 2, 1, workers=workers)
-    with pytest.raises(ValueError, match="workers"):
-        st.characteristics_sample(cfg, (1.0,), 0.5, 2, 1, workers=workers)
 
 
 def test_thread_count_is_capped_at_cores_and_paths(monkeypatch):
