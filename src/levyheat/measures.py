@@ -58,7 +58,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import exp1, gammainc, gamma as gamma_fn
 
 from .errors import (
     EmptyRestrictionError,
@@ -303,6 +302,8 @@ class GammaSubordinator(_Family):
     label = "gamma"
 
     def abs_moment(self, eps, p, a):
+        from scipy.special import exp1, gammainc, gamma as gamma_fn  # on first use: only gamma moments need it
+
         if a >= eps:
             return 0.0
         if p == 0.0:

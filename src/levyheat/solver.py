@@ -24,14 +24,18 @@ phi_k(x) = sqrt(2/pi) sin(kx).  The heat semigroup acts diagonally
   For non-constant f only the active steps are stepped: those that hold an
   atom, or every step when the compensator drift is nonzero. Every other grid
   row is the last computed state decayed to its time (_decay_fill, which also
-  spreads the additive path's atom states and its compensator drift over the
-  grid in one pass).
+  spreads the additive path's atom states over the grid and, in the same
+  pass, subtracts its compensator drift, whose settled fractions
+  1 - e^{-k^2 t} depend on the grid alone and are built once per grid,
+  _settle_rows).
 
 For constant f the field is linear in the atoms,
 u_k(t) = sum_{t_j <= t} a_j phi_k(x_j) e^{-k^2 (t - t_j)} minus the drift, and
 one atom kernel (_mode_rows, _atom_kernel, _atom_states) evaluates it for the
 additive path, the terminal pairings, the martingale replay and, with the
-recorded f(u(t_j-, x_j)) per atom, the jump part of the factorization check.
+recorded f(u(t_j-, x_j)) per atom, the jump part of the factorization check
+(whose singular weights W_j are summed a block of sub-grid nodes at a time,
+_factorization_weights).
 Evaluated at one time, atom j of age tau_j runs only the modes up to
 ceil(sqrt(53 ln 2 / tau_j)): every later mode is damped by e^{-k^2 tau_j} < 2^-53
 (_atom_kernel states the bound on what this drops).
@@ -52,7 +56,6 @@ from functools import lru_cache, partial
 from itertools import islice
 
 import numpy as np
-from scipy.special import gammainc, gamma as gamma_fn
 
 from .errors import (
     ConfigMismatchError,
@@ -484,27 +487,41 @@ def _decay_fill(out, states, last, gaps, drift=None) -> None:
 
     Between the given states the field only decays, so each grid instant i
     takes state last[i], gaps[i] before it. `states` is (K, P) and may be the
-    view out.T (a gap of 0 leaves a row bitwise unchanged). `drift` = (d, times)
-    also subtracts the settling compensator drift d_k (1 - e^{-k^2 times[i]})
-    (see _drift_modes) in the same pass. Modes are filled _FILL_MODES at a
+    view out.T (a gap of 0 leaves a row bitwise unchanged). `drift` = (d, settle)
+    also subtracts the settling compensator drift d_k (1 - e^{-k^2 t_i}) (see
+    _drift_modes), with settle[k-1, i] = 1 - e^{-k^2 t_i} from _settle_rows:
+    one multiply and one subtract per mode. Modes are filled _FILL_MODES at a
     time, so the temporaries are O(_FILL_MODES * len(out)) floats.
     """
     K = out.shape[1]
     buf = np.empty((min(_FILL_MODES, K), len(out)))
     decays = _mode_rows(None, gaps, K)
     if drift is not None:
-        d, times = drift
-        settles = _mode_rows(None, times, K)
+        d, settle = drift
         tmp = np.empty(len(out))
     for k0 in range(0, K, _FILL_MODES):
         part = buf[:K - k0]
         for k, (row, src) in enumerate(zip(part, states[k0:]), start=k0):
             np.multiply(src[last], next(decays), out=row)
             if drift is not None:
-                np.subtract(1.0, next(settles), out=tmp)
-                tmp *= d[k]
+                np.multiply(settle[k], d[k], out=tmp)
                 row -= tmp
         out[:, k0:k0 + len(part)] = part.T
+
+
+@lru_cache(maxsize=4)  # 2.1 MB per entry at K = 64, 4096 steps
+def _settle_rows(T: float, steps: int, K: int) -> np.ndarray:
+    """1 - e^{-k^2 t_i} at the grid instants t_i of (T, steps), one row per mode k = 1..K (read-only).
+
+    The settled fraction of the additive path's compensator drift, which
+    depends on the grid alone; the rows come from the _mode_rows recurrence.
+    """
+    times = np.linspace(0.0, T, steps + 1)
+    out = np.empty((K, steps + 1))
+    for row, decay in zip(out, _mode_rows(None, times, K)):
+        np.subtract(1.0, decay, out=row)
+    out.flags.writeable = False
+    return out
 
 
 def atom_steps(times: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -545,10 +562,43 @@ def _factorization_nodes(t: float, delta: float, time_nodes: int):
     return s, w
 
 
+def _factorization_weights(t_atoms, s, w, delta: float) -> np.ndarray:
+    """W_j = sum_{s_i > t_j} w_i (s_i - t_j)^{-delta} for the atoms before the last node s[-1].
+
+    The nodes go _ATOM_BLOCK // J at a time (at least one) into a
+    (nodes + 1) x atoms array whose row 0 is the running W, and np.add.reduce
+    along axis 0 adds its rows in node order, as a loop over the nodes would.
+    An atom at or after a node gets the gap +inf, whose term inf^{-delta} w_i
+    adds +0.0. A block is at least two columns wide, padded by an atom at +inf:
+    numpy sums a single column pairwise, in another order.
+    """
+    before = np.searchsorted(t_atoms, s, side="left")  # the atoms before a node are a prefix of the log
+    J = int(before[-1])
+    if J == 0:
+        return np.zeros(0)
+    tj = np.append(t_atoms[:J], np.inf)
+    W = np.zeros(J + 1)
+    nodes = max(1, _ATOM_BLOCK // J)
+    for lo in range(0, len(s), nodes):
+        sb, wb = s[lo:lo + nodes], w[lo:lo + nodes]
+        n = max(2, int(before[lo + len(sb) - 1]))  # the atoms before the block's last node
+        terms = np.empty((len(sb) + 1, n))
+        gaps = terms[1:]
+        np.subtract(sb[:, None], tj[:n], out=gaps)
+        np.copyto(gaps, np.inf, where=gaps <= 0.0)
+        np.power(gaps, -delta, out=gaps)
+        gaps *= wb[:, None]
+        terms[0] = W[:n]
+        np.add.reduce(terms, axis=0, out=W[:n])
+    return W[:J]
+
+
 @lru_cache(maxsize=16)
 def _factorization_compensator(t: float, delta: float, time_nodes: int, K: int) -> np.ndarray:
     """sum_i w_i e^{-k^2 (t - s_i)} int_0^{s_i} e^{-k^2 (s_i - r)} (s_i - r)^{-delta} dr per mode,
     the factorization check's compensator integral per unit drift (read-only)."""
+    from scipy.special import gammainc, gamma as gamma_fn  # on first use: only asymmetric checks need it
+
     s, w = _factorization_nodes(t, delta, time_nodes)
     k2 = np.arange(1, K + 1, dtype=float) ** 2
     part = gamma_fn(1.0 - delta) * gammainc(1.0 - delta, np.outer(s, k2)) * k2 ** (delta - 1.0)
@@ -685,7 +735,8 @@ def _levy_path_additive(config, real):
     out = np.empty((len(times), K))
     drift = None
     if real.m_restricted != 0.0:
-        drift = _drift_modes(real.m_restricted / sigma_used * cval, K, config.collocation), times
+        drift = (_drift_modes(real.m_restricted / sigma_used * cval, K, config.collocation),
+                 _settle_rows(config.T, config.steps, K))
     _decay_fill(out, states, last, times - np.concatenate(([0.0], tj))[last], drift)
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError("non-finite mode in Levy path", operation="simulate_path")
@@ -902,6 +953,8 @@ def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, ti
     """
     if not (0.0 < delta < 0.25):
         raise InvalidDeltaError(f"delta must lie in (0, 1/4), got {delta}", operation="factorization_check")
+    if not isinstance(time_nodes, (int, np.integer)) or time_nodes < 1:
+        raise ValueError(f"time_nodes must be an int >= 1, got {time_nodes!r}")
     real, sigma_used = jump_log(path, "factorization_check")
     cfg = path.config
     if real.m_restricted != 0.0 and not cfg.f.is_constant:
@@ -918,11 +971,8 @@ def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, ti
     c_delta = math.sin(delta * math.pi) / math.pi
 
     s, w = _factorization_nodes(t, delta, time_nodes)
-    before = np.searchsorted(real.t, s, side="left")  # the atoms before a node are a prefix of the log
-    J = before[-1]
-    W = np.zeros(J)
-    for si, wi, n in zip(s, w, before):
-        W[:n] += wi * (si - real.t[:n]) ** -delta
+    W = _factorization_weights(real.t, s, w, delta)
+    J = len(W)
     phi_x = phi_values(kvec, float(x))
     aW = path.f_at_atoms[:J] * real.z[:J] / sigma_used * W
     jump = _atom_kernel(phi_x, real.x[:J], t - real.t[:J])[0] @ aW

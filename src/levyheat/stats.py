@@ -35,7 +35,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from scipy.special import kolmogorov
 
 from .errors import ConfigMismatchError, EmptySampleError
 from .measures import LevyModel, ar_statistic
@@ -103,6 +102,8 @@ def _values(sample, operation: str) -> np.ndarray:
 
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Classical two-sample KS statistic with the asymptotic Kolmogorov p-value."""
+    from scipy.special import kolmogorov  # on first use: only the KS p-value needs it
+
     xa, xb = np.sort(_values(a, "ks_two_sample")), np.sort(_values(b, "ks_two_sample"))
     n, m = len(xa), len(xb)
     grid = np.concatenate([xa, xb])
@@ -114,12 +115,23 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     return d, p
 
 
-def ecf_distance(a, b, xi_grid: Sequence[float] = _DEFAULT_ECF_GRID) -> float:
-    """max_xi |ecf_a(xi) - ecf_b(xi)|; bounded by 2 for any input."""
-    xa, xb = _values(a, "ecf_distance"), _values(b, "ecf_distance")
+def _xi_grid(xi_grid) -> np.ndarray:
+    """The ECF frequencies as a float array; ValueError naming the grid unless it is nonempty and finite.
+
+    A NaN frequency would vanish from the distance, as max(best, nan) keeps best.
+    """
     xi = np.asarray(xi_grid, dtype=float)
     if xi.size == 0:
         raise ValueError("xi grid must be nonempty")
+    if not np.isfinite(xi).all():
+        raise ValueError(f"xi grid must be finite, got {xi.tolist()!r}")
+    return xi
+
+
+def ecf_distance(a, b, xi_grid: Sequence[float] = _DEFAULT_ECF_GRID) -> float:
+    """max_xi |ecf_a(xi) - ecf_b(xi)|; bounded by 2 for any input."""
+    xa, xb = _values(a, "ecf_distance"), _values(b, "ecf_distance")
+    xi = _xi_grid(xi_grid)
     best = 0.0
     for lo in range(0, len(xi), 64):
         chunk = xi[lo:lo + 64][:, None]
@@ -662,6 +674,7 @@ def dichotomy_experiment(
     base_spec: LevyNoiseSpec = config.noise
     if base_spec.kind != "levy":
         raise ConfigMismatchError("dichotomy config must carry a Levy noise spec as template")
+    _xi_grid(ecf_grid)  # a bad grid fails before any path is drawn
     gauss_cfg = replace(config, noise=solver_mod.GaussianNoiseSpec())
     ref = collect_terminal_samples(gauss_cfg, functionals, path_count, seed,
                                    purpose="gauss_ref", workers=workers)

@@ -1,17 +1,19 @@
 """Per-step loop forms of solver paths and recurrences, kept as test references.
 
-These are the loops that the solver's active-step, in-place, chunked and
-scanned forms replaced: the general Levy branch stepping through every grid
-step; the same branch stepping through its active steps only, with a new
+These are the loops that the solver's active-step, in-place, chunked, scanned
+and blocked forms replaced: the general Levy branch stepping through every
+grid step; the same branch stepping through its active steps only, with a new
 array per operation and a finiteness check per step (the arithmetic that the
 in-place solver keeps, so the two agree bitwise); the Gaussian Euler branch
 drawing its noise one step at a time; the exact constant-f Gaussian path
 drawing one convolution sample of K modes per step; the step-by-step
-trapezoidal convolution of `solver.mode_decomposition_check`; and the
-additive Levy path's compensator drift subtracted one strided grid column at
-a time after the decay fill. The exact Gaussian path and the convolution are
-now scans of `solver._atom_states`; the drift is subtracted inside
-`solver._decay_fill`.
+trapezoidal convolution of `solver.mode_decomposition_check`; the additive
+Levy path's decay fill with the settling drift of each mode run by its own
+recurrence in the same pass; and the factorization check's jump weights W_j
+summed one sub-grid node at a time. The exact Gaussian path and the
+convolution are now scans of `solver._atom_states`; the drift rows come once
+per grid from `solver._settle_rows`; the weights are summed a block of nodes
+at a time by `solver._factorization_weights`.
 """
 
 import math
@@ -157,8 +159,28 @@ def trapezoid_convolution(X, k2, dt):
     return conv
 
 
+def decay_fill(out, states, last, gaps, drift=None):
+    """`solver._decay_fill` with drift = (d, times): each mode's 1 - e^{-k^2 times[i]} by its own recurrence."""
+    K = out.shape[1]
+    buf = np.empty((min(solver._FILL_MODES, K), len(out)))
+    decays = solver._mode_rows(None, gaps, K)
+    if drift is not None:
+        d, times = drift
+        settles = solver._mode_rows(None, times, K)
+        tmp = np.empty(len(out))
+    for k0 in range(0, K, solver._FILL_MODES):
+        part = buf[:K - k0]
+        for k, (row, src) in enumerate(zip(part, states[k0:]), start=k0):
+            np.multiply(src[last], next(decays), out=row)
+            if drift is not None:
+                np.subtract(1.0, next(settles), out=tmp)
+                tmp *= d[k]
+                row -= tmp
+        out[:, k0:k0 + len(part)] = part.T
+
+
 def levy_path_additive(config, real):
-    """Grid modes of the constant-f Levy path, its drift taken off column by column after the fill."""
+    """Grid modes of the constant-f Levy path, its drift rows recomputed per path in the fill."""
     sigma_used = real.jump_scale(config.noise.normalization)
     K = config.modes
     times = config.times()
@@ -166,9 +188,17 @@ def levy_path_additive(config, real):
     states = solver._atom_states(real.t, real.x, cval * (real.z / sigma_used), solver._initial_state(config))
     last = np.searchsorted(real.t, times, side="right")
     out = np.empty((len(times), K))
-    solver._decay_fill(out, states, last, times - np.concatenate(([0.0], real.t))[last])
+    drift = None
     if real.m_restricted != 0.0:
-        drift = solver._drift_modes(real.m_restricted / sigma_used * cval, K, config.collocation)
-        for col, d, decay in zip(out.T, drift, solver._mode_rows(None, times, K)):
-            col -= d * (1.0 - decay)
+        drift = solver._drift_modes(real.m_restricted / sigma_used * cval, K, config.collocation), times
+    decay_fill(out, states, last, times - np.concatenate(([0.0], real.t))[last], drift)
     return out
+
+
+def factorization_weights(t_atoms, s, w, delta):
+    """W_j = sum_{s_i > t_j} w_i (s_i - t_j)^{-delta}, one sub-grid node at a time."""
+    before = np.searchsorted(t_atoms, s, side="left")
+    W = np.zeros(before[-1])
+    for si, wi, n in zip(s, w, before):
+        W[:n] += wi * (si - t_atoms[:n]) ** -delta
+    return W

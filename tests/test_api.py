@@ -48,7 +48,7 @@ from levyheat.streams import stream
 def lazy():
     return [m for m in ("scipy.integrate", "scipy.interpolate") if m in sys.modules]
 
-after = {"import": lazy()}
+after = {"import": lazy(), "scipy at import": [m for m in sys.modules if m.split(".")[0] == "scipy"]}
 stable = lh.SimConfig(noise=lh.LevyNoiseSpec(lh.LevyModel(lh.SymmetricStable(1.5)), 0.1, eta="atoms:300",
                                                   rho_budget=1.0),
                       modes=16, collocation=64, steps=64)
@@ -81,6 +81,7 @@ def test_stable_and_gaussian_runs_leave_scipy_integrate_and_interpolate_unloaded
                           capture_output=True, text=True, timeout=120, check=True)
     loaded = json.loads(done.stdout.strip().splitlines()[-1])
     assert loaded["import"] == [] and loaded["runs"] == []
+    assert loaded["scipy at import"] == []  # scipy.special too loads on first use
     assert "scipy.interpolate" not in loaded["gamma"] and "scipy.interpolate" not in loaded["remark"]
     assert "scipy.interpolate" in loaded["custom"]
 

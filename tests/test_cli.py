@@ -145,6 +145,19 @@ def test_compare_rejects_bad_atom_budget_before_running(tmp_path, capsys, eta):
     assert not (tmp_path / "compare.csv").exists()
 
 
+def test_compare_rejects_non_finite_ecf_grid_before_running(tmp_path, capsys, monkeypatch):
+    def no_paths(*args, **kw):
+        raise AssertionError("paths drawn before the ECF grid was checked")
+
+    monkeypatch.setattr(lh.stats, "collect_terminal_samples", no_paths)
+    cfg_file = tmp_path / "cmp.cfg"
+    cfg_file.write_text(GAMMA_COMPARE_CFG + "compare.ecf_grid = nan, 1.0\n")
+    assert main(["compare", "--config", str(cfg_file), "--out", str(tmp_path), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and "xi grid must be finite" in err
+    assert not (tmp_path / "compare.csv").exists()
+
+
 def test_compare_workers_invariant(tmp_path):
     cfg_file = tmp_path / "cmp.cfg"
     cfg_file.write_text(GAMMA_COMPARE_CFG)

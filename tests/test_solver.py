@@ -162,19 +162,34 @@ def test_additive_equals_general_branch(gamma_model):
     assert np.max(np.abs(fast.modes - slow.modes)) < 1e-12
 
 
-def test_additive_drift_fill_matches_column_loop(gamma_model, stable_model):
-    # K = 40 leaves a partial fill block; gamma carries a drift, stable none
-    initial = tuple(np.linspace(0.5, -0.3, 40) / np.arange(1, 41))
+def test_additive_drift_fill_matches_per_path_recurrence(gamma_model, stable_model):
+    # two grids; K = 40 leaves a partial fill block; gamma carries a drift, stable none
     drifts = []
-    for model, eta in ((gamma_model, "atoms:150"), (stable_model, "atoms:300")):
-        cfg = small_sim(model, 0.1, eta, f=lh.constant_f(1.3), modes=40, collocation=128, steps=2048, rho=1.0)
-        cfg = replace(cfg, initial=initial)
-        for i in range(2):
-            real = _sorted_noise(cfg, stream(13, i, "drift"))
-            path = lh.simulate_path(cfg, stream(13, i, "drift"))
-            assert np.array_equal(path.modes, loops.levy_path_additive(cfg, real))
-            drifts.append(real.m_restricted)
-    assert drifts[0] != 0.0 and drifts[-1] == 0.0
+    for modes, steps in ((40, 2048), (32, 1000)):
+        initial = tuple(np.linspace(0.5, -0.3, modes) / np.arange(1, modes + 1))
+        for model, eta in ((gamma_model, "atoms:150"), (stable_model, "atoms:300")):
+            cfg = small_sim(model, 0.1, eta, f=lh.constant_f(1.3), modes=modes, collocation=128, steps=steps,
+                            rho=1.0)
+            cfg = replace(cfg, initial=initial)
+            for i in range(2):
+                real = _sorted_noise(cfg, stream(13, i, "drift"))
+                path = lh.simulate_path(cfg, stream(13, i, "drift"))
+                assert np.array_equal(path.modes, loops.levy_path_additive(cfg, real))
+                drifts.append(real.m_restricted)
+    assert drifts[0] != 0.0 and drifts[2] == 0.0 and drifts[4] != 0.0
+
+
+def test_settle_rows_cached_read_only():
+    rows = lh.solver._settle_rows
+    for T, steps, K in ((1.0, 2048, 40), (0.75, 1000, 32)):
+        rows.cache_clear()
+        got = rows(T, steps, K)
+        times = np.linspace(0.0, T, steps + 1)
+        want = [1.0 - decay for decay in lh.solver._mode_rows(None, times, K)]
+        assert got.shape == (K, steps + 1) and np.array_equal(got, want)
+        assert rows(T, steps, K) is got and not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 1] = 0.0
 
 
 @pytest.mark.parametrize("f", [lh.affine_f(0.25, 1.0), lh.bounded_smooth_f(0.5, 1.0)], ids=["affine", "smooth"])
@@ -475,6 +490,52 @@ def test_factorization_invalid_delta(cp_symmetric):
     with pytest.raises(InvalidDeltaError):
         lh.factorization_check(path, 0.25, 0.5, 1.0)
     assert np.isfinite(lh.factorization_check(path, 0.2, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("time_nodes", [0, -3, 2.5])
+def test_factorization_rejects_bad_time_nodes(cp_symmetric, time_nodes):
+    path = lh.simulate_path(small_sim(cp_symmetric, 2.0, 0.0), stream(0, 0, "t"))
+    with pytest.raises(ValueError, match="time_nodes"):
+        lh.factorization_check(path, 0.2, 0.5, 1.0, time_nodes=time_nodes)
+
+
+def _weights_log(J, seed, lo=0.0, hi=0.75):
+    return np.sort(np.random.default_rng(seed).uniform(lo, hi, J))
+
+
+def test_factorization_weights_match_node_loop():
+    t, delta = 0.75, 0.2
+    block = lh.solver._ATOM_BLOCK
+    for nodes in (192, 384):
+        s, w = lh.solver._factorization_nodes(t, delta, nodes)
+        on_node = _weights_log(120, 1)
+        on_node[[0, 40, 119]] = s[[1, nodes // 2, nodes - 1]]  # atoms exactly at node times
+        logs = {
+            "120 atoms": _weights_log(120, 0),
+            "4000 atoms": _weights_log(4000, 0),
+            "atoms at nodes": np.sort(on_node),
+            "none before node 100": _weights_log(4000, 2, lo=s[100]),  # the first blocks hold no atom
+            "one atom": np.array([0.3]),
+            "two atoms": np.array([0.3, 0.3]),
+            "none before the last node": _weights_log(5, 3, lo=s[-1]),
+            "empty": np.zeros(0),
+        }
+        assert block // 4000 < nodes  # the 4000-atom log spans many node blocks
+        for name, t_atoms in logs.items():
+            got = lh.solver._factorization_weights(t_atoms, s, w, delta)
+            want = loops.factorization_weights(t_atoms, s, w, delta)
+            assert np.array_equal(got, want), (name, nodes)
+
+
+def test_factorization_check_values_match_node_loop(gamma_model, stable_model, monkeypatch):
+    # the criterion-8 gamma path (~120 atoms) and a 4000-atom stable log
+    paths = [lh.simulate_path(small_sim(gamma_model, 0.5, "atoms:120", rho=1.0), stream(14, 0, "crit8")),
+             lh.simulate_path(small_sim(stable_model, 0.1, "atoms:4000", rho=1.0), stream(3, 0, "big"))]
+    assert len(paths[1].atom_log) > 3500
+    points = [(p, t, x, n) for p in paths for t, x in ((0.75, 1.3), (0.5, 2.0)) for n in (192, 384)]
+    got = [lh.factorization_check(p, 0.2, t, x, time_nodes=n) for p, t, x, n in points]
+    monkeypatch.setattr(lh.solver, "_factorization_weights", loops.factorization_weights)
+    assert got == [lh.factorization_check(p, 0.2, t, x, time_nodes=n) for p, t, x, n in points]
 
 
 def test_factorization_refines(gamma_model):

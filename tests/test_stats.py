@@ -78,6 +78,14 @@ def test_ecf_examples():
     assert lh.ecf_distance(a[:100], b, grid) <= 2.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ecf_rejects_non_finite_grid(bad):
+    # max(best, nan) keeps best, so a NaN frequency would read as distance 0
+    a, b = np.array([0.0, 1.0, 2.0]), np.array([5.0, 6.0, 7.0])
+    with pytest.raises(ValueError, match="xi grid must be finite"):
+        lh.ecf_distance(a, b, [bad, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # martingale diagnostics
 # ---------------------------------------------------------------------------
