@@ -584,40 +584,40 @@ class _MarkSampler:
         self.rejects = np.array([isinstance(m, _Rejection) for m in maps])
         self.group = np.array(group)
 
-    def _pick(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """`count` atom or segment indices drawn by `probs`, as rng.choice draws them.
+    def _pick(self, u: np.ndarray) -> np.ndarray:
+        """The atom or segment indices that rng.choice draws by `probs` from the uniforms u.
 
-        Up to _COUNT_PASS_MAX atoms or segments, one counting pass per inner cdf
-        node, which is several times faster than a binary search for a few of
-        them; beyond that, the binary search rng.choice makes. Both give the
-        same indices.
+        Up to _COUNT_PASS_MAX atoms or segments, one comparison per inner cdf
+        node counted into 8-bit indices (one comparison alone for two), which
+        is several times faster than a binary search for a few of them; beyond
+        that, the binary search rng.choice makes. Both give the same indices.
         """
-        u = rng.random(count)
         if len(self.cdf) > _COUNT_PASS_MAX:
             return self.cdf.searchsorted(u, side="right")
-        idx = np.zeros(count, dtype=np.intp)
-        for c in self.cdf[:-1]:
+        if len(self.cdf) == 1:
+            return np.zeros(len(u), dtype=np.uint8)
+        idx = (u >= self.cdf[0]).view(np.uint8)
+        for c in self.cdf[1:-1]:
             idx += u >= c
         return idx
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        u = rng.random(count)
+        which = self._pick(u)
         if self.discrete:
-            return self.values[self._pick(count, rng)]
-        which = self._pick(count, rng)
+            return self.values.take(which, mode="clip")  # the indices are in range
         if len(self.maps) == 1:
-            # one map for every segment (the stable pair, gamma, a remark cell above eps): no masks
+            # one map for every segment (the stable pair, gamma, a remark cell
+            # above eps): no masks. The spent uniforms take the signs, and as
+            # the signs are +-1.0 the product with them is exact
             mark = self.maps[0]
-            # the signs are +-1, so negating the marks of the negative segments
-            # gives signs[which] * r; the flags, an eighth of the indices in
-            # size, let the indices go before the marks are drawn
-            flip = (self.signs < 0)[which]
+            sign = self.signs.take(which, out=u, mode="clip")
             del which
             r = mark(count, rng) if self.rejects[0] else mark(rng.random(count))
-            np.negative(r, out=r, where=flip)
+            r *= sign
             return r
         groups = self.group[which]
         from_uniform = ~self.rejects[groups]
-        u = np.empty(count)
         u[from_uniform] = rng.random(np.count_nonzero(from_uniform))
         out = np.empty(count)
         for g, mark in enumerate(self.maps):

@@ -82,22 +82,23 @@ def simulate_levy_noise(
     The moments of the (eps, eta) cell are computed once and kept on the model;
     the budget and the atom cap are checked on every call.
     """
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    if eta < 0:
-        raise ValueError("inner cutoff must be nonnegative")
+    # each guard is written so that a NaN fails it
+    if not T > 0:
+        raise ValueError(f"horizon T must be positive, got {T!r}")
+    if not eta >= 0:
+        raise ValueError(f"inner cutoff eta must be nonnegative, got {eta!r}")
     var, lam, retained2, m_restricted = _cell(model, eps, eta)
     dropped = max(0.0, 1.0 - retained2 / var)
-    if dropped > rho_budget:
+    if not dropped <= rho_budget:
         raise BudgetExceededError(
-            f"dropped variance fraction {dropped:.3g} exceeds budget {rho_budget:.3g}; "
+            f"dropped variance fraction {dropped:.3g} exceeds rho_budget={rho_budget:.3g}; "
             "use a smaller eta",
             operation="simulate_levy_noise",
         )
     expected = lam * T * math.pi
-    if expected > atom_cap:
+    if not expected <= atom_cap:
         raise AtomCapExceededError(
-            f"expected atom count {expected:.3g} exceeds cap {atom_cap:.3g}; "
+            f"expected atom count {expected:.3g} exceeds atom_cap={atom_cap:.3g}; "
             "use a larger eta",
             operation="simulate_levy_noise",
         )
@@ -107,9 +108,11 @@ def simulate_levy_noise(
         )
     n = int(rng.poisson(expected))
     # bitwise rng.uniform(0.0, high, n), which computes 0.0 + high * u, without
-    # its parameter handling
-    t = T * rng.random(n)
-    x = math.pi * rng.random(n)
+    # its parameter handling, scaled in place
+    t = rng.random(n)
+    t *= T
+    x = rng.random(n)
+    x *= math.pi
     z = measures.sample_marks(model, eps, eta, n, rng) if n else np.empty(0)
     return LevyNoiseRealization(
         t=t,

@@ -383,7 +383,8 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
     `coeffs` holds one row of sine coefficients per output row; kmax is its
     highest nonzero column. Passing x or tau as None leaves out phi_k(x) or
     e^{-k^2 tau}. Atoms are taken _ATOM_BLOCK at a time, so the temporaries
-    are O(rows * _ATOM_BLOCK) floats.
+    are O(rows * _ATOM_BLOCK) floats; coefficients of mode 1 alone (kmax = 1)
+    take whole-array passes instead (`_one_mode_kernel`), with the same bits.
 
     With tau, atom j keeps only its first min(kmax, ceil(sqrt(53 ln 2 / tau_j)))
     modes (_mode_counts; all kmax for tau_j = 0 or non-finite): every
@@ -392,7 +393,7 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
     when the counts save at least half of its kb steps per atom, its atoms are
     ordered by count, largest first, so the recurrence runs on a shrinking
     prefix, and the block is scattered back to the input order. Otherwise
-    (kmax = 1, a small block, or every tau tiny) every atom runs the block's
+    (a small block, or every tau tiny) every atom runs the block's
     modes in place. What the cut drops from one atom and row is at most
     2^-53 sqrt(2/pi) max|c| / (1 - e^{-2 * 53 ln 2 / kmax}) (without the
     sqrt(2/pi) when x is None), about one rounding unit of a weight of size
@@ -400,11 +401,13 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
     n = len(x if tau is None else tau)
-    out = np.zeros((len(coeffs), n))
     nonzero = coeffs.any(axis=0)
     if not nonzero.any():
-        return out
+        return np.zeros((len(coeffs), n))
     kmax = np.flatnonzero(nonzero)[-1] + 1
+    if kmax == 1:
+        return _one_mode_kernel(coeffs[:, 0], x, tau)
+    out = np.zeros((len(coeffs), n))
     for lo in range(0, n, _ATOM_BLOCK):
         part = slice(lo, lo + _ATOM_BLOCK)
         block = out[:, part]
@@ -429,6 +432,34 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
                 acc[:, :len(row)] += coeffs[:, k, None] * row
         if sizes is not None:
             block[:, order] = acc
+    if x is not None:
+        out *= np.sqrt(2.0 / np.pi)
+    return out
+
+
+def _one_mode_kernel(c, x, tau) -> np.ndarray:
+    """`_atom_kernel` for coefficients c[p] of mode 1 alone, in whole-array passes.
+
+    The mode row sin(x_j) e^{-tau_j} is formed in the last output row, and
+    each row is scaled from it straight into the output, the last row last;
+    the only temporary is e^{-tau} when both factors are present. The
+    operations are those of the blocked form, so the bits are the same:
+    adding 0.0 stands for its zero-filled accumulator (it turns a -0.0
+    product into 0.0), and sqrt(2/pi) is applied last.
+    """
+    out = np.empty((len(c), len(x if tau is None else tau)))
+    row = out[-1]
+    if x is not None:
+        np.sin(x, out=row)
+        if tau is not None:
+            decay = np.negative(tau)
+            row *= np.exp(decay, out=decay)
+    else:
+        np.negative(tau, out=row)
+        np.exp(row, out=row)
+    for p, cp in enumerate(c):
+        np.multiply(row, cp, out=out[p])
+    out += 0.0
     if x is not None:
         out *= np.sqrt(2.0 / np.pi)
     return out

@@ -158,6 +158,24 @@ def test_compare_rejects_non_finite_ecf_grid_before_running(tmp_path, capsys, mo
     assert not (tmp_path / "compare.csv").exists()
 
 
+@pytest.mark.parametrize("functionals,message", [
+    ("mode0, mode1", "k=0"), ("mode17", "k=17"), ("mode-1", "k=-1"), ("mode1, mode1", "distinct"),
+])
+def test_compare_rejects_bad_functionals_before_running(tmp_path, capsys, monkeypatch, functionals, message):
+    # mode0 once wrote a row of mode 16 under its name, and mode1 twice wrote one row twice
+    def no_paths(*args, **kw):
+        raise AssertionError("paths drawn before the functionals were checked")
+
+    monkeypatch.setattr(lh.noise, "simulate_levy_noise", no_paths)
+    monkeypatch.setattr(lh.stats, "stream", no_paths)
+    cfg_file = tmp_path / "cmp.cfg"
+    cfg_file.write_text(GAMMA_COMPARE_CFG + f"compare.functionals = {functionals}\n")
+    assert main(["compare", "--config", str(cfg_file), "--out", str(tmp_path), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and message in err
+    assert not (tmp_path / "compare.csv").exists()
+
+
 def test_compare_workers_invariant(tmp_path):
     cfg_file = tmp_path / "cmp.cfg"
     cfg_file.write_text(GAMMA_COMPARE_CFG)

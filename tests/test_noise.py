@@ -51,6 +51,20 @@ def test_atom_cap_error(stable_model):
                                rho_budget=1.0, atom_cap=1e6)
 
 
+@pytest.mark.parametrize("arg,error", [
+    ("T", ValueError), ("eta", ValueError),
+    ("rho_budget", BudgetExceededError), ("atom_cap", AtomCapExceededError),
+])
+def test_nan_fails_every_guard(stable_model, arg, error):
+    # a NaN parameter fails its guard, and the error names it
+    kw = dict(model=stable_model, eps=0.1, eta=0.01, T=1.0, rng=stream(1, 0, "atoms"),
+              rho_budget=1.0, atom_cap=1e6)
+    lh.simulate_levy_noise(**kw)
+    kw[arg] = math.nan
+    with pytest.raises(error, match=arg):
+        lh.simulate_levy_noise(**kw)
+
+
 def test_infinite_activity_error(stable_model):
     with pytest.raises(InfiniteActivityError):
         lh.simulate_levy_noise(stable_model, 0.1, 0.0, 1.0, stream(1, 0, "atoms"),

@@ -489,6 +489,40 @@ def test_workers_must_be_none_or_a_positive_int(gamma_model, workers):
         st.collect_terminal_samples(cfg, [st.mode_functional(1, 8)], 2, 1, workers=workers)
 
 
+@pytest.mark.parametrize("k", [0, -1, 9, 1.0])
+def test_mode_functional_needs_a_mode_of_the_solver(k):
+    assert st.mode_functional(8, 8).coefficients == (0.0,) * 7 + (1.0,)
+    with pytest.raises(ValueError, match=f"k={k!r}"):
+        st.mode_functional(k, 8)
+
+
+@pytest.mark.parametrize("kind", ["levy", "gaussian"])
+@pytest.mark.parametrize("case,arg", [
+    ("none", "functionals"), ("twice", "names"), ("wide", "config.modes"), ("negative", "n_paths"),
+])
+def test_terminal_sampler_checks_its_arguments_before_any_path(gamma_model, monkeypatch, kind, case, arg):
+    cfg = small_sim(gamma_model, 0.1, "atoms:60", modes=8)
+    if kind == "gaussian":
+        cfg = replace(cfg, noise=lh.GaussianNoiseSpec())
+    fns, n_paths = {
+        "none": ([], 2),
+        "twice": ([st.mode_functional(1, 8), st.mode_functional(2, 8, name="mode1")], 2),
+        "wide": ([st.mode_functional(1, 9)], 2),
+        "negative": ([st.mode_functional(1, 8)], -1),
+    }[case]
+
+    def no_paths(*args, **kw):
+        raise AssertionError("a path was drawn before the arguments were checked")
+
+    monkeypatch.setattr(st, "stream", no_paths)
+    with pytest.raises(ValueError, match=arg):
+        st.collect_terminal_samples(cfg, fns, n_paths, 1)
+    if case == "negative" and kind == "levy":
+        with pytest.raises(ValueError, match=arg):
+            st.characteristics_sample(cfg, (1.0,), 0.5, n_paths, 1)
+    assert st.collect_terminal_samples(cfg, [st.mode_functional(1, 8)], 0, 1)["mode1"].shape == (0,)
+
+
 def test_thread_count_is_capped_at_cores_and_paths(monkeypatch):
     # computed without starting a thread, whatever the requested count
     monkeypatch.setattr(st, "_available_cores", lambda: 2)

@@ -1,4 +1,4 @@
-"""Print the sha256 of every file that the five shipped CLI commands write.
+"""Check the sha256 of every file that the five shipped CLI commands write.
 
     python3 tools/cli_digests.py
 
@@ -12,9 +12,16 @@ directory, one at a time:
     compare    configs/gamma_dichotomy.cfg
     compare    configs/stable_dichotomy.cfg   (about a minute on 2 cores)
 
-Each output line is `<command> <config> <file> <sha256>`, so the output of two
-checkouts can be compared with `diff`. A command that exits nonzero stops the
-script with its exit code.
+Each output line is `<command> <config> <file> <sha256>`. The lines are then
+compared with `tools/cli_digests.txt`, the digests committed beside this
+script: every difference is reported on standard error and the script exits
+with 1, so "the bytes are unchanged" is an exit status of 0. A change that
+alters a digest on purpose rewrites the file with
+
+    python3 tools/cli_digests.py > tools/cli_digests.txt
+
+and says so. A command that exits nonzero stops the script with its exit
+code.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+COMMITTED = Path(__file__).with_suffix(".txt")
 RUNS = (
     ("ar-scan", "remark_scan.cfg"),
     ("identities", "remark_scan.cfg"),
@@ -38,6 +46,7 @@ RUNS = (
 
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    lines = []
     for command, config in RUNS:
         with tempfile.TemporaryDirectory() as out:
             cmd = [sys.executable, "-m", "levyheat.cli", command,
@@ -48,8 +57,18 @@ def main() -> int:
                 return done.returncode
             for path in sorted(Path(out).iterdir()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{command} {config} {path.name} {digest}", flush=True)
-    return 0
+                lines.append(f"{command} {config} {path.name} {digest}")
+                print(lines[-1], flush=True)
+    committed = COMMITTED.read_text().splitlines() if COMMITTED.exists() else []
+    if lines == committed:
+        return 0
+    for line in sorted(set(committed) - set(lines)):
+        sys.stderr.write(f"committed, not produced: {line}\n")
+    for line in sorted(set(lines) - set(committed)):
+        sys.stderr.write(f"produced, not committed: {line}\n")
+    if set(lines) == set(committed):
+        sys.stderr.write(f"the digests of {COMMITTED.name} are listed in another order\n")
+    return 1
 
 
 if __name__ == "__main__":
