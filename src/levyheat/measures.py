@@ -183,7 +183,8 @@ class _Rejection:
     one (2, n) block, with n = need / rate plus three standard deviations
     (rounded up), and keeps the first `need` accepted in draw order; the
     rounds repeat until `count` marks are kept, so the draws depend only on
-    the state of rng and on count.
+    the state of rng and on count. A first round that fills is returned as it
+    is; a count of 0 draws nothing.
     """
 
     propose: Callable[[np.ndarray], np.ndarray]
@@ -191,13 +192,16 @@ class _Rejection:
     rate: float
 
     def __call__(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.empty(count)
-        filled = 0
+        out, filled = np.empty(0), 0
         while filled < count:
             need = count - filled
             u, v = rng.random((2, int((need + 3.0 * math.sqrt(need)) / self.rate) + 1))
             r = self.propose(u)
             r = r[v < self.accept(r)][:need]
+            if len(r) == count:
+                return r
+            if not filled:
+                out = np.empty(count)
             out[filled:filled + len(r)] = r
             filled += len(r)
         return out
@@ -531,7 +535,9 @@ class _MarkSampler:
     cdf.searchsorted(u, side="right"). Then one block rng.random(n_u), the
     same draws as rng.uniform(0, 1, n_u), serves the n_u marks on segments
     mapped from uniforms, in mark order, and the rejection segments draw
-    their marks after it, segment by segment.
+    their marks after it, segment by segment. When every segment shares one
+    map and has sign +1.0 (gamma), the pick uniforms are drawn and the pick
+    is left out: every index would give the same map and the same sign.
     """
 
     def __init__(self, model: "LevyModel", eps: float, eta: float):
@@ -580,6 +586,8 @@ class _MarkSampler:
         self.probs = np.array(masses) / total
         self.cdf = _choice_cdf(self.probs)
         self.signs = np.array(signs)
+        # every segment on one map and of sign +1.0 (gamma): the marks need no pick
+        self.one_positive_map = len(maps) == 1 and bool((self.signs == 1.0).all())
         self.maps = maps
         self.rejects = np.array([isinstance(m, _Rejection) for m in maps])
         self.group = np.array(group)
@@ -603,6 +611,10 @@ class _MarkSampler:
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(count)
+        if not self.discrete and self.one_positive_map:
+            # the pick uniforms are drawn and spent, and the product with +1.0 is exact
+            mark = self.maps[0]
+            return mark(count, rng) if self.rejects[0] else mark(rng.random(count, out=u))
         which = self._pick(u)
         if self.discrete:
             return self.values.take(which, mode="clip")  # the indices are in range

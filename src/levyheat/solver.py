@@ -398,6 +398,12 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
     2^-53 sqrt(2/pi) max|c| / (1 - e^{-2 * 53 ln 2 / kmax}) (without the
     sqrt(2/pi) when x is None), about one rounding unit of a weight of size
     max|c|.
+
+    At a mode where only some rows have a nonzero coefficient (every odd
+    k >= 3 of mode 1 with a point at pi/2), a block whose x and tau are
+    finite, tau >= 0, adds only those rows: the others would add a zero
+    product to a sum that starts at 0.0, which changes no bit. A block with a
+    non-finite input adds every row, so 0 * inf and 0 * NaN reach the output.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
     n = len(x if tau is None else tau)
@@ -407,12 +413,17 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
     kmax = np.flatnonzero(nonzero)[-1] + 1
     if kmax == 1:
         return _one_mode_kernel(coeffs[:, 0], x, tau)
+    # every nonzero mode has all rows nonzero unless the counts differ
+    picks = None
+    if np.count_nonzero(coeffs) != len(coeffs) * np.count_nonzero(nonzero):
+        picks = _row_picks(coeffs[:, :kmax])
     out = np.zeros((len(coeffs), n))
     for lo in range(0, n, _ATOM_BLOCK):
         part = slice(lo, lo + _ATOM_BLOCK)
         block = out[:, part]
         xb = None if x is None else x[part]
         tb = None if tau is None else tau[part]
+        rows = picks if picks is not None and _finite_block(xb, tb) else None
         kb, sizes = kmax, None
         if tb is not None and kmax * len(tb) >= _CUT_MIN_STEPS:
             counts = _mode_counts(tb, kmax)
@@ -426,7 +437,10 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
         for k, row in enumerate(_mode_rows(xb, tb, kb, sizes)):
             if not nonzero[k]:
                 continue
-            if sizes is None:
+            if rows is not None:
+                p = rows[k]
+                (block if sizes is None else acc)[p, :len(row)] += coeffs[p, k, None] * row
+            elif sizes is None:
                 block += coeffs[:, k, None] * row
             else:
                 acc[:, :len(row)] += coeffs[:, k, None] * row
@@ -435,6 +449,29 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
     if x is not None:
         out *= np.sqrt(2.0 / np.pi)
     return out
+
+
+def _row_picks(coeffs) -> list:
+    """Per mode, the rows of `coeffs` that `_atom_kernel` adds: slice(None) at a
+    mode whose rows are all nonzero or all zero, else the nonzero rows, as a
+    slice when they are consecutive."""
+    picks = []
+    for column in (coeffs != 0).T.tolist():
+        rows = [p for p, nonzero in enumerate(column) if nonzero]
+        if len(rows) in (0, len(column)):
+            picks.append(slice(None))
+        elif rows[-1] - rows[0] + 1 == len(rows):
+            picks.append(slice(rows[0], rows[-1] + 1))
+        else:
+            picks.append(np.array(rows))
+    return picks
+
+
+def _finite_block(x, tau) -> bool:
+    """True when x (or None) is finite and tau (or None) is finite and >= 0."""
+    if x is not None and not np.isfinite(x).all():
+        return False
+    return tau is None or bool(np.isfinite(tau).all() and tau.min() >= 0.0)
 
 
 def _one_mode_kernel(c, x, tau) -> np.ndarray:

@@ -504,8 +504,8 @@ def collect_terminal_samples(
     For constant f the terminal pairings are exact sums over the atom log
     (Levy) or exact Gaussian mode draws (white noise). Before any path is
     drawn, a ValueError names the argument unless `functionals` is nonempty,
-    with distinct names and at most `config.modes` coefficients each, and
-    n_paths is an int >= 0.
+    with distinct names and at most `config.modes` coefficients each (fewer
+    are zero-padded), and n_paths is an int >= 0.
 
     `workers` (None, or an int >= 1) bounds the threads that run the paths:
     None takes every core available to the process, and the count is capped
@@ -604,39 +604,46 @@ def _terminal_block(args, stop: threading.Event | None = None) -> dict[str, np.n
     config, functionals, lo, hi, base_seed, purpose = args
     cval = config.f.constant_value
     K, T = config.modes, config.T
-    coeff_rows = [np.asarray(f.coefficients, dtype=float) for f in functionals]
+    coeffs = np.array([fit_coefficients(f.coefficients, K) for f in functionals])
     out = {f.name: np.empty(hi - lo) for f in functionals}
-    k2 = np.arange(1, K + 1, dtype=float) ** 2
+    decay_T = np.exp(-np.arange(1, K + 1, dtype=float) ** 2 * T)
     if config.noise.kind == "gaussian":
         sd = solver_mod._gaussian_sd(cval, K, T)
         mean_modes = np.zeros(K)
         if config.initial is not None:
-            mean_modes = np.asarray(config.initial) * np.exp(-k2 * T)
+            mean_modes = np.asarray(config.initial) * decay_T
         for i in range(lo, hi):
             rng = stream(base_seed, i, purpose)
             modes_T = mean_modes + sd * rng.standard_normal(K)
-            for f, c in zip(functionals, coeff_rows):
+            for f, c in zip(functionals, coeffs):
                 out[f.name][i - lo] = float(modes_T @ c)
         return out
     spec: LevyNoiseSpec = config.noise
-    init_terms = [0.0] * len(coeff_rows)
+    eta = spec.resolve_eta(T)
+    init_terms = [0.0] * len(coeffs)
     if config.initial is not None:
-        decayed = np.asarray(config.initial) * np.exp(-k2 * T)
-        init_terms = [float(decayed @ c) for c in coeff_rows]
-    coeffs = np.array([fit_coefficients(c, max(map(len, coeff_rows), default=0)) for c in coeff_rows])
+        decayed = np.asarray(config.initial) * decay_T
+        init_terms = [float(decayed @ c) for c in coeffs]
     # each functional of the drift at T, per unit compensator rate
-    width = coeffs.shape[-1]
-    decay_T = np.exp(-np.arange(1, width + 1, dtype=float) ** 2 * T)
-    drifts = coeffs @ (solver_mod._drift_modes(cval, width, config.collocation) * (1.0 - decay_T))
+    drifts = coeffs @ (solver_mod._drift_modes(cval, K, config.collocation) * (1.0 - decay_T))
+    done = 0
 
     def flush(batch):
-        # one kernel pass over the gathered atoms, summed per path
-        sums = _terminal_sums([real for _, real in batch], coeffs, T)
-        for (i, real), path_sums in zip(batch, sums.T):
-            sigma_used = real.jump_scale(spec.normalization)
-            rate = real.m_restricted / sigma_used
-            for f, s, dr, it in zip(functionals, path_sums, drifts, init_terms):
-                out[f.name][i - lo] = it + cval * float(s) / sigma_used - rate * dr
+        # one kernel pass over the gathered atoms, summed per path; every path
+        # of the cell has the same jump scale and compensator rate
+        nonlocal done
+        if not batch:
+            return
+        sums = _terminal_sums(batch, coeffs, T)
+        sigma_used = batch[0].jump_scale(spec.normalization)
+        rate = batch[0].m_restricted / sigma_used
+        for f, s, dr, it in zip(functionals, sums, drifts, init_terms):
+            value = out[f.name][done:done + len(batch)]
+            np.multiply(s, cval, out=value)
+            value /= sigma_used
+            value += it
+            value -= rate * dr
+        done += len(batch)
         batch.clear()
 
     # consecutive paths share one atom block; a path is never split, and a
@@ -645,11 +652,12 @@ def _terminal_block(args, stop: threading.Event | None = None) -> dict[str, np.n
     for i in range(lo, hi):
         if stop is not None and stop.is_set():
             break
-        real = spec.simulate(T, stream(base_seed, i, purpose))
+        real = noise_mod.simulate_levy_noise(spec.model, spec.eps, eta, T, stream(base_seed, i, purpose),
+                                             rho_budget=spec.rho_budget, atom_cap=spec.atom_cap)
         if batch and n_atoms + len(real) > solver_mod._ATOM_BLOCK:
             flush(batch)
             n_atoms = 0
-        batch.append((i, real))
+        batch.append(real)
         n_atoms += len(real)
         if n_atoms >= solver_mod._ATOM_BLOCK:
             flush(batch)

@@ -16,13 +16,37 @@ import numpy as np
 __all__ = ["stream"]
 
 
-@lru_cache(maxsize=256)
 def _tag_to_int(tag: str) -> int:
     return int.from_bytes(hashlib.blake2s(tag.encode("utf-8"), digest_size=8).digest(), "little")
 
 
-def stream(base_seed: int, path_index: int = 0, purpose: str = "") -> np.random.Generator:
-    """Return the generator for handle (base_seed, path_index, purpose)."""
-    ss = np.random.SeedSequence(entropy=[int(base_seed) & (2**64 - 1), int(path_index), _tag_to_int(purpose)])
-    return np.random.Generator(np.random.Philox(ss))
+def _words(n: int) -> list[int]:
+    """The 32-bit words of n >= 0, least significant first; [0] for 0.
 
+    These are the words into which SeedSequence splits each int of an entropy
+    list, so the word array seeds the same pool without numpy's coercion.
+    """
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+@lru_cache(maxsize=256)
+def _tag_words(tag: str) -> tuple[int, ...]:
+    return tuple(_words(_tag_to_int(tag)))
+
+
+def stream(base_seed: int, path_index: int = 0, purpose: str = "") -> np.random.Generator:
+    """Return the generator for handle (base_seed, path_index, purpose).
+
+    The same generator as Philox seeded by
+    SeedSequence(entropy=[base_seed mod 2**64, path_index, tag of purpose]).
+    """
+    words = _words(int(base_seed) & (2**64 - 1)) + _words(int(path_index))
+    words += _tag_words(purpose)
+    ss = np.random.SeedSequence(entropy=np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.Philox(ss))

@@ -4,15 +4,18 @@ These are the draws and kernels that the whole-array forms replaced: times
 and positions scaled into new arrays, the segment pick counted into
 native-int indices with the marks negated under a mask, and the atom kernel
 run for every coefficient set, kmax = 1 included, as a zero-filled
-accumulator in blocks of `solver._ATOM_BLOCK` atoms. The new route must give
-the same bits from the same streams.
+accumulator in blocks of `solver._ATOM_BLOCK` atoms that adds every row at
+every mode, and the terminal samples finished path by path. The new route
+must give the same bits from the same streams.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from levyheat import noise, solver
+from levyheat.streams import stream
 
 
 def realization_arrays(model, eps, eta, T, rng):
@@ -148,3 +151,64 @@ def terminal_sums(reals, coeffs, T):
     filled = counts > 0
     sums[:, filled] = np.add.reduceat(w, (np.cumsum(counts) - counts)[filled], axis=1)
     return sums
+
+
+class _Atoms(SimpleNamespace):
+    def __len__(self):
+        return len(self.t)
+
+
+def terminal_samples(config, functionals, n_paths, base_seed, purpose="atoms"):
+    """`stats.collect_terminal_samples` of a constant-f cell on one thread, with the
+    earlier draws and kernel, each path's values finished one by one."""
+    cval = config.f.constant_value
+    K, T = config.modes, config.T
+    coeff_rows = [np.asarray(f.coefficients, dtype=float) for f in functionals]
+    out = {f.name: np.empty(n_paths) for f in functionals}
+    k2 = np.arange(1, K + 1, dtype=float) ** 2
+    if config.noise.kind == "gaussian":
+        sd = solver._gaussian_sd(cval, K, T)
+        mean_modes = np.zeros(K)
+        if config.initial is not None:
+            mean_modes = np.asarray(config.initial) * np.exp(-k2 * T)
+        for i in range(n_paths):
+            rng = stream(base_seed, i, purpose)
+            modes_T = mean_modes + sd * rng.standard_normal(K)
+            for f, c in zip(functionals, coeff_rows):
+                out[f.name][i] = float(modes_T @ c)
+        return out
+    spec = config.noise
+    eta = spec.resolve_eta(T)
+    var, _, retained2, m_restricted = noise._cell(spec.model, spec.eps, eta)
+    init_terms = [0.0] * len(coeff_rows)
+    if config.initial is not None:
+        decayed = np.asarray(config.initial) * np.exp(-k2 * T)
+        init_terms = [float(decayed @ c) for c in coeff_rows]
+    coeffs = np.array([solver.fit_coefficients(c, max(map(len, coeff_rows))) for c in coeff_rows])
+    width = coeffs.shape[-1]
+    decay_T = np.exp(-np.arange(1, width + 1, dtype=float) ** 2 * T)
+    drifts = coeffs @ (solver._drift_modes(cval, width, config.collocation) * (1.0 - decay_T))
+
+    def flush(batch):
+        sums = terminal_sums([real for _, real in batch], coeffs, T)
+        for (i, real), path_sums in zip(batch, sums.T):
+            sigma_used = math.sqrt(var if spec.normalization == "model" else retained2)
+            rate = m_restricted / sigma_used
+            for f, s, dr, it in zip(functionals, path_sums, drifts, init_terms):
+                out[f.name][i] = it + cval * float(s) / sigma_used - rate * dr
+        batch.clear()
+
+    batch, n_atoms = [], 0
+    for i in range(n_paths):
+        t, x, z = realization_arrays(spec.model, spec.eps, eta, T, stream(base_seed, i, purpose))
+        real = _Atoms(t=t, x=x, z=z)
+        if batch and n_atoms + len(t) > solver._ATOM_BLOCK:
+            flush(batch)
+            n_atoms = 0
+        batch.append((i, real))
+        n_atoms += len(t)
+        if n_atoms >= solver._ATOM_BLOCK:
+            flush(batch)
+            n_atoms = 0
+    flush(batch)
+    return out

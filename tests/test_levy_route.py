@@ -90,6 +90,50 @@ def test_atom_kernel_matches_blocked_form(rows, factors):
     assert got.tobytes() == want.tobytes()  # -0.0 and NaN included
 
 
+@pytest.mark.parametrize("gapped", [False, True])
+@pytest.mark.parametrize("factors", ["x_tau", "x", "tau"])
+def test_atom_kernel_partial_rows_match_blocked_form(factors, gapped):
+    # finite inputs, tau >= 0: each block adds only the nonzero rows of a
+    # partial mode, a slice of rows or (gapped) an index array; the second
+    # block is small enough to run every mode in place
+    point = np.array(lh.point_functional(math.pi / 2, 64).coefficients)
+    coeffs = np.array([np.eye(1, 64)[0], point, -0.5 * point])
+    if gapped:
+        coeffs = coeffs[[1, 0, 2]]
+    rng = np.random.default_rng(14)
+    n = solver._ATOM_BLOCK + 700
+    x = np.pi * rng.random(n) if "x" in factors else None
+    tau = rng.random(n) if "tau" in factors else None
+    if tau is not None:
+        tau[:2] = (0.0, -0.0)
+    assert isinstance(solver._row_picks(coeffs)[2], slice) != gapped
+    got = solver._atom_kernel(coeffs, x, tau)
+    assert got.tobytes() == ref.atom_kernel(coeffs, x, tau).tobytes()
+
+
+def _gamma_cell(gamma_model, normalization, initial):
+    cfg = small_sim(gamma_model, 1e-2, "atoms:200", modes=64, collocation=256, steps=64,
+                    normalization=normalization, rho=1.0)
+    if initial:
+        cfg = replace(cfg, initial=tuple(np.cos(np.arange(64)) / np.arange(1, 65)))
+    return cfg
+
+
+@pytest.mark.parametrize("initial", [False, True], ids=["no_initial", "initial"])
+@pytest.mark.parametrize("noise_kind", ["model", "retained", "gaussian"])
+def test_terminal_samples_match_earlier_route(gamma_model, noise_kind, initial):
+    # mode 1 and the point at pi/2 (kmax 64, the cut kernel, partial rows at every
+    # odd k >= 3) over two atom blocks of ~200-atom gamma paths
+    cfg = _gamma_cell(gamma_model, "model" if noise_kind == "gaussian" else noise_kind, initial)
+    if noise_kind == "gaussian":
+        cfg = replace(cfg, noise=lh.GaussianNoiseSpec())
+    fns = [st.mode_functional(1, 64), st.point_functional(math.pi / 2, 64)]
+    got = st.collect_terminal_samples(cfg, fns, 100, 8, purpose="route", workers=1)
+    want = ref.terminal_samples(cfg, fns, 100, 8, purpose="route")
+    for f in fns:
+        assert got[f.name].tobytes() == want[f.name].tobytes()
+
+
 @pytest.mark.parametrize("rows", ["mode1", "mode1_signed", "many_modes"])
 def test_terminal_sums_match_blocked_form(stable_model, rows):
     coeffs = _coefficient_sets()[rows]
@@ -113,7 +157,7 @@ def test_terminal_sums_match_blocked_form(stable_model, rows):
     assert all(np.array_equal(getattr(reals[0], a), getattr(again, a)) for a in "txz")
 
 
-def test_every_levy_path_is_drawn_through_the_module_attributes(stable_model, monkeypatch):
+def test_every_levy_path_is_drawn_through_the_module_attributes(stable_model, gamma_model, monkeypatch):
     # wrappers with the signatures of an outside atom and mark counter: five
     # positional arguments and keywords for the noise, exactly five for the marks
     monkeypatch.setattr(st, "_available_cores", lambda: 2)
@@ -137,6 +181,11 @@ def test_every_levy_path_is_drawn_through_the_module_attributes(stable_model, mo
     assert st._expected_atoms(cfg) >= st._FAN_OUT_MIN_ATOMS
     fns = [st.mode_functional(1, 16)]
     plain = st.collect_terminal_samples(cfg, fns, 6, 4, workers=1)
+    # a gamma cell: one map of sign +1, whose marks are drawn without a pick
+    gamma = _gamma_cell(gamma_model, "model", False)
+    assert gamma_model.sampler(gamma.noise.eps, gamma.noise.resolve_eta(1.0)).one_positive_map
+    gamma_fns = [st.mode_functional(1, 64), st.point_functional(math.pi / 2, 64)]
+    gamma_plain = st.collect_terminal_samples(gamma, gamma_fns, 6, 4)
     monkeypatch.setattr(noise, "simulate_levy_noise", count_atoms)
     monkeypatch.setattr(measures, "sample_marks", count_marks)
     for workers in (1, 2):
@@ -144,6 +193,10 @@ def test_every_levy_path_is_drawn_through_the_module_attributes(stable_model, mo
         got = st.collect_terminal_samples(cfg, fns, 6, 4, workers=workers)
         assert np.array_equal(got["mode1"], plain["mode1"])
         assert len(atoms) == 6 and sorted(counted) == sorted(atoms)
+    atoms.clear(), counted.clear()
+    got = st.collect_terminal_samples(gamma, gamma_fns, 6, 4)
+    assert all(got[f.name].tobytes() == gamma_plain[f.name].tobytes() for f in gamma_fns)
+    assert len(atoms) == 6 and counted == atoms
     small = replace(cfg, noise=replace(cfg.noise, eta="atoms:200"))
     for f in (lh.constant_f(1.0), lh.affine_f(0.5, 1.0)):
         atoms.clear(), counted.clear()

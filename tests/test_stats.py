@@ -336,6 +336,24 @@ def test_terminal_sampler_matches_path_solver(gamma_model):
             lh.evaluate(path, 1.0, math.pi / 2), abs=1e-12)
 
 
+@pytest.mark.parametrize("initial", [False, True], ids=["no_initial", "initial"])
+@pytest.mark.parametrize("noise_kind", ["gaussian", "gamma"])
+def test_short_functionals_give_their_zero_padded_values(gamma_model, noise_kind, initial):
+    # fewer coefficients than config.modes: every route zero-pads them
+    cfg = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=lh.constant_f(1.0), modes=16)
+    if noise_kind == "gamma":
+        cfg = small_sim(gamma_model, 0.1, "atoms:50", modes=16, collocation=64, steps=64)
+    if initial:
+        cfg = replace(cfg, initial=tuple(1.0 / np.arange(1, 17)))
+    shorts = [st.mode_functional(1, 8), st.TerminalFunctional("wave", (0.5, 0.0, -1.0, 2.0, 0.25))]
+    padded = [st.TerminalFunctional(f.name, f.coefficients + (0.0,) * (16 - len(f.coefficients)))
+              for f in shorts]
+    got = st.collect_terminal_samples(cfg, shorts, 4, 1)
+    want = st.collect_terminal_samples(cfg, padded, 4, 1)
+    for f in shorts:
+        assert got[f.name].tobytes() == want[f.name].tobytes()
+
+
 def test_noise_draws_look_up_simulate_levy_noise_at_call_time(gamma_model, monkeypatch):
     # path solver, terminal sampler and characteristics all draw through the
     # module attribute, at the resolved eta and with the first five arguments positional
@@ -381,6 +399,16 @@ def test_terminal_sampler_memory_bounded_in_paths(stable_model, monkeypatch):
                     normalization="retained", rho=1.0)
     fns = [st.mode_functional(1, 64)]
     st.collect_terminal_samples(cfg, fns, 1, 6, purpose="warm")  # eta and mark table are cached
+    # the two threads draw their paths in step, so that both hold a path at once
+    # in either call: a 4-path call could otherwise run its two blocks apart
+    draw, in_step = lh.noise.simulate_levy_noise, threading.Barrier(2, timeout=60)
+
+    def draw_in_step(model, eps, eta, T, rng, **kw):
+        real = draw(model, eps, eta, T, rng, **kw)
+        in_step.wait()
+        return real
+
+    monkeypatch.setattr(lh.noise, "simulate_levy_noise", draw_in_step)
     peaks = []
     for n_paths in (4, 16):
         tracemalloc.start()
