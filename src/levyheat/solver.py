@@ -39,9 +39,10 @@ _factorization_weights).
 Evaluated at one time, atom j of age tau_j runs only the modes up to
 ceil(sqrt(53 ln 2 / tau_j)): every later mode is damped by e^{-k^2 tau_j} < 2^-53
 (_atom_kernel states the bound on what this drops).
-Every exact scan y <- e^{-k^2 dt} y + b is _atom_states: the additive path,
-the martingale replay, the exact Gaussian path (grid steps as atoms, one
-amplitude per mode) and the mode-decomposition convolution (one mode).
+Every exact scan y <- e^{-k^2 dt} y + b is _atom_states: the additive path
+(which keeps its states for the martingale replay to project), the exact
+Gaussian path (grid steps as atoms, one amplitude per mode) and the
+mode-decomposition convolution (one mode).
 
 Identity checks (semimartingale mode decomposition, factorization-method
 reconstruction) rebuild the field, initial data included, from the atom log.
@@ -283,6 +284,10 @@ class FieldPath:
     config: SimConfig
     atom_log: "noise_mod.LevyNoiseRealization | None" = None  # the realization, sorted by time
     f_at_atoms: np.ndarray | None = None  # f(u(t_j-, x_j)) recorded per atom
+    # (K, J+1) mode states of the additive (constant-f Levy) path, before the
+    # compensator drift: column 0 the initial state, column j+1 right after
+    # atom j (_atom_states); None on general and Gaussian paths
+    atom_states: np.ndarray | None = None
 
     @property
     def n_modes(self) -> int:
@@ -502,12 +507,11 @@ def _one_mode_kernel(c, x, tau) -> np.ndarray:
     return out
 
 
-def _atom_states(t, x, a, m0, proj=None) -> np.ndarray:
+def _atom_states(t, x, a, m0) -> np.ndarray:
     """Mode states of the atom field m(t) = e^{-k^2 t} m0 + sum_{t_j <= t} a_j phi_k(x_j) e^{-k^2 (t - t_j)}.
 
     Column 0 is m0 (time 0) and column j + 1 the state right after atom j,
-    so the result is (K, J + 1); with `proj` (K x P) every state is
-    projected, proj.T @ state. Passing x as None leaves out phi_k(x_j), and
+    so the result is (K, J + 1). Passing x as None leaves out phi_k(x_j), and
     `a` may hold one amplitude per mode and atom, (K, J), in place of one per
     atom. Atoms (sorted by time) are scanned in chunks:
     inside a chunk that starts at atom c,
@@ -520,8 +524,8 @@ def _atom_states(t, x, a, m0, proj=None) -> np.ndarray:
     K = len(m)
     k2 = np.arange(1, K + 1, dtype=float) ** 2
     J = len(t)
-    out = np.empty((K if proj is None else proj.shape[1], J + 1))
-    out[:, 0] = m if proj is None else m @ proj
+    out = np.empty((K, J + 1))
+    out[:, 0] = m
     t_prev = 0.0
     span = _SCAN_GROWTH / (K * K)
     for lo in range(0, J, _ATOM_BLOCK):
@@ -532,7 +536,7 @@ def _atom_states(t, x, a, m0, proj=None) -> np.ndarray:
             starts.append(nxt)
         ends = starts[1:] + [len(tb)]
         since = tb - np.repeat(tb[starts], np.subtract(ends, starts))  # time since the chunk start
-        acc = out[:, lo + 1:lo + 1 + len(tb)] if proj is None else np.empty((K, len(tb)))
+        acc = out[:, lo + 1:lo + 1 + len(tb)]
         amp = a[..., part] if x is None else np.sqrt(2.0 / np.pi) * a[..., part]
         grows = _mode_rows(None if x is None else x[part], -since, K)
         for row, grow, amp_k in zip(acc, grows, np.broadcast_to(amp, acc.shape)):
@@ -545,8 +549,6 @@ def _atom_states(t, x, a, m0, proj=None) -> np.ndarray:
             m, t_prev = chunk[:, -1] * np.exp(-k2 * since[c1 - 1]), tb[c1 - 1]
         for row, decay in zip(acc, _mode_rows(None, since, K)):
             row *= decay
-        if proj is not None:
-            out[:, lo + 1:lo + 1 + len(tb)] = proj.T @ acc
     return out
 
 
@@ -789,7 +791,9 @@ def _levy_path(config, rng):
 def _levy_path_additive(config, real):
     """Constant-f branch: the states right after each atom come from the atom
     kernel, the grid trajectory decays them to the grid instants, and the
-    compensator drift telescopes to its closed form."""
+    compensator drift telescopes to its closed form. The path keeps the
+    states (FieldPath.atom_states), whose projections the martingale replay
+    takes as its right limits at the atoms."""
     sigma_used = real.jump_scale(config.noise.normalization)
     K = config.modes
     times = config.times()
@@ -808,7 +812,7 @@ def _levy_path_additive(config, real):
     _decay_fill(out, states, last, times - np.concatenate(([0.0], tj))[last], drift)
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError("non-finite mode in Levy path", operation="simulate_path")
-    return FieldPath(times, out, config, real, np.full(J, cval))
+    return FieldPath(times, out, config, real, np.full(J, cval), states)
 
 
 def _phi_rows(x, K: int):

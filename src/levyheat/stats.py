@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .errors import ConfigMismatchError, EmptySampleError
+from .errors import ConfigMismatchError, EmptySampleError, MissingAtomLogError
 from .measures import LevyModel, ar_statistic
 from .quadrature import legendre_nodes
 from .sobolev import SmoothBump
@@ -262,10 +262,16 @@ def _probe_values(path: FieldPath, probes: Sequence[MartingaleProbe], psis: Sequ
     The ds-integral uses trapezoidal quadrature on the stored grid; steps
     containing atoms are integrated piecewise at the exact jump times, from
     the left and right limits of <u, phi> and <u, phi''> at the atoms. The
-    atom kernel gives the limits in one pass for all probes; as in the solver,
-    a step's compensator drift is subtracted at its end.
+    right limits are the projections of the path's own atom states
+    (FieldPath.atom_states), less the compensator drift, and the left limits
+    take back each atom's jump through the atom kernel, for all probes at
+    once; as in the solver, a step's compensator drift is subtracted at its
+    end.
     """
     real, sigma_used = jump_log(path, "martingale_residual")
+    if path.atom_states is None:
+        raise MissingAtomLogError("needs the atom states of an additive Levy path",
+                                  operation="martingale_residual")
     cfg = path.config
     times = path.times
     dt = times[1] - times[0]
@@ -275,7 +281,7 @@ def _probe_values(path: FieldPath, probes: Sequence[MartingaleProbe], psis: Sequ
     if len(t):
         a = path.f_at_atoms * (real.z / sigma_used)
         steps = solver_mod.atom_steps(times, t)
-        right = solver_mod._atom_states(t, real.x, a, path.modes[0], proj)[:, 1:]
+        right = proj.T @ path.atom_states[:, 1:]
         drift_rate = real.m_restricted / sigma_used
         if drift_rate != 0.0:
             # inside step n the state carries the grid drift D(t_n) decayed to t,
@@ -358,6 +364,8 @@ def martingale_residual(
             for gi, gval in enumerate((1.0, math.cos(F_s), math.sin(F_s))):
                 acc[pi][gi].append(dM * gval)
         n_paths += 1
+        # drop the path, and with it its atom states, before a generator builds the next one
+        del path
     if n_paths == 0:
         raise EmptySampleError("no paths supplied", operation="martingale_residual")
     rows = []

@@ -45,6 +45,10 @@ def stream(base_seed: int, path_index: int = 0, purpose: str = "") -> np.random.
 
     The same generator as Philox seeded by
     SeedSequence(entropy=[base_seed mod 2**64, path_index, tag of purpose]).
+    Handles give distinct streams only while base_seed mod 2**64 and
+    path_index are below 2**32: each int enters the entropy as its 32-bit
+    words, a variable number of them, so (5, 7 + 9 * 2**32) and
+    (5 + 7 * 2**32, 9) give the same words and the same draws.
     """
     words = _words(int(base_seed) & (2**64 - 1)) + _words(int(path_index))
     words += _tag_words(purpose)

@@ -5,6 +5,10 @@ These are the loops that the atom kernel (`solver._atom_kernel`,
 per-atom additive path and the step-by-step martingale replay. The replay
 assigns atoms to steps with `solver.atom_steps`, the rule that the solver's
 general branch uses.
+
+`two_scan_probe_values` is the kernel replay as it was before the additive
+path kept its atom states: it scans the atoms a second time and projects the
+states a block at a time (`projected_states`).
 """
 
 import numpy as np
@@ -133,3 +137,87 @@ def probe_values(path, probe, psi, coeffs, coeffs_dd):
     M_s = np.exp(1j * xi * F[i_s]) - cum[i_s]
     M_t = np.exp(1j * xi * F[i_t]) - cum[i_t]
     return M_t - M_s, F[i_s]
+
+
+def projected_states(t, x, a, m0, proj):
+    """proj.T @ solver._atom_states(t, x, a, m0), with the projection taken a scan block at a time."""
+    m = np.asarray(m0, dtype=float)
+    K = len(m)
+    k2 = np.arange(1, K + 1, dtype=float) ** 2
+    J = len(t)
+    out = np.empty((proj.shape[1], J + 1))
+    out[:, 0] = m @ proj
+    t_prev = 0.0
+    span = solver._SCAN_GROWTH / (K * K)
+    for lo in range(0, J, solver._ATOM_BLOCK):
+        part = slice(lo, lo + solver._ATOM_BLOCK)
+        tb = t[part]
+        starts = [0]
+        while (nxt := int(np.searchsorted(tb, tb[starts[-1]] + span, side="right"))) < len(tb):
+            starts.append(nxt)
+        ends = starts[1:] + [len(tb)]
+        since = tb - np.repeat(tb[starts], np.subtract(ends, starts))
+        acc = np.empty((K, len(tb)))
+        amp = np.sqrt(2.0 / np.pi) * a[part]
+        for row, grow in zip(acc, solver._mode_rows(x[part], -since, K)):
+            np.multiply(grow, amp, out=row)
+        for c0, c1 in zip(starts, ends):
+            chunk = acc[:, c0:c1]
+            np.cumsum(chunk, axis=1, out=chunk)
+            m = m * np.exp(-k2 * (tb[c0] - t_prev))
+            chunk += m[:, None]
+            m, t_prev = chunk[:, -1] * np.exp(-k2 * since[c1 - 1]), tb[c1 - 1]
+        for row, decay in zip(acc, solver._mode_rows(None, since, K)):
+            row *= decay
+        out[:, lo + 1:lo + 1 + len(tb)] = proj.T @ acc
+    return out
+
+
+def two_scan_probe_values(path, probes, psis, coeffs, coeffs_dd):
+    """`stats._probe_values` with its right limits from a second, projected scan of the atom log."""
+    real, sigma_used = solver.jump_log(path, "martingale_residual")
+    cfg = path.config
+    times = path.times
+    dt = times[1] - times[0]
+    proj = np.column_stack([v for c, cd in zip(coeffs, coeffs_dd) for v in (c, cd)])
+    grid = proj.T @ path.modes.T
+    t = real.t
+    if len(t):
+        a = path.f_at_atoms * (real.z / sigma_used)
+        steps = solver.atom_steps(times, t)
+        right = projected_states(t, real.x, a, path.modes[0], proj)[:, 1:]
+        drift_rate = real.m_restricted / sigma_used
+        if drift_rate != 0.0:
+            r = solver._drift_modes(drift_rate * cfg.f.constant_value, path.n_modes, cfg.collocation)
+            decays = solver._atom_kernel(proj.T * r, None, np.concatenate((t - times[steps], t)))
+            right -= decays[:, :len(t)] - decays[:, len(t):]
+        left = right - solver._atom_kernel(proj.T, real.x, None) * a
+        first = np.concatenate(([True], steps[1:] != steps[:-1]))
+        last = np.concatenate((steps[1:] != steps[:-1], [True]))
+        t_from = np.where(first, times[steps], np.concatenate(([0.0], t[:-1])))
+        n_last = steps[last]
+        span_in = 0.5 * (t - t_from)
+        span_out = 0.5 * (times[n_last + 1] - t[last])
+    out = []
+    for p, (probe, psi) in enumerate(zip(probes, psis)):
+        xi = probe.xi
+
+        def v(values):
+            return np.exp(1j * xi * values[2 * p]) * (1j * xi * values[2 * p + 1] + psi)
+
+        vals = v(grid)
+        piece = 0.5 * dt * (vals[:-1] + vals[1:])
+        if len(t):
+            v_right = v(right)
+            v_from = np.where(first, vals[steps], np.concatenate(([0.0], v_right[:-1])))
+            seg = span_in * (v_from + v(left))
+            piece[n_last] = (np.add.reduceat(seg, np.flatnonzero(first))
+                             + span_out * (v_right[last] + vals[n_last + 1]))
+        cum = np.concatenate(([0.0 + 0.0j], np.cumsum(piece)))
+        F = grid[2 * p]
+        i_s = solver.grid_index(path, probe.s, "martingale_residual")
+        i_t = solver.grid_index(path, probe.t, "martingale_residual")
+        M_s = np.exp(1j * xi * F[i_s]) - cum[i_s]
+        M_t = np.exp(1j * xi * F[i_t]) - cum[i_t]
+        out.append((M_t - M_s, F[i_s]))
+    return out

@@ -5,9 +5,12 @@ replay) must agree with its loop form to 1e-12 relative to the largest value
 compared, on a gamma cell with three functionals, nonzero initial data and the
 asymmetric compensator, on compound-Poisson paths some of which hold no atom,
 on a 40k-atom stable path and on a run spread over several atom blocks.
+The martingale replay projects the additive path's own atom states; it must
+equal, bit for bit, the replay that scanned the atom log a second time.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from levyheat import stats as st
 from levyheat.streams import stream
 
 import atom_replay_reference as ref
+from conftest import small_sim
 
 REL = 1e-12
 
@@ -90,8 +94,14 @@ def test_additive_path_and_replay_match_reference(case, seeds):
     sizes = []
     for seed in seeds:
         path = lh.simulate_path(cfg, stream(10, seed, "replay"))
-        sizes.append(len(path.atom_log))
-        assert _close(path.modes, ref.additive_modes(cfg, path.atom_log))
+        real = path.atom_log
+        sizes.append(len(real))
+        assert _close(path.modes, ref.additive_modes(cfg, real))
+        # the path keeps the states of its own scan, bit for bit
+        a = cfg.f.constant_value * (real.z / real.jump_scale(cfg.noise.normalization))
+        states = solver._atom_states(real.t, real.x, a, solver._initial_state(cfg))
+        assert path.atom_states.shape == (K, len(real) + 1)
+        assert path.atom_states.tobytes() == states.tobytes()
         got = st._probe_values(path, probes, psis, coeffs, coeffs_dd)
         for (dM, F_s), probe, psi, c, cd in zip(got, probes, psis, coeffs, coeffs_dd):
             want_dM, want_F = ref.probe_values(path, probe, psi, c, cd)
@@ -101,6 +111,73 @@ def test_additive_path_and_replay_match_reference(case, seeds):
         assert min(sizes) == 0 < max(sizes)
     if case == "stable":
         assert sizes[0] > 2 * solver._ATOM_BLOCK
+
+
+def _replay_case(case):
+    """(config, paths, probes) of one replay case; the criterion-7 cell when case is "crit7"."""
+    if case == "crit7":
+        gamma = lh.LevyModel(lh.GammaSubordinator())
+        eta = noise.eta_for_atom_budget(gamma, 0.1, 1.0, 100.0)
+        cfg = lh.SimConfig(noise=lh.LevyNoiseSpec(model=gamma, eps=0.1, eta=eta), f=lh.constant_f(1.0),
+                           T=1.0, modes=64, collocation=256, steps=4096)
+        n_paths = 16
+    else:
+        cfg = _config(case)
+        n_paths = {"gamma": 3, "compound": 8, "stable": 1}[case]
+    probes = [lh.MartingaleProbe(xi, lh.SmoothBump(), 0.25, 0.75) for xi in (0.5, 1.0)]
+    if case == "stable":
+        probes = probes[:1]
+    paths = [lh.simulate_path(cfg, stream(12, i, "replay")) for i in range(n_paths)]
+    return cfg, paths, probes
+
+
+def _row_bytes(row):
+    return row.xi, row.conditioner, row.n_paths, np.array([row.estimate, row.se_re, row.se_im]).tobytes()
+
+
+@pytest.mark.parametrize("case", ["crit7", "compound", "gamma", "stable"])
+def test_replay_of_kept_states_matches_two_scan_replay(case, monkeypatch):
+    cfg, paths, probes = _replay_case(case)
+    K = cfg.modes
+    sizes = [len(p.atom_log) for p in paths]
+    if case == "compound":
+        assert min(sizes) == 0 < max(sizes)
+    if case == "gamma":
+        assert cfg.initial is not None
+    if case == "stable":
+        assert sizes[0] > 2 * solver._ATOM_BLOCK
+    coeffs = [p.coefficients(K) for p in probes]
+    coeffs_dd = [-(np.arange(1.0, K + 1.0) ** 2) * c for c in coeffs]
+    psis = [0.1 + 0.3j, -0.2 + 0.05j][:len(probes)]
+    for path in paths:
+        got = st._probe_values(path, probes, psis, coeffs, coeffs_dd)
+        want = ref.two_scan_probe_values(path, probes, psis, coeffs, coeffs_dd)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    rows = st.martingale_residual(paths, probes)
+    monkeypatch.setattr(st, "_probe_values", ref.two_scan_probe_values)
+    want_rows = st.martingale_residual(paths, probes)
+    assert [_row_bytes(r) for r in rows] == [_row_bytes(r) for r in want_rows]
+
+
+def test_only_additive_paths_keep_atom_states(cp_symmetric):
+    general = small_sim(cp_symmetric, 2.0, 0.0, f=lh.affine_f(0.5, 1.0), steps=256)
+    gauss = lh.SimConfig(noise=lh.GaussianNoiseSpec(), f=lh.constant_f(1.0), T=1.0, modes=32,
+                         collocation=128, steps=256)
+    for cfg in (general, gauss, replace(gauss, f=lh.affine_f(0.5, 1.0))):
+        path = lh.simulate_path(cfg, stream(3, 0, "states"))
+        assert path.atom_states is None
+
+
+def test_replay_without_atom_states_names_the_operation(cp_symmetric):
+    cfg = small_sim(cp_symmetric, 2.0, 0.0, steps=256)
+    kept = lh.simulate_path(cfg, stream(3, 1, "states"))
+    assert len(kept.atom_log) > 0
+    # a constant-f path with its atom log but no atom states
+    path = lh.FieldPath(kept.times, kept.modes, kept.config, kept.atom_log, kept.f_at_atoms)
+    probe = lh.MartingaleProbe(1.0, lh.SmoothBump(), 0.25, 0.75)
+    with pytest.raises(lh.MissingAtomLogError, match="martingale_residual") as err:
+        lh.martingale_residual([path], probe)
+    assert err.value.operation == "martingale_residual"
 
 
 # ---------------------------------------------------------------------------
