@@ -429,7 +429,7 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
         xb = None if x is None else x[part]
         tb = None if tau is None else tau[part]
         rows = picks if picks is not None and _finite_block(xb, tb) else None
-        kb, sizes = kmax, None
+        kb, sizes, target = kmax, None, block
         if tb is not None and kmax * len(tb) >= _CUT_MIN_STEPS:
             counts = _mode_counts(tb, kmax)
             kb = int(counts.max())
@@ -438,19 +438,13 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
                 sizes = (len(tb) - np.cumsum(np.bincount(counts, minlength=kb + 1))[:kb]).tolist()
                 xb = None if xb is None else xb[order]
                 tb = tb[order]
-                acc = np.zeros_like(block)
+                target = np.zeros_like(block)
         for k, row in enumerate(_mode_rows(xb, tb, kb, sizes)):
-            if not nonzero[k]:
-                continue
-            if rows is not None:
-                p = rows[k]
-                (block if sizes is None else acc)[p, :len(row)] += coeffs[p, k, None] * row
-            elif sizes is None:
-                block += coeffs[:, k, None] * row
-            else:
-                acc[:, :len(row)] += coeffs[:, k, None] * row
+            if nonzero[k]:
+                p = slice(None) if rows is None else rows[k]
+                target[p, :len(row)] += coeffs[p, k, None] * row
         if sizes is not None:
-            block[:, order] = acc
+            block[:, order] = target
     if x is not None:
         out *= np.sqrt(2.0 / np.pi)
     return out

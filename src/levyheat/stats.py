@@ -31,6 +31,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -396,9 +397,12 @@ def characteristics_sample(
 
     Constant-f fast route: jump sizes of <u, phi> depend only on the atom log,
     so no field solve is needed; path i draws the atoms that `simulate_path`
-    draws on the same stream. The paths run on threads as in
-    `collect_terminal_samples` with its default `workers`; the result does
-    not depend on the thread count.
+    draws on the same stream. Before any path is drawn, a ValueError names
+    the argument unless n_paths is an int >= 0, `phi_coefficients` has at
+    most `config.modes` entries (fewer are zero-padded) and h > 0. The paths
+    run in batches on threads as in `collect_terminal_samples` with its
+    default `workers`, one `sine_series` pass per batch; the result does not
+    depend on the thread count.
     """
     if not config.f.is_constant:
         raise ConfigMismatchError("fast characteristics sampling needs a constant multiplier")
@@ -406,31 +410,27 @@ def characteristics_sample(
     if spec.kind != "levy":
         raise ConfigMismatchError("characteristics need Levy noise")
     _check_path_count(n_paths)
+    if len(phi_coefficients) > config.modes:
+        raise ValueError(f"phi_coefficients has {len(phi_coefficients)} entries, more than {config.modes} modes")
+    if not h > 0:
+        raise ValueError(f"h must be positive, got {h!r}")
     c = fit_coefficients(phi_coefficients, config.modes)
     cval = config.f.constant_value
+    quad, bigs = np.empty(n_paths), np.empty(n_paths, dtype=int)
 
-    def path_sums(real):
-        if not len(real.t):
-            return 0.0, 0
-        jumps = cval * solver_mod.sine_series(c, real.x) * real.z / real.jump_scale(spec.normalization)
-        small = np.abs(jumps) <= h
-        return float(np.sum(np.where(small, jumps**2, 0.0))), int(np.sum(~small))
+    def fill(lo, hi, stop):
+        for first, reals in _levy_batches(config, lo, hi, base_seed, purpose, stop):
+            jumps = (cval * solver_mod.sine_series(c, _gather(reals, "x")) * _gather(reals, "z")
+                     / reals[0].jump_scale(spec.normalization))
+            small = np.abs(jumps) <= h
+            ends = np.cumsum([0] + [len(r) for r in reals]).tolist()
+            for i, a, b in zip(range(first, first + len(reals)), ends, ends[1:]):
+                quad[i] = np.sum(np.where(small[a:b], jumps[a:b] ** 2, 0.0))
+                bigs[i] = np.sum(~small[a:b])
+            del jumps, small  # before the next path is drawn
 
-    def block(lo, hi, stop):
-        # one path's arrays are freed before the next path is drawn
-        quad = np.empty(hi - lo)
-        bigs = np.empty(hi - lo, dtype=int)
-        for i in range(lo, hi):
-            if stop.is_set():
-                break
-            quad[i - lo], bigs[i - lo] = path_sums(spec.simulate(config.T, stream(base_seed, i, purpose)))
-        return quad, bigs
-
-    blocks = _path_blocks(block, config, n_paths, None)
-    if len(blocks) == 1:
-        return blocks[0]
-    quads, bigs = zip(*blocks)
-    return np.concatenate(quads), np.concatenate(bigs)
+    _path_blocks(fill, config, n_paths, None)
+    return quad, bigs
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +521,10 @@ def collect_terminal_samples(
     _FAN_OUT_MIN_ATOMS expected atoms per path is split over threads, one
     contiguous block of paths per thread, in one call that joins its threads
     before it returns; every other cell runs on the calling thread, whatever
-    `workers` says. Per-path streams make the result independent of the
-    split: `workers=1` gives the same bits. Each thread holds its own path in
+    `workers` says. A block takes its Levy paths in batches of at most
+    _ATOM_BLOCK atoms (`_levy_batches`), one kernel pass each. Per-path
+    streams make the result independent of the split and of the batches:
+    `workers=1` gives the same bits. Each thread holds its own batch in
     flight, so peak memory grows with the thread count (a `tracemalloc` peak
     of about 2.3 MB per thread at 40000 atoms per path and 64 modes).
     """
@@ -538,12 +540,9 @@ def collect_terminal_samples(
         if len(f.coefficients) > config.modes:
             raise ValueError(f"functional {f.name!r} has {len(f.coefficients)} coefficients, "
                              f"more than config.modes = {config.modes}")
-    blocks = _path_blocks(
-        lambda lo, hi, stop: _terminal_block((config, functionals, lo, hi, base_seed, purpose), stop),
-        config, n_paths, workers)
-    if len(blocks) == 1:
-        return blocks[0]
-    return {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+    out = {f.name: np.empty(n_paths) for f in functionals}
+    _path_blocks(partial(_terminal_block, config, functionals, base_seed, purpose, out), config, n_paths, workers)
+    return out
 
 
 def _check_path_count(n_paths: int) -> None:
@@ -552,37 +551,39 @@ def _check_path_count(n_paths: int) -> None:
         raise ValueError(f"n_paths must be an int >= 0, got {n_paths!r}")
 
 
-def _path_blocks(block: Callable[[int, int, threading.Event], object], config: SimConfig,
-                 n_paths: int, workers: int | None) -> list:
-    """[block(lo, hi, stop)] over contiguous ranges of the paths 0..n_paths-1, in path order.
+def _path_blocks(fill: Callable[[int, int, threading.Event], None], config: SimConfig,
+                 n_paths: int, workers: int | None) -> None:
+    """fill(lo, hi, stop) over contiguous ranges of the paths 0..n_paths-1, into the caller's outputs.
 
     A Levy cell of at least _FAN_OUT_MIN_ATOMS expected atoms per path takes
     one range per thread (`_thread_count`); any other cell, or one thread,
     takes the single range (0, n_paths). The pool threads are started and
-    joined inside the call, and an error raised in a block reaches the caller.
-    `stop` is set once any block raises (an interrupt of the calling thread
-    too); a block checks it before each path and returns early, so a failure
-    waits for one path per thread, not for the other blocks.
+    joined inside the call, and an error raised in a range reaches the caller.
+    `stop` is set once any range raises (an interrupt of the calling thread
+    too); a range checks it before each path and returns early, so a failure
+    waits for one path per thread, not for the other ranges.
     """
     threads = _thread_count(workers, n_paths)
     stop = threading.Event()
     if threads == 1 or config.noise.kind != "levy" or _expected_atoms(config) < _FAN_OUT_MIN_ATOMS:
-        return [block(0, n_paths, stop)]
+        fill(0, n_paths, stop)
+        return
     cuts = [n_paths * j // threads for j in range(threads + 1)]
 
     def run(lo, hi):
         try:
-            return block(lo, hi, stop)
+            fill(lo, hi, stop)
         except BaseException:
             stop.set()
             raise
 
-    # the calling thread runs the first block: one thread fewer to start, and
-    # a lower peak RSS than with every block on a pool thread (measured)
+    # the calling thread runs the first range: one thread fewer to start, and
+    # a lower peak RSS than with every range on a pool thread (measured)
     with ThreadPoolExecutor(max_workers=threads - 1) as pool:
         futures = [pool.submit(run, lo, hi) for lo, hi in zip(cuts[1:], cuts[2:])]
-        first = run(cuts[0], cuts[1])
-        return [first] + [f.result() for f in futures]
+        run(cuts[0], cuts[1])
+        for f in futures:
+            f.result()
 
 
 def _expected_atoms(config: SimConfig) -> float:
@@ -607,13 +608,12 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _terminal_block(args, stop: threading.Event | None = None) -> dict[str, np.ndarray]:
-    """Terminal samples of paths lo..hi-1; a set `stop` ends the block before its next path."""
-    config, functionals, lo, hi, base_seed, purpose = args
+def _terminal_block(config: SimConfig, functionals: Sequence[TerminalFunctional], base_seed: int,
+                    purpose: str, out: dict[str, np.ndarray], lo: int, hi: int, stop: threading.Event) -> None:
+    """Terminal samples of paths lo..hi-1 into out[name][lo:hi]; a set `stop` ends it before its next path."""
     cval = config.f.constant_value
     K, T = config.modes, config.T
     coeffs = np.array([fit_coefficients(f.coefficients, K) for f in functionals])
-    out = {f.name: np.empty(hi - lo) for f in functionals}
     decay_T = np.exp(-np.arange(1, K + 1, dtype=float) ** 2 * T)
     if config.noise.kind == "gaussian":
         sd = solver_mod._gaussian_sd(cval, K, T)
@@ -624,54 +624,62 @@ def _terminal_block(args, stop: threading.Event | None = None) -> dict[str, np.n
             rng = stream(base_seed, i, purpose)
             modes_T = mean_modes + sd * rng.standard_normal(K)
             for f, c in zip(functionals, coeffs):
-                out[f.name][i - lo] = float(modes_T @ c)
-        return out
-    spec: LevyNoiseSpec = config.noise
-    eta = spec.resolve_eta(T)
+                out[f.name][i] = float(modes_T @ c)
+        return
     init_terms = [0.0] * len(coeffs)
     if config.initial is not None:
         decayed = np.asarray(config.initial) * decay_T
         init_terms = [float(decayed @ c) for c in coeffs]
     # each functional of the drift at T, per unit compensator rate
     drifts = coeffs @ (solver_mod._drift_modes(cval, K, config.collocation) * (1.0 - decay_T))
-    done = 0
-
-    def flush(batch):
-        # one kernel pass over the gathered atoms, summed per path; every path
+    for first, reals in _levy_batches(config, lo, hi, base_seed, purpose, stop):
+        # one kernel pass over the batch's atoms, summed per path; every path
         # of the cell has the same jump scale and compensator rate
-        nonlocal done
-        if not batch:
-            return
-        sums = _terminal_sums(batch, coeffs, T)
-        sigma_used = batch[0].jump_scale(spec.normalization)
-        rate = batch[0].m_restricted / sigma_used
+        sums = _terminal_sums(reals, coeffs, T)
+        sigma_used = reals[0].jump_scale(config.noise.normalization)
+        rate = reals[0].m_restricted / sigma_used
         for f, s, dr, it in zip(functionals, sums, drifts, init_terms):
-            value = out[f.name][done:done + len(batch)]
+            value = out[f.name][first:first + len(reals)]
             np.multiply(s, cval, out=value)
             value /= sigma_used
             value += it
             value -= rate * dr
-        done += len(batch)
-        batch.clear()
 
-    # consecutive paths share one atom block; a path is never split, and a
-    # path larger than the block is flushed alone
+
+def _levy_batches(config: SimConfig, lo: int, hi: int, base_seed: int, purpose: str, stop: threading.Event):
+    """Yield (first path, realizations) for the paths lo..hi-1 of a Levy cell, in path order.
+
+    Path i draws on stream(base_seed, i, purpose) at the inner cutoff, resolved
+    once. Consecutive paths share a batch of at most _ATOM_BLOCK atoms; a path
+    is never split, and a larger path comes alone. A set `stop` ends the
+    batches before the next path. The yielded list is emptied when the
+    generator resumes; only the batch's last path lives on into the next draw.
+    """
+    spec: LevyNoiseSpec = config.noise
+    eta = spec.resolve_eta(config.T)
     batch, n_atoms = [], 0
     for i in range(lo, hi):
-        if stop is not None and stop.is_set():
-            break
-        real = noise_mod.simulate_levy_noise(spec.model, spec.eps, eta, T, stream(base_seed, i, purpose),
+        if stop.is_set():
+            return
+        real = noise_mod.simulate_levy_noise(spec.model, spec.eps, eta, config.T, stream(base_seed, i, purpose),
                                              rho_budget=spec.rho_budget, atom_cap=spec.atom_cap)
         if batch and n_atoms + len(real) > solver_mod._ATOM_BLOCK:
-            flush(batch)
+            yield i - len(batch), batch
+            batch.clear()
             n_atoms = 0
         batch.append(real)
         n_atoms += len(real)
         if n_atoms >= solver_mod._ATOM_BLOCK:
-            flush(batch)
+            yield i + 1 - len(batch), batch
+            batch.clear()
             n_atoms = 0
-    flush(batch)
-    return out
+    if batch:
+        yield hi - len(batch), batch
+
+
+def _gather(reals, name: str) -> np.ndarray:
+    """The realizations' arrays `name` ("t", "x" or "z") end to end; one realization's own array."""
+    return getattr(reals[0], name) if len(reals) == 1 else np.concatenate([getattr(r, name) for r in reals])
 
 
 def _terminal_sums(reals, coeffs: np.ndarray, T: float) -> np.ndarray:
@@ -680,13 +688,8 @@ def _terminal_sums(reals, coeffs: np.ndarray, T: float) -> np.ndarray:
     sums = np.zeros((len(coeffs), len(reals)))
     if not counts.any():
         return sums
-
-    def gather(name):
-        parts = [getattr(r, name) for r in reals]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    w = solver_mod._atom_kernel(coeffs, gather("x"), T - gather("t"))
-    w *= gather("z")
+    w = solver_mod._atom_kernel(coeffs, _gather(reals, "x"), T - _gather(reals, "t"))
+    w *= _gather(reals, "z")
     filled = counts > 0
     sums[:, filled] = np.add.reduceat(w, (np.cumsum(counts) - counts)[filled], axis=1)
     return sums

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -318,6 +319,62 @@ def test_characteristics_fast_route_agreement(gamma_model):
         assert quad[i] == float(np.sum(np.where(np.abs(drawn_jumps) <= 0.5, drawn_jumps**2, 0.0)))
 
 
+def _per_path_characteristics(cfg, phihat, h, n_paths, seed):
+    """characteristics_sample path by path, in the form of the agreement test above."""
+    quad, bigs = np.zeros(n_paths), np.zeros(n_paths, dtype=int)
+    c = lh.solver.fit_coefficients(phihat, cfg.modes)
+    for i in range(n_paths):
+        drawn = cfg.noise.simulate(cfg.T, stream(seed, i, "atoms"))
+        jumps = (cfg.f.constant_value * lh.solver.sine_series(c, drawn.x) * drawn.z
+                 / drawn.jump_scale(cfg.noise.normalization))
+        small = np.abs(jumps) <= h
+        quad[i], bigs[i] = float(np.sum(np.where(small, jumps**2, 0.0))), int(np.sum(~small))
+    return quad, bigs
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("case", ["gamma_blocks", "compound_empty", "stable_large"])
+def test_characteristics_match_per_path_form_bitwise(gamma_model, stable_model, monkeypatch, case, cores):
+    phihat = lh.SmoothBump().sine_coefficients(64)
+    if case == "gamma_blocks":
+        # ~1000 atoms per path: the 40 paths span several atom blocks
+        cfg, n_paths, h = small_sim(gamma_model, 0.1, "atoms:1000", modes=64, collocation=256, steps=64), 40, 0.5
+        assert n_paths * 1000 > 2 * lh.solver._ATOM_BLOCK
+    elif case == "compound_empty":
+        # ~0.94 atoms per path: some paths hold none
+        cp = lh.LevyModel(lh.CompoundPoisson(((1.0, 0.3),)))
+        cfg, n_paths, h = small_sim(cp, 2.0, 0.0, modes=32, collocation=128, steps=64), 30, 1e-3
+        phihat = phihat[:32]
+    else:
+        cfg, n_paths, h = _stable_cell(stable_model), 3, 9e-3
+    monkeypatch.setattr(st, "_available_cores", lambda: cores)
+    quad, bigs = st.characteristics_sample(cfg, phihat, h, n_paths, 7)
+    want_quad, want_bigs = _per_path_characteristics(cfg, phihat, h, n_paths, 7)
+    assert quad.tobytes() == want_quad.tobytes()
+    assert bigs.tobytes() == want_bigs.tobytes()
+    # h leaves both small and big jumps
+    assert quad.any() and bigs.any()
+    counts = [len(cfg.noise.simulate(cfg.T, stream(7, i, "atoms"))) for i in range(n_paths)]
+    if case == "compound_empty":
+        assert min(counts) == 0 < max(counts)
+    if case == "stable_large":
+        assert min(counts) > lh.solver._ATOM_BLOCK
+
+
+@pytest.mark.parametrize("arg,coeffs,h", [
+    ("phi_coefficients", (1.0,) * 9, 0.5), ("h", (1.0,), math.nan), ("h", (1.0,), 0.0), ("h", (1.0,), -1.0),
+], ids=["long_phi", "nan_h", "zero_h", "negative_h"])
+def test_characteristics_check_their_arguments_before_any_path(gamma_model, monkeypatch, arg, coeffs, h):
+    cfg = small_sim(gamma_model, 0.1, "atoms:60", modes=8)
+
+    def no_paths(*args, **kw):
+        raise AssertionError("a path was drawn before the arguments were checked")
+
+    monkeypatch.setattr(st, "stream", no_paths)
+    with pytest.raises(ValueError, match=arg):
+        st.characteristics_sample(cfg, coeffs, h, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # terminal samplers and the dichotomy experiment
 # ---------------------------------------------------------------------------
@@ -386,9 +443,10 @@ def test_terminal_sampler_workers_invariant(gamma_model):
         assert np.array_equal(one[f.name], two[f.name])
         assert np.array_equal(one[f.name][:20], head[f.name])
     for i in (0, 17, 39):  # each path alone in its block
-        alone = st._terminal_block((cfg, fns, i, i + 1, 5, "atoms"))
+        alone = {f.name: np.full(40, np.nan) for f in fns}
+        st._terminal_block(cfg, fns, 5, "atoms", alone, i, i + 1, threading.Event())
         for f in fns:
-            assert alone[f.name][0] == one[f.name][i]
+            assert alone[f.name][i] == one[f.name][i]
 
 
 def test_terminal_sampler_memory_bounded_in_paths(stable_model, monkeypatch):
@@ -468,6 +526,28 @@ def test_threaded_cell_matches_serial_bitwise(stable_model, executors, monkeypat
     for f in fns:
         assert np.array_equal(serial[f.name], threaded[f.name])
     assert np.array_equal(quad1, quad2) and np.array_equal(bigs1, bigs2)
+
+
+def test_more_threads_than_cores_fill_their_own_paths(stable_model, monkeypatch):
+    # four threads on any machine, switching often: every range writes only
+    # its own paths of the shared outputs, so the serial bits come back
+    cfg = _stable_cell(stable_model, "atoms:6000")
+    fns = [st.mode_functional(1, 64), st.point_functional(math.pi / 2, 64, name="point")]
+    phihat = lh.SmoothBump().sine_coefficients(64)
+    monkeypatch.setattr(st, "_available_cores", lambda: 1)
+    serial = st.collect_terminal_samples(cfg, fns, 9, 3)
+    quad1, bigs1 = st.characteristics_sample(cfg, phihat, 9e-3, 9, 3)
+    monkeypatch.setattr(st, "_available_cores", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = st.collect_terminal_samples(cfg, fns, 9, 3)
+        quad4, bigs4 = st.characteristics_sample(cfg, phihat, 9e-3, 9, 3)
+    finally:
+        sys.setswitchinterval(interval)
+    for f in fns:
+        assert serial[f.name].tobytes() == threaded[f.name].tobytes()
+    assert quad1.tobytes() == quad4.tobytes() and bigs1.tobytes() == bigs4.tobytes()
 
 
 @pytest.mark.parametrize("fails_in", ["pool", "caller"])
