@@ -52,7 +52,8 @@ from .solver import (
 )
 from . import noise as noise_mod
 from . import solver as solver_mod
-from .streams import stream
+# `stream` is not called here; it stays an attribute because benchmarks/tracing.py wraps stats.stream
+from .streams import _stream_block, stream  # noqa: F401
 
 __all__ = [
     "ks_two_sample",
@@ -522,11 +523,14 @@ def collect_terminal_samples(
     contiguous block of paths per thread, in one call that joins its threads
     before it returns; every other cell runs on the calling thread, whatever
     `workers` says. A block takes its Levy paths in batches of at most
-    _ATOM_BLOCK atoms (`_levy_batches`), one kernel pass each. Per-path
-    streams make the result independent of the split and of the batches:
-    `workers=1` gives the same bits. Each thread holds its own batch in
-    flight, so peak memory grows with the thread count (a `tracemalloc` peak
-    of about 2.3 MB per thread at 40000 atoms per path and 64 modes).
+    _ATOM_BLOCK atoms (`_levy_batches`), one kernel pass each. Path i draws
+    what stream(base_seed, i, purpose) draws; a block derives the stream keys
+    of all its paths in one pass (`streams._stream_block`), at a fixed cost
+    per block. Per-path streams make the result independent of the split and
+    of the batches: `workers=1` gives the same bits. Each thread holds its
+    own batch in flight, so peak memory grows with the thread count (a
+    `tracemalloc` peak of about 2.3 MB per thread at 40000 atoms per path
+    and 64 modes).
     """
     if not config.f.is_constant:
         raise ConfigMismatchError("fast terminal sampling needs a constant multiplier")
@@ -620,8 +624,7 @@ def _terminal_block(config: SimConfig, functionals: Sequence[TerminalFunctional]
         mean_modes = np.zeros(K)
         if config.initial is not None:
             mean_modes = np.asarray(config.initial) * decay_T
-        for i in range(lo, hi):
-            rng = stream(base_seed, i, purpose)
+        for i, rng in enumerate(_stream_block(base_seed, lo, hi, purpose), lo):
             modes_T = mean_modes + sd * rng.standard_normal(K)
             for f, c in zip(functionals, coeffs):
                 out[f.name][i] = float(modes_T @ c)
@@ -649,19 +652,22 @@ def _terminal_block(config: SimConfig, functionals: Sequence[TerminalFunctional]
 def _levy_batches(config: SimConfig, lo: int, hi: int, base_seed: int, purpose: str, stop: threading.Event):
     """Yield (first path, realizations) for the paths lo..hi-1 of a Levy cell, in path order.
 
-    Path i draws on stream(base_seed, i, purpose) at the inner cutoff, resolved
-    once. Consecutive paths share a batch of at most _ATOM_BLOCK atoms; a path
-    is never split, and a larger path comes alone. A set `stop` ends the
-    batches before the next path. The yielded list is emptied when the
-    generator resumes; only the batch's last path lives on into the next draw.
+    Path i draws what stream(base_seed, i, purpose) draws, at the inner
+    cutoff, resolved once. Its generator comes from one `_stream_block` over
+    lo..hi-1, which derives the keys of all the block's paths in one pass, at
+    a fixed cost per block instead of a `SeedSequence` per path. Consecutive
+    paths share a batch of at most _ATOM_BLOCK atoms; a path is never split,
+    and a larger path comes alone. A set `stop` ends the batches before the
+    next path. The yielded list is emptied when the generator resumes; only
+    the batch's last path lives on into the next draw.
     """
     spec: LevyNoiseSpec = config.noise
     eta = spec.resolve_eta(config.T)
     batch, n_atoms = [], 0
-    for i in range(lo, hi):
+    for i, rng in enumerate(_stream_block(base_seed, lo, hi, purpose), lo):
         if stop.is_set():
             return
-        real = noise_mod.simulate_levy_noise(spec.model, spec.eps, eta, config.T, stream(base_seed, i, purpose),
+        real = noise_mod.simulate_levy_noise(spec.model, spec.eps, eta, config.T, rng,
                                              rho_budget=spec.rho_budget, atom_cap=spec.atom_cap)
         if batch and n_atoms + len(real) > solver_mod._ATOM_BLOCK:
             yield i - len(batch), batch

@@ -10,10 +10,21 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 __all__ = ["stream"]
+
+_M32 = 0xFFFFFFFF
+# numpy's SeedSequence constants: the entropy hash of its pool (mix_entropy)
+# and the output hash of generate_state
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# paths whose Philox keys `_stream_block` derives in one array pass
+_KEY_CHUNK = 1024
 
 
 def _tag_to_int(tag: str) -> int:
@@ -26,12 +37,10 @@ def _words(n: int) -> list[int]:
     These are the words into which SeedSequence splits each int of an entropy
     list, so the word array seeds the same pool without numpy's coercion.
     """
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    words = [n & 0xFFFFFFFF]
-    while n > 0xFFFFFFFF:
+    words = [n & _M32]
+    while n > _M32:
         n >>= 32
-        words.append(n & 0xFFFFFFFF)
+        words.append(n & _M32)
     return words
 
 
@@ -40,17 +49,129 @@ def _tag_words(tag: str) -> tuple[int, ...]:
     return tuple(_words(_tag_to_int(tag)))
 
 
+def _int_arg(name: str, value) -> int:
+    """`value` as an int; ValueError naming `name` unless it is a Python or numpy int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
+def _handle_words(base_seed, purpose) -> tuple[list[int], tuple[int, ...]]:
+    """The entropy words of the base seed (mod 2**64) and of the purpose tag, arguments checked."""
+    seed = _words(_int_arg("base_seed", base_seed) & (2**64 - 1))
+    if not isinstance(purpose, str):
+        raise ValueError(f"purpose must be a str, got {purpose!r}")
+    return seed, _tag_words(purpose)
+
+
+def _path_index(name: str, value) -> int:
+    index = _int_arg(name, value)
+    if index < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+    return index
+
+
 def stream(base_seed: int, path_index: int = 0, purpose: str = "") -> np.random.Generator:
     """Return the generator for handle (base_seed, path_index, purpose).
 
     The same generator as Philox seeded by
     SeedSequence(entropy=[base_seed mod 2**64, path_index, tag of purpose]).
-    Handles give distinct streams only while base_seed mod 2**64 and
-    path_index are below 2**32: each int enters the entropy as its 32-bit
-    words, a variable number of them, so (5, 7 + 9 * 2**32) and
+    Before it is built, a ValueError names the argument unless base_seed is
+    an int and path_index an int >= 0 (Python or numpy ints, not bools) and
+    purpose is a str. Handles give distinct streams only while base_seed mod
+    2**64 and path_index are below 2**32: each int enters the entropy as its
+    32-bit words, a variable number of them, so (5, 7 + 9 * 2**32) and
     (5 + 7 * 2**32, 9) give the same words and the same draws.
+
+    This is the single-handle form. A sampler that runs a block of paths
+    takes their generators from `_stream_block`, which derives the keys of
+    the whole block in one pass and gives the same draws.
     """
-    words = _words(int(base_seed) & (2**64 - 1)) + _words(int(path_index))
-    words += _tag_words(purpose)
+    seed, tag = _handle_words(base_seed, purpose)
+    words = seed + _words(_path_index("path_index", path_index)) + list(tag)
     ss = np.random.SeedSequence(entropy=np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _stream_block(base_seed: int, lo: int, hi: int, purpose: str = "") -> Iterator[np.random.Generator]:
+    """Iterate the generators of stream(base_seed, i, purpose) for i = lo..hi-1, draw for draw.
+
+    The arguments are checked as by `stream`, and 0 <= lo <= hi, when this is
+    called, before any draw. The keys of up to _KEY_CHUNK consecutive paths
+    come from one array pass (`_philox_keys`), so a block costs a fixed
+    ~0.1 ms per chunk plus ~1-2 us per path, against ~10 us per `stream` call.
+    One generator is re-keyed for every path: the generator of path i is the
+    one yielded for path i + 1, so draw from it before asking for the next.
+    """
+    seed, tag = _handle_words(base_seed, purpose)
+    lo, hi = _path_index("lo", lo), _int_arg("hi", hi)
+    if hi < lo:
+        raise ValueError(f"hi must be an int >= lo = {lo}, got {hi!r}")
+    return _rekeyed(seed, lo, hi, tag)
+
+
+def _rekeyed(seed: list[int], lo: int, hi: int, tag: tuple[int, ...]) -> Iterator[np.random.Generator]:
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    # a fresh Philox's state: counter 0, an empty buffer, no cached 32-bit half
+    state = bitgen.state
+    i = lo
+    while i < hi:
+        # a chunk keeps the words above the low one fixed, so it ends before
+        # the low word wraps, which is also where the word count can change
+        low = i & _M32
+        n = min(hi - i, _KEY_CHUNK, 2**32 - low)
+        high = _words(i >> 32) if i > _M32 else []
+        entropy = np.empty((len(seed) + 1 + len(high) + len(tag), n), dtype=np.uint32)
+        entropy[:len(seed)] = np.array(seed, dtype=np.uint32)[:, None]
+        entropy[len(seed)] = np.arange(n, dtype=np.uint32) + np.uint32(low)
+        entropy[len(seed) + 1:] = np.array(high + list(tag), dtype=np.uint32)[:, None]
+        for key in _philox_keys(entropy).tolist():
+            state["state"]["key"] = key
+            bitgen.state = state
+            yield rng
+        i += n
+
+
+def _philox_keys(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy=column).generate_state(2, np.uint64) for each column of (words, n) uint32 entropy.
+
+    numpy's mix_entropy and generate_state, step for step on arrays: their
+    hash constants depend only on the step, so every column takes the same.
+    Returns (n, 2) uint64 keys.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _M32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x
+        result -= np.uint32(_MIX_MULT_R) * y
+        result ^= result >> np.uint32(16)
+        return result
+
+    n_words, n = entropy.shape
+    pool = [hashmix(entropy[i] if i < n_words else np.zeros(n, dtype=np.uint32)) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, n_words):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
+    # generate_state(2, np.uint64): one 32-bit output word per pool word, paired little-endian
+    hash_const = _INIT_B
+    out = []
+    for value in pool:
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _M32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
+        out.append(value.astype(np.uint64))
+    return np.stack((out[0] | out[1] << 32, out[2] | out[3] << 32), axis=1)

@@ -167,7 +167,7 @@ def test_compare_rejects_bad_functionals_before_running(tmp_path, capsys, monkey
         raise AssertionError("paths drawn before the functionals were checked")
 
     monkeypatch.setattr(lh.noise, "simulate_levy_noise", no_paths)
-    monkeypatch.setattr(lh.stats, "stream", no_paths)
+    monkeypatch.setattr(lh.stats, "_stream_block", no_paths)
     cfg_file = tmp_path / "cmp.cfg"
     cfg_file.write_text(GAMMA_COMPARE_CFG + f"compare.functionals = {functionals}\n")
     assert main(["compare", "--config", str(cfg_file), "--out", str(tmp_path), "--seed", "3"]) == 2
