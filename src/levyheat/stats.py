@@ -524,9 +524,9 @@ def collect_terminal_samples(
     before it returns; every other cell runs on the calling thread, whatever
     `workers` says. A block takes its Levy paths in batches of at most
     _ATOM_BLOCK atoms (`_levy_batches`), one kernel pass each. Path i draws
-    what stream(base_seed, i, purpose) draws; a block derives the stream keys
-    of all its paths in one pass (`streams._stream_block`), at a fixed cost
-    per block. Per-path streams make the result independent of the split and
+    what stream(base_seed, i, purpose) draws; a block keeps one generator and
+    sets its counter per path (`streams._stream_block`). Per-path streams
+    make the result independent of the split and
     of the batches: `workers=1` gives the same bits. Each thread holds its
     own batch in flight, so peak memory grows with the thread count (a
     `tracemalloc` peak of about 2.3 MB per thread at 40000 atoms per path
@@ -654,8 +654,7 @@ def _levy_batches(config: SimConfig, lo: int, hi: int, base_seed: int, purpose: 
 
     Path i draws what stream(base_seed, i, purpose) draws, at the inner
     cutoff, resolved once. Its generator comes from one `_stream_block` over
-    lo..hi-1, which derives the keys of all the block's paths in one pass, at
-    a fixed cost per block instead of a `SeedSequence` per path. Consecutive
+    lo..hi-1, which sets one generator's counter per path. Consecutive
     paths share a batch of at most _ATOM_BLOCK atoms; a path is never split,
     and a larger path comes alone. A set `stop` ends the batches before the
     next path. The yielded list is emptied when the generator resumes; only

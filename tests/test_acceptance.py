@@ -8,6 +8,15 @@ N(0, (1 - e^{-2})/2) (0.0497, 0.0485, 0.0484 at eps = 1e-1, 1e-2, 1e-3; see
 `gamma_limit_law.py`) and se is the null-scale sd of the statistic. The bound,
 about 0.033, lies above the null 99% quantile of the statistic (0.0326 at
 5000 + 5000 paths), so a Gaussian-converging gamma sample fails it.
+
+Criterion 6a checks the stable cells two ways. Each cell's two-sample KS
+p-value must reach 1e-3 / 3 (Bonferroni over the three cells, so a correct
+implementation fails with probability about 1e-3), and the exact distance
+D(eps) of the simulated stable law from the Gaussian one must stay below
+1e-4 in every cell. D(eps) is the Edgeworth term of the closed-form cumulants
+(`stable_limit_law.py`): 3.1e-5, 2.4e-6 and 1.1e-6 here, far below what 5000
+paths resolve (null KS ~0.017). The bound sits threefold above the largest
+of them and ninefold below the 9.0e-4 that a 50-atom budget gives.
 """
 
 import math
@@ -22,10 +31,14 @@ from levyheat import stats as st
 from levyheat.streams import stream
 
 from gamma_limit_law import gamma_mode1_ks
+from stable_limit_law import stable_mode1_edgeworth
 
 SEED = 12345
 VAR_MODE1 = (1.0 - math.exp(-2.0)) / 2.0  # Ito isometry, T=1, k=1
 GAMMA_ATOMS = 200  # expected-atom budget of the gamma dichotomy cells
+STABLE_ATOMS = 40000  # and of the stable ones
+STABLE_KS_LEVEL = 1e-3 / 3  # per-cell p-value floor of criterion 6a
+STABLE_D_BOUND = 1e-4  # bound of criterion 6a on the exact distance D(eps)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
@@ -130,7 +143,10 @@ def test_criterion_4_green_semigroup():
 # ---------------------------------------------------------------------------
 
 def _stepped_gaussian_mode_sample(n_paths: int, steps: int, modes: int, seed: int) -> np.ndarray:
-    """Batch exponential integrator for the additive Gaussian branch (all modes)."""
+    """Batch exponential integrator for the additive Gaussian branch, modes 1..`modes`; returns mode 1.
+
+    For constant f the modes are independent, so `modes=1` steps mode 1 alone with its law unchanged.
+    """
     rng = stream(seed, 0, "gauss_var_batch")
     k = np.arange(1, modes + 1, dtype=float)
     dt = 1.0 / steps
@@ -145,7 +161,7 @@ def _stepped_gaussian_mode_sample(n_paths: int, steps: int, modes: int, seed: in
 def test_criterion_5_moment_oracle():
     t0 = time.time()
     n = 5000
-    gvals = _stepped_gaussian_mode_sample(n, steps=4096, modes=64, seed=SEED)
+    gvals = _stepped_gaussian_mode_sample(n, steps=4096, modes=1, seed=SEED)
     gv = gvals.var(ddof=1)
     g_se = gv * math.sqrt(2.0 / (n - 1))
     g_ok = abs(gv - VAR_MODE1) <= 3.0 * g_se
@@ -179,7 +195,7 @@ def dichotomy_report():
     fns = [st.mode_functional(1, K)]
     stable = lh.LevyModel(lh.SymmetricStable(1.5))
     gamma = lh.LevyModel(lh.GammaSubordinator())
-    stable_spec = lh.LevyNoiseSpec(model=stable, eps=eps_grid[0], eta="atoms:40000",
+    stable_spec = lh.LevyNoiseSpec(model=stable, eps=eps_grid[0], eta=f"atoms:{STABLE_ATOMS}",
                                    rho_budget=1.0, normalization="retained")
     gamma_spec = lh.LevyNoiseSpec(model=gamma, eps=eps_grid[0], eta=f"atoms:{GAMMA_ATOMS}",
                                   rho_budget=1.0, normalization="retained")
@@ -191,14 +207,17 @@ def dichotomy_report():
     return rep_s, rep_g, eps_grid, time.time() - t0
 
 
-def test_criterion_6a_stable_trend(dichotomy_report):
+def test_criterion_6a_stable_law(dichotomy_report):
     rep_s, _, eps_grid, elapsed = dichotomy_report
-    ks = [rep_s.cell("stable(alpha=1.5)", e, "mode1").ks for e in eps_grid]
-    decreasing = ks[0] > ks[1] > ks[2]
-    final_ok = ks[2] < 0.05
-    ok = decreasing and final_ok and elapsed < 900.0
-    assert _report("6a", ok, f"stable KS {[f'{v:.4f}' for v in ks]} strictly decreasing={decreasing}, "
-                             f"final<0.05={final_ok}, experiment runtime {elapsed:.0f}s < 900s")
+    ok = elapsed < 900.0
+    cells = []
+    for eps in eps_grid:
+        row = rep_s.cell("stable(alpha=1.5)", eps, "mode1")
+        exact = stable_mode1_edgeworth(eps, STABLE_ATOMS)
+        ok = ok and row.ks_p >= STABLE_KS_LEVEL and exact < STABLE_D_BOUND
+        cells.append(f"eps={eps:g} KS {row.ks:.4f} (p {row.ks_p:.2g} >= {STABLE_KS_LEVEL:.1e}), "
+                     f"D {exact:.2e} < {STABLE_D_BOUND:.0e}")
+    assert _report("6a", ok, f"stable {'; '.join(cells)}; experiment runtime {elapsed:.0f}s < 900s")
 
 
 def test_criterion_6b_gamma_bound(dichotomy_report):

@@ -410,13 +410,17 @@ def test_mode_decomposition_residual_and_refinement():
     model = lh.LevyModel(lh.CompoundPoisson(((-1.0, 2.0), (1.0, 2.0))))
     coarse = small_sim(model, 2.0, 0.0, steps=1024, modes=32, collocation=128)
     fine = small_sim(model, 2.0, 0.0, steps=2048, modes=32, collocation=128)
-    # same stream -> identical atoms -> deterministic quadrature-error ratio
-    p1 = lh.simulate_path(coarse, stream(7, 0, "atoms"))
-    p2 = lh.simulate_path(fine, stream(7, 0, "atoms"))
-    r1 = lh.mode_decomposition_check(p1, 2)
-    r2 = lh.mode_decomposition_check(p2, 2)
-    assert r1 <= lh.mode_decomposition_budget(p1, 2)
-    assert 1.6 <= r1 / r2 <= 2.4
+    # same stream -> identical atoms -> deterministic quadrature-error ratio;
+    # one path's ratio scatters with its atoms, so the band holds the median
+    # over 8 paths, as in criterion 8
+    ratios = []
+    for i in range(8):
+        p1 = lh.simulate_path(coarse, stream(7, i, "atoms"))
+        p2 = lh.simulate_path(fine, stream(7, i, "atoms"))
+        r1 = lh.mode_decomposition_check(p1, 2)
+        assert r1 <= lh.mode_decomposition_budget(p1, 2), i
+        ratios.append(r1 / lh.mode_decomposition_check(p2, 2))
+    assert 1.6 <= np.median(ratios) <= 2.4
 
 
 @pytest.mark.parametrize("f", [lh.constant_f(1.0), lh.affine_f(0.25, 1.0)], ids=["constant", "affine"])

@@ -1,21 +1,25 @@
 """Stream handles: the generator of (base seed, path index, purpose) is Philox
-seeded by SeedSequence over the entropy list [base seed mod 2**64, path index,
-tag of purpose], draw for draw, in the single-handle form `stream` and in the
-block form `_stream_block`."""
+with key (base seed mod 2**64, 64-bit blake2s hash of purpose) and counter
+(0, 0, 0, path index), draw for draw, in the single-handle form `stream` and
+in the block form `_stream_block`."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from levyheat.streams import _KEY_CHUNK, _stream_block, _tag_to_int, stream
+from levyheat.streams import _stream_block, stream
 
 _SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, -1)
 _INDICES = (0, 2**32 - 1, 2**32, 2**70)
 _TAGS = ("", "atoms", "levy:gamma:0.001 " * 40)
 
 
-def _listed(base_seed, path_index, tag):
-    ss = np.random.SeedSequence(entropy=[base_seed & (2**64 - 1), path_index, _tag_to_int(tag)])
-    return np.random.Generator(np.random.Philox(ss))
+def _reference(base_seed, path_index, tag):
+    tag_hash = int.from_bytes(hashlib.blake2s(tag.encode("utf-8"), digest_size=8).digest(), "little")
+    key = np.array([base_seed % 2**64, tag_hash], dtype=np.uint64)
+    counter = np.array([0, 0, 0, path_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def _from_block(base_seed, path_index, tag):
@@ -40,17 +44,25 @@ def _handle_grid(test):
 
 
 @_handle_grid
-def test_stream_is_the_listed_entropy_generator(base_seed, path_index, tag):
-    _assert_same_draws(stream(base_seed, path_index, tag), _listed(base_seed, path_index, tag))
+def test_stream_is_the_key_counter_generator(base_seed, path_index, tag):
+    if path_index >= 2**64:
+        with pytest.raises(ValueError, match="path_index"):
+            stream(base_seed, path_index, tag)
+    else:
+        _assert_same_draws(stream(base_seed, path_index, tag), _reference(base_seed, path_index, tag))
 
 
 @_handle_grid
-def test_stream_block_is_the_listed_entropy_generator(base_seed, path_index, tag):
-    _assert_same_draws(_from_block(base_seed, path_index, tag), _listed(base_seed, path_index, tag))
+def test_stream_block_is_the_key_counter_generator(base_seed, path_index, tag):
+    if path_index >= 2**64:
+        with pytest.raises(ValueError, match="lo"):
+            _stream_block(base_seed, path_index, path_index + 1, tag)
+    else:
+        _assert_same_draws(_from_block(base_seed, path_index, tag), _reference(base_seed, path_index, tag))
 
 
-@pytest.mark.parametrize("lo, hi", [(2**32 - 2, 2**32 + 2), (3, 3 + 2 * _KEY_CHUNK + 1)],
-                         ids=["word_count_change", "longer_than_a_key_chunk"])
+@pytest.mark.parametrize("lo, hi", [(2**32 - 2, 2**32 + 2), (2**64 - 3, 2**64)],
+                         ids=["across_2_32", "up_to_2_64"])
 def test_stream_block_is_stream_path_by_path(lo, hi):
     paths = 0
     for i, rng in enumerate(_stream_block(2**40 + 7, lo, hi, "atoms"), lo):
@@ -58,6 +70,21 @@ def test_stream_block_is_stream_path_by_path(lo, hi):
         assert rng.bit_generator.random_raw(2).tolist() == want.bit_generator.random_raw(2).tolist(), i
         paths += 1
     assert paths == hi - lo
+
+
+def test_once_colliding_handles_now_differ():
+    """Seeded by 32-bit words, these two handles drew the same numbers."""
+    assert stream(5, 7 + 9 * 2**32).random(4).tobytes() != stream(5 + 7 * 2**32, 9).random(4).tobytes()
+
+
+def test_last_path_index_draws_and_the_next_raises():
+    _assert_same_draws(stream(3, 2**64 - 1, "atoms"), _reference(3, 2**64 - 1, "atoms"))
+    with pytest.raises(ValueError, match="path_index"):
+        stream(3, 2**64, "atoms")
+    with pytest.raises(ValueError, match="lo"):
+        _stream_block(3, 2**64, 2**64, "atoms")
+    with pytest.raises(ValueError, match="hi"):
+        _stream_block(3, 2**64 - 1, 2**64 + 1, "atoms")
 
 
 def test_stream_block_rekeys_after_an_odd_32_bit_draw():
@@ -77,10 +104,10 @@ def test_empty_stream_block_yields_nothing():
 
 
 def test_stream_takes_numpy_integers():
-    got, want = stream(np.int64(7), np.uint32(3), "atoms"), _listed(7, 3, "atoms")
+    got, want = stream(np.int64(7), np.uint32(3), "atoms"), _reference(7, 3, "atoms")
     assert got.random(4).tobytes() == want.random(4).tobytes()
     block = _stream_block(np.int64(7), np.uint32(3), np.int32(4), "atoms")
-    assert next(block).random(4).tobytes() == _listed(7, 3, "atoms").random(4).tobytes()
+    assert next(block).random(4).tobytes() == _reference(7, 3, "atoms").random(4).tobytes()
 
 
 @pytest.mark.parametrize("base_seed, path_index, purpose, argument", [
