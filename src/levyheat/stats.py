@@ -305,7 +305,7 @@ def _probe_values(path: FieldPath, probes: Sequence[MartingaleProbe], psis: Sequ
         xi = probe.xi
 
         def v(values):
-            return np.exp(1j * xi * values[2 * p]) * (1j * xi * values[2 * p + 1] + psi)
+            return _phasor(xi * values[2 * p]) * (1j * xi * values[2 * p + 1] + psi)
 
         vals = v(grid)
         piece = 0.5 * dt * (vals[:-1] + vals[1:])
@@ -322,6 +322,16 @@ def _probe_values(path: FieldPath, probes: Sequence[MartingaleProbe], psis: Sequ
         M_s = np.exp(1j * xi * F[i_s]) - cum[i_s]
         M_t = np.exp(1j * xi * F[i_t]) - cum[i_t]
         out.append((M_t - M_s, F[i_s]))
+    return out
+
+
+def _phasor(theta: np.ndarray) -> np.ndarray:
+    """e^{i theta} = cos theta + i sin theta from the one tangent of solver._half_angle."""
+    s, cos = solver_mod._half_angle(theta)
+    cos *= 0.5
+    out = np.empty(len(s), dtype=complex)
+    out.real = cos
+    out.imag = s
     return out
 
 
@@ -456,6 +466,9 @@ def mode_functional(k: int, n_modes: int, name: str | None = None) -> TerminalFu
 
 
 def point_functional(x0: float, n_modes: int, name: str | None = None) -> TerminalFunctional:
+    """The functional u_T(x0) = sum_k u_k(T) phi_k(x0); ValueError naming x0 unless 0 <= x0 <= pi."""
+    if not (0.0 <= float(x0) <= math.pi):
+        raise ValueError(f"point functional needs 0 <= x0 <= pi, got x0={x0!r}")
     c = phi_values(np.arange(1, n_modes + 1), np.atleast_1d(float(x0)))[:, 0]
     return TerminalFunctional(name or f"point({x0:.3g})", tuple(c))
 

@@ -8,12 +8,13 @@ general branch uses.
 
 `two_scan_probe_values` is the kernel replay as it was before the additive
 path kept its atom states: it scans the atoms a second time and projects the
-states a block at a time (`projected_states`).
+states a block at a time (`projected_states`). It takes e^{i theta} from
+`stats._phasor`, as the kernel replay does, so the two agree bit for bit.
 """
 
 import numpy as np
 
-from levyheat import noise, solver
+from levyheat import noise, solver, stats
 from levyheat.streams import stream
 
 
@@ -203,7 +204,7 @@ def two_scan_probe_values(path, probes, psis, coeffs, coeffs_dd):
         xi = probe.xi
 
         def v(values):
-            return np.exp(1j * xi * values[2 * p]) * (1j * xi * values[2 * p + 1] + psi)
+            return stats._phasor(xi * values[2 * p]) * (1j * xi * values[2 * p + 1] + psi)
 
         vals = v(grid)
         piece = 0.5 * dt * (vals[:-1] + vals[1:])

@@ -6,7 +6,9 @@ native-int indices with the marks negated under a mask, and the atom kernel
 run for every coefficient set, kmax = 1 included, as a zero-filled
 accumulator in blocks of `solver._ATOM_BLOCK` atoms that adds every row at
 every mode, and the terminal samples finished path by path. The new route
-must give the same bits from the same streams.
+must give the same bits from the same streams. sin x and 2 cos x come from
+the solver's own half-angle forms (`solver._half_angle`), so the block, cut
+and row-pick structure is pinned bit for bit.
 """
 
 import math
@@ -66,8 +68,7 @@ def sample_marks(sampler, count, rng):
 def _mode_rows(x, tau, kmax, sizes=None):
     if x is not None:
         s_prev = np.zeros_like(x) if kmax > 1 else None
-        s_cur = np.sin(x)
-        two_cos = 2.0 * np.cos(x) if kmax > 1 else None
+        s_cur, two_cos = solver._half_angle(x, two_cos=kmax > 1)
     if tau is not None:
         odd = np.negative(tau)
         np.exp(odd, out=odd)

@@ -280,5 +280,6 @@ def test_mode1_kernel_is_unchanged():
     coeffs = np.zeros((2, 64))
     coeffs[:, 0] = (1.0, -0.3)
     got = solver._atom_kernel(coeffs, x, tau)
-    want = (0.0 + coeffs[:, :1] * (np.sin(x) * np.exp(-tau))) * np.sqrt(2.0 / np.pi)
+    sin_x, _ = solver._half_angle(x, two_cos=False)
+    want = (0.0 + coeffs[:, :1] * (sin_x * np.exp(-tau))) * np.sqrt(2.0 / np.pi)
     assert np.array_equal(got, want)

@@ -150,6 +150,31 @@ def test_evaluate_errors(cp_symmetric):
         lh.evaluate(path, 0.12345678, 1.0)  # off-grid instant
 
 
+# NaN compares False both ways: each guard asks that the value lie inside
+@pytest.mark.parametrize("call,match", [
+    (lambda p: lh.evaluate(p, 0.5, math.nan), r"\[evaluate\] x=nan"),
+    (lambda p: lh.evaluate(p, 0.5, [1.0, math.nan]), r"\[evaluate\] x=\[1.0, nan\]"),
+    (lambda p: lh.factorization_check(p, 0.2, 0.5, math.nan), r"\[factorization_check\] x=nan"),
+    (lambda p: lh.factorization_check(p, 0.2, 0.5, 4.0), r"\[factorization_check\] x=4.0"),
+    (lambda p: lh.solver.grid_index(p, math.nan, "some_op"), r"\[some_op\] t=nan"),
+], ids=["evaluate", "evaluate_array", "factorization_check", "factorization_check_above_pi", "grid_index"])
+def test_nan_fails_the_range_guards(cp_symmetric, call, match):
+    path = lh.simulate_path(small_sim(cp_symmetric, 2.0, 0.0), stream(4, 0, "t"))
+    with pytest.raises(OutOfRangeError, match=match):
+        call(path)
+
+
+@pytest.mark.parametrize("arg,value", [
+    ("T", math.nan), ("T", math.inf), ("T", 0.0), ("modes", 8.5), ("collocation", 64.0), ("steps", "256"),
+    ("steps", 0),
+])
+def test_sim_config_checks_its_arguments(arg, value):
+    kw = dict(noise=lh.GaussianNoiseSpec(), T=1.0, modes=8, collocation=64, steps=256)
+    assert lh.SimConfig(**{**kw, arg: np.int64(64) if arg != "T" else np.float64(0.5)}) is not None
+    with pytest.raises(ValueError, match=f"{arg}={value!r}"):
+        lh.SimConfig(**{**kw, arg: value})
+
+
 # ---------------------------------------------------------------------------
 # branch agreement and moments
 # ---------------------------------------------------------------------------

@@ -604,6 +604,13 @@ def test_mode_functional_needs_a_mode_of_the_solver(k):
         st.mode_functional(k, 8)
 
 
+@pytest.mark.parametrize("x0", [math.nan, 4.0, -0.1, math.inf])
+def test_point_functional_needs_a_point_of_the_domain(x0):
+    assert st.point_functional(math.pi, 4).coefficients[0] == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(ValueError, match=f"x0={x0!r}"):
+        st.point_functional(x0, 8)
+
+
 @pytest.mark.parametrize("kind", ["levy", "gaussian"])
 @pytest.mark.parametrize("case,arg", [
     ("none", "functionals"), ("twice", "names"), ("wide", "config.modes"), ("negative", "n_paths"),
