@@ -73,7 +73,6 @@ _SCHEMA: dict[str, str] = {
     "budget.atom_cap": "float",
     "paths": "int",
     "seed": "int",
-    "workers": "int",
     "out.dir": "str",
     "compare.functionals": "str_list",
     "compare.kappa_ref": "float",
@@ -98,7 +97,6 @@ _DEFAULTS = {
     "budget.atom_cap": 1e8,
     "paths": 1000,
     "seed": 12345,
-    "workers": None,              # every available core; see collect_terminal_samples
     "out.dir": ".",
     "compare.functionals": ["mode1"],
     "compare.kappa_ref": 1.0,
@@ -154,9 +152,6 @@ def parse_config(text: str) -> dict:
 
 
 def config_hash(cfg: dict, command: str, seed: int) -> str:
-    # no output byte depends on the worker count, so it is hashed at one fixed
-    # value (1, the former default): every count gives the header of a serial run
-    cfg = {**cfg, "workers": 1}
     canon = "\n".join(f"{k}={cfg[k]!r}" for k in sorted(cfg)) + f"\ncmd={command}\nseed={seed}\nv={__version__}"
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -244,6 +239,8 @@ def cmd_ar_scan(cfg: dict, out_dir: Path, seed: int) -> int:
 
 
 def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
+    if cfg["simulate.paths"] < 1:
+        raise ConfigError(f"simulate.paths must be >= 1, got {cfg['simulate.paths']}")
     kind = cfg["noise.kind"]
     if kind not in ("levy", "gaussian"):
         raise ConfigError(f"unknown noise.kind {kind!r} (levy | gaussian)")
@@ -298,7 +295,6 @@ def cmd_compare(cfg: dict, out_dir: Path, seed: int) -> int:
         [model], grid, _functional_battery(cfg), sim, cfg["paths"], seed,
         kappa_ref=cfg["compare.kappa_ref"],
         ecf_grid=cfg.get("compare.ecf_grid", stats_mod._DEFAULT_ECF_GRID),
-        workers=cfg["workers"],
     )
     out = out_dir / "compare.csv"
     with out.open("w") as fh:
@@ -408,17 +404,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--out", default=None, help="output directory (overrides out.dir)")
     parser.add_argument("--seed", type=int, default=None, help="base seed (overrides seed)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="upper bound on the threads of compare (default: every available core; "
-                             f"1 runs serially, as does any cell of fewer than "
-                             f"{stats_mod._FAN_OUT_MIN_ATOMS} expected atoms per path)")
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(Path(args.config).read_text())
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.workers is not None:
-            cfg["workers"] = args.workers
         out_dir = Path(args.out if args.out is not None else cfg["out.dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         seed = cfg["seed"]

@@ -740,7 +740,7 @@ def sigma(model: LevyModel, eps: float) -> float:
 
 def ar_statistic(model: LevyModel, eps: float, kappa: float, method: str = "auto") -> float:
     """Normalized tail second moment above kappa * sigma(eps); lies in [0, 1]."""
-    if kappa <= 0.0:
+    if not kappa > 0.0:  # NaN fails too
         raise ValueError(f"kappa must be positive, got {kappa}")
     var = variance(model, eps, method=method)
     cut = kappa * math.sqrt(var)
@@ -752,7 +752,7 @@ def ar_statistic(model: LevyModel, eps: float, kappa: float, method: str = "auto
 
 def delta_statistic(model: LevyModel, eps: float, delta: float, method: str = "auto") -> float:
     """sigma^-(2+delta) int |z|^(2+delta) Q_eps(dz); +inf marks divergence."""
-    if delta <= 0.0:
+    if not delta > 0.0:  # NaN fails too
         raise ValueError(f"delta must be positive, got {delta}")
     var = variance(model, eps, method=method)
     p = 2.0 + delta
@@ -796,8 +796,9 @@ def ar_scan(model: LevyModel, eps_grid: Sequence[float], kappa_grid: Sequence[fl
     """AR statistic table over (eps, kappa); invalid cells are marked, not fatal."""
     if len(eps_grid) == 0 or len(kappa_grid) == 0:
         raise ValueError("eps and kappa grids must be nonempty")
-    if min(eps_grid) <= 0.0 or min(kappa_grid) <= 0.0:
-        raise ValueError("eps and kappa grids must be strictly positive")
+    for name, grid in (("eps", eps_grid), ("kappa", kappa_grid)):
+        if not all(0.0 < v < math.inf for v in grid):
+            raise ValueError(f"{name} grid must be finite and strictly positive, got {list(grid)!r}")
     cells = []
     for eps in eps_grid:
         for kappa in kappa_grid:

@@ -728,7 +728,7 @@ def green_kernel(t, x, y, n_modes: int):
     if n_modes < 1:
         raise ValueError("need at least one mode")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):  # NaN fails too
         raise ValueError("green_kernel needs t >= 0")
     k = np.arange(1, n_modes + 1, dtype=float)
     shape = np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(y))

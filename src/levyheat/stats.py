@@ -157,6 +157,8 @@ class MartingaleProbe:
     t: float
 
     def __post_init__(self):
+        if not math.isfinite(self.xi):
+            raise ValueError(f"xi must be finite, got {self.xi!r}")
         if not 0.0 <= self.s <= self.t:
             raise ValueError("need 0 <= s <= t")
 
@@ -411,9 +413,9 @@ def characteristics_sample(
     draws on the same stream. Before any path is drawn, a ValueError names
     the argument unless n_paths is an int >= 0, `phi_coefficients` has at
     most `config.modes` entries (fewer are zero-padded) and h > 0. The paths
-    run in batches on threads as in `collect_terminal_samples` with its
-    default `workers`, one `sine_series` pass per batch; the result does not
-    depend on the thread count.
+    run in batches on threads by the rule of `collect_terminal_samples`, one
+    `sine_series` pass per batch; the result does not depend on the thread
+    count.
     """
     if not config.f.is_constant:
         raise ConfigMismatchError("fast characteristics sampling needs a constant multiplier")
@@ -440,7 +442,7 @@ def characteristics_sample(
                 bigs[i] = np.sum(~small[a:b])
             del jumps, small  # before the next path is drawn
 
-    _path_blocks(fill, config, n_paths, None)
+    _path_blocks(fill, config, n_paths)
     return quad, bigs
 
 
@@ -519,7 +521,6 @@ def collect_terminal_samples(
     base_seed: int,
     *,
     purpose: str = "atoms",
-    workers: int | None = None,
 ) -> dict[str, np.ndarray]:
     """Samples of <u_T, phi> for additive (constant-f) configurations.
 
@@ -529,21 +530,19 @@ def collect_terminal_samples(
     with distinct names and at most `config.modes` coefficients each (fewer
     are zero-padded), and n_paths is an int >= 0.
 
-    `workers` (None, or an int >= 1) bounds the threads that run the paths:
-    None takes every core available to the process, and the count is capped
-    at the cores and the paths. Only a Levy cell with at least
-    _FAN_OUT_MIN_ATOMS expected atoms per path is split over threads, one
-    contiguous block of paths per thread, in one call that joins its threads
-    before it returns; every other cell runs on the calling thread, whatever
-    `workers` says. A block takes its Levy paths in batches of at most
-    _ATOM_BLOCK atoms (`_levy_batches`), one kernel pass each. Path i draws
-    what stream(base_seed, i, purpose) draws; a block keeps one generator and
+    A Levy cell with at least _FAN_OUT_MIN_ATOMS expected atoms per path is
+    split over one thread per core in the process's CPU affinity mask (at
+    most one per path), one contiguous block of paths per thread, in one
+    call that joins its threads before it returns; every other cell runs on
+    the calling thread. Pin the process (`taskset -c 0`) to run serially. A
+    block takes its Levy paths in batches of at most _ATOM_BLOCK atoms
+    (`_levy_batches`), one kernel pass each. Path i draws what
+    stream(base_seed, i, purpose) draws; a block keeps one generator and
     sets its counter per path (`streams._stream_block`). Per-path streams
-    make the result independent of the split and
-    of the batches: `workers=1` gives the same bits. Each thread holds its
-    own batch in flight, so peak memory grows with the thread count (a
-    `tracemalloc` peak of about 2.3 MB per thread at 40000 atoms per path
-    and 64 modes).
+    make the result independent of the split and of the batches: one core
+    gives the same bits. Each thread holds its own batch in flight, so peak
+    memory grows with the thread count (a `tracemalloc` peak of about
+    2.3 MB per thread at 40000 atoms per path and 64 modes).
     """
     if not config.f.is_constant:
         raise ConfigMismatchError("fast terminal sampling needs a constant multiplier")
@@ -558,7 +557,7 @@ def collect_terminal_samples(
             raise ValueError(f"functional {f.name!r} has {len(f.coefficients)} coefficients, "
                              f"more than config.modes = {config.modes}")
     out = {f.name: np.empty(n_paths) for f in functionals}
-    _path_blocks(partial(_terminal_block, config, functionals, base_seed, purpose, out), config, n_paths, workers)
+    _path_blocks(partial(_terminal_block, config, functionals, base_seed, purpose, out), config, n_paths)
     return out
 
 
@@ -568,19 +567,19 @@ def _check_path_count(n_paths: int) -> None:
         raise ValueError(f"n_paths must be an int >= 0, got {n_paths!r}")
 
 
-def _path_blocks(fill: Callable[[int, int, threading.Event], None], config: SimConfig,
-                 n_paths: int, workers: int | None) -> None:
+def _path_blocks(fill: Callable[[int, int, threading.Event], None], config: SimConfig, n_paths: int) -> None:
     """fill(lo, hi, stop) over contiguous ranges of the paths 0..n_paths-1, into the caller's outputs.
 
     A Levy cell of at least _FAN_OUT_MIN_ATOMS expected atoms per path takes
-    one range per thread (`_thread_count`); any other cell, or one thread,
-    takes the single range (0, n_paths). The pool threads are started and
-    joined inside the call, and an error raised in a range reaches the caller.
+    one range per thread, one thread per available core but at most one per
+    path; any other cell, or one thread, takes the single range (0, n_paths).
+    The pool threads are started and joined inside the call, and an error
+    raised in a range reaches the caller.
     `stop` is set once any range raises (an interrupt of the calling thread
     too); a range checks it before each path and returns early, so a failure
     waits for one path per thread, not for the other ranges.
     """
-    threads = _thread_count(workers, n_paths)
+    threads = max(1, min(_available_cores(), n_paths))
     stop = threading.Event()
     if threads == 1 or config.noise.kind != "levy" or _expected_atoms(config) < _FAN_OUT_MIN_ATOMS:
         fill(0, n_paths, stop)
@@ -609,17 +608,8 @@ def _expected_atoms(config: SimConfig) -> float:
     return noise_mod._cell(spec.model, spec.eps, spec.resolve_eta(config.T))[1] * config.T * math.pi
 
 
-def _thread_count(workers: int | None, n_paths: int) -> int:
-    """Threads for n_paths paths: `workers`, or every available core for None,
-    capped at the available cores and at n_paths, and at least one."""
-    if workers is not None and (isinstance(workers, bool) or not isinstance(workers, int) or workers < 1):
-        raise ValueError(f"workers must be None or an int >= 1, got {workers!r}")
-    cores = _available_cores()
-    return max(1, min(cores, workers or cores, n_paths))
-
-
 def _available_cores() -> int:
-    """CPU cores this process may run on."""
+    """CPU cores this process may run on: its affinity mask, where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -723,21 +713,20 @@ def dichotomy_experiment(
     *,
     kappa_ref: float = 1.0,
     ecf_grid: Sequence[float] = _DEFAULT_ECF_GRID,
-    workers: int | None = None,
 ) -> ComparisonReport:
     """Per-(model, eps) distributional comparison against one Gaussian reference.
 
     `config` provides the solver resolution, multiplier and noise budgets;
-    its noise model/eps are replaced per cell. `workers` is passed to
-    `collect_terminal_samples`; the report does not depend on it.
+    its noise model/eps are replaced per cell. Each cell's samples come from
+    `collect_terminal_samples`, threaded by its rule; the report does not
+    depend on the thread count.
     """
     base_spec: LevyNoiseSpec = config.noise
     if base_spec.kind != "levy":
         raise ConfigMismatchError("dichotomy config must carry a Levy noise spec as template")
     _xi_grid(ecf_grid)  # a bad grid fails before any path is drawn
     gauss_cfg = replace(config, noise=solver_mod.GaussianNoiseSpec())
-    ref = collect_terminal_samples(gauss_cfg, functionals, path_count, seed,
-                                   purpose="gauss_ref", workers=workers)
+    ref = collect_terminal_samples(gauss_cfg, functionals, path_count, seed, purpose="gauss_ref")
     rows = []
     for model in models:
         for eps in eps_grid:
@@ -745,7 +734,7 @@ def dichotomy_experiment(
             cell_cfg = replace(config, noise=spec)
             ar_val = ar_statistic(model, eps, kappa_ref)
             samples = collect_terminal_samples(cell_cfg, functionals, path_count, seed,
-                                               purpose=f"levy:{model.name}:{eps:.6g}", workers=workers)
+                                               purpose=f"levy:{model.name}:{eps:.6g}")
             for f in functionals:
                 d, p = ks_two_sample(samples[f.name], ref[f.name])
                 e = ecf_distance(samples[f.name], ref[f.name], ecf_grid)

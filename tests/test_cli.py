@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import levyheat as lh
+from levyheat import cli
 from levyheat.cli import main, parse_config
 from levyheat.errors import ConfigError
 
@@ -65,6 +66,15 @@ def test_ar_scan_empty_grid_exit_2(tmp_path):
     assert main(["ar-scan", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("grid", ["kappa.grid = nan, 1.0", "kappa.grid = inf", "epsilon.grid = 0.1, nan"])
+def test_ar_scan_non_finite_grid_exit_2(tmp_path, capsys, grid):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"model.family = gamma\nepsilon.grid = 0.1\nkappa.grid = 1.0\n{grid}\n")
+    assert main(["ar-scan", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert "finite and strictly positive" in capsys.readouterr().err
+    assert not (tmp_path / "ar_scan.csv").exists()
+
+
 def test_numeric_failure_exit_3(tmp_path):
     # compound Poisson fully truncated away -> ZeroVariance during simulate
     cfg_file = tmp_path / "zero.cfg"
@@ -109,6 +119,19 @@ def test_simulate_rejects_unknown_noise_kind(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
     assert "noise.kind" in capsys.readouterr().err
     assert not any(tmp_path.glob("path_*")) and not any(tmp_path.glob("atoms_*"))
+
+
+@pytest.mark.parametrize("paths", [0, -2])
+def test_simulate_needs_a_positive_path_count(tmp_path, capsys, monkeypatch, paths):
+    def no_paths(*args, **kw):
+        raise AssertionError("a path was drawn before the path count was checked")
+
+    monkeypatch.setattr(cli, "simulate_path", no_paths)
+    cfg_file = tmp_path / "sim.cfg"
+    cfg_file.write_text(f"noise.kind = gaussian\nsolver.modes = 4\nsolver.collocation = 16\n"
+                        f"solver.steps = 16\nsimulate.paths = {paths}\n")
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert "simulate.paths" in capsys.readouterr().err
 
 
 def test_compare_runs_and_emits_schema(tmp_path):
@@ -176,25 +199,11 @@ def test_compare_rejects_bad_functionals_before_running(tmp_path, capsys, monkey
     assert not (tmp_path / "compare.csv").exists()
 
 
-def test_compare_workers_invariant(tmp_path):
-    cfg_file = tmp_path / "cmp.cfg"
-    cfg_file.write_text(GAMMA_COMPARE_CFG)
-    one, two = tmp_path / "w1", tmp_path / "w2"
-    assert main(["compare", "--config", str(cfg_file), "--out", str(one),
-                 "--seed", "3", "--workers", "1"]) == 0
-    assert main(["compare", "--config", str(cfg_file), "--out", str(two),
-                 "--seed", "3", "--workers", "2"]) == 0
-    a = (one / "compare.csv").read_text().splitlines()
-    b = (two / "compare.csv").read_text().splitlines()
-    assert a[1:] == b[1:]  # identical rows regardless of worker fan-out
-
-
 def test_compare_threaded_stable_cell_matches_serial(tmp_path, monkeypatch):
-    # 6000 atoms per path is above the fan-out gate, so the default run splits
-    # each Levy cell over two threads; --workers 1 runs it serially
+    # 6000 atoms per path is above the fan-out gate, so a run on two cores
+    # splits each Levy cell over two threads; a run on one core is serial
     from concurrent.futures import ThreadPoolExecutor
     from levyheat import stats
-    monkeypatch.setattr(stats, "_available_cores", lambda: 2)
     pools = []
 
     class Spy(ThreadPoolExecutor):
@@ -209,19 +218,26 @@ def test_compare_threaded_stable_cell_matches_serial(tmp_path, monkeypatch):
                         "noise.eta = atoms:6000\nnoise.normalization = retained\nbudget.rho = 1.0\n"
                         "paths = 9\ncompare.functionals = mode1, point\n")
     one, auto = tmp_path / "w1", tmp_path / "auto"
-    assert main(["compare", "--config", str(cfg_file), "--out", str(one), "--seed", "3", "--workers", "1"]) == 0
+    monkeypatch.setattr(stats, "_available_cores", lambda: 1)
+    assert main(["compare", "--config", str(cfg_file), "--out", str(one), "--seed", "3"]) == 0
     assert pools == []
+    monkeypatch.setattr(stats, "_available_cores", lambda: 2)
     assert main(["compare", "--config", str(cfg_file), "--out", str(auto), "--seed", "3"]) == 0
     assert len(pools) == 2  # one per Levy cell
     assert (one / "compare.csv").read_bytes() == (auto / "compare.csv").read_bytes()
 
 
-def test_compare_workers_default_and_validation(tmp_path, capsys):
-    assert parse_config("")["workers"] is None  # every available core, as in the library
+def test_thread_count_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
+    # threads follow the CPU affinity mask (taskset -c 0 runs serially)
     cfg_file = tmp_path / "cmp.cfg"
     cfg_file.write_text(GAMMA_COMPARE_CFG)
-    assert main(["compare", "--config", str(cfg_file), "--out", str(tmp_path), "--workers", "0"]) == 2
-    assert "workers" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as flag:
+        main(["compare", "--config", str(cfg_file), "--out", str(tmp_path), "--workers", "2"])
+    assert flag.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    cfg_file.write_text(GAMMA_COMPARE_CFG + "workers = 2\n")
+    assert main(["compare", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert "unknown key 'workers'" in capsys.readouterr().err
     assert not (tmp_path / "compare.csv").exists()
 
 

@@ -121,14 +121,15 @@ def _gamma_cell(gamma_model, normalization, initial):
 
 @pytest.mark.parametrize("initial", [False, True], ids=["no_initial", "initial"])
 @pytest.mark.parametrize("noise_kind", ["model", "retained", "gaussian"])
-def test_terminal_samples_match_earlier_route(gamma_model, noise_kind, initial):
+def test_terminal_samples_match_earlier_route(gamma_model, monkeypatch, noise_kind, initial):
     # mode 1 and the point at pi/2 (kmax 64, the cut kernel, partial rows at every
     # odd k >= 3) over two atom blocks of ~200-atom gamma paths
     cfg = _gamma_cell(gamma_model, "model" if noise_kind == "gaussian" else noise_kind, initial)
     if noise_kind == "gaussian":
         cfg = replace(cfg, noise=lh.GaussianNoiseSpec())
     fns = [st.mode_functional(1, 64), st.point_functional(math.pi / 2, 64)]
-    got = st.collect_terminal_samples(cfg, fns, 100, 8, purpose="route", workers=1)
+    monkeypatch.setattr(st, "_available_cores", lambda: 1)
+    got = st.collect_terminal_samples(cfg, fns, 100, 8, purpose="route")
     want = ref.terminal_samples(cfg, fns, 100, 8, purpose="route")
     for f in fns:
         assert got[f.name].tobytes() == want[f.name].tobytes()
@@ -160,7 +161,6 @@ def test_terminal_sums_match_blocked_form(stable_model, rows):
 def test_every_levy_path_is_drawn_through_the_module_attributes(stable_model, gamma_model, monkeypatch):
     # wrappers with the signatures of an outside atom and mark counter: five
     # positional arguments and keywords for the noise, exactly five for the marks
-    monkeypatch.setattr(st, "_available_cores", lambda: 2)
     draw, marks = noise.simulate_levy_noise, measures.sample_marks
     lock = threading.Lock()
     atoms, counted = [], []
@@ -180,7 +180,8 @@ def test_every_levy_path_is_drawn_through_the_module_attributes(stable_model, ga
                     normalization="retained", rho=1.0)
     assert st._expected_atoms(cfg) >= st._FAN_OUT_MIN_ATOMS
     fns = [st.mode_functional(1, 16)]
-    plain = st.collect_terminal_samples(cfg, fns, 6, 4, workers=1)
+    monkeypatch.setattr(st, "_available_cores", lambda: 1)
+    plain = st.collect_terminal_samples(cfg, fns, 6, 4)
     # a gamma cell: one map of sign +1, whose marks are drawn without a pick
     gamma = _gamma_cell(gamma_model, "model", False)
     assert gamma_model.sampler(gamma.noise.eps, gamma.noise.resolve_eta(1.0)).one_positive_map
@@ -188,9 +189,10 @@ def test_every_levy_path_is_drawn_through_the_module_attributes(stable_model, ga
     gamma_plain = st.collect_terminal_samples(gamma, gamma_fns, 6, 4)
     monkeypatch.setattr(noise, "simulate_levy_noise", count_atoms)
     monkeypatch.setattr(measures, "sample_marks", count_marks)
-    for workers in (1, 2):
+    for cores in (1, 2):
+        monkeypatch.setattr(st, "_available_cores", lambda: cores)
         atoms.clear(), counted.clear()
-        got = st.collect_terminal_samples(cfg, fns, 6, 4, workers=workers)
+        got = st.collect_terminal_samples(cfg, fns, 6, 4)
         assert np.array_equal(got["mode1"], plain["mode1"])
         assert len(atoms) == 6 and sorted(counted) == sorted(atoms)
     atoms.clear(), counted.clear()

@@ -111,6 +111,23 @@ def test_ar_scan_marks_invalid_cells(cp_unit):
         lh.ar_scan(cp_unit, [], [1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_ar_guards_reject_nan_and_non_positive(gamma_model, bad):
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        lh.ar_statistic(gamma_model, 0.1, bad)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        lh.delta_statistic(gamma_model, 0.1, bad)
+
+
+@pytest.mark.parametrize("eps_grid,kappa_grid,name", [
+    ([0.1], [math.nan, 1.0], "kappa"), ([0.1], [1.0, math.inf], "kappa"), ([0.1], [1.0, -1.0], "kappa"),
+    ([0.1, math.nan], [1.0], "eps"), ([math.inf], [1.0], "eps"), ([0.1, 0.0], [1.0], "eps"),
+])
+def test_ar_scan_needs_finite_positive_grids(gamma_model, eps_grid, kappa_grid, name):
+    with pytest.raises(ValueError, match=f"{name} grid must be finite and strictly positive"):
+        lh.ar_scan(gamma_model, eps_grid, kappa_grid)
+
+
 # ---------------------------------------------------------------------------
 # delta_statistic
 # ---------------------------------------------------------------------------

@@ -57,6 +57,12 @@ def test_green_center_value():
     assert lh.green_kernel(0.5, math.pi / 2, math.pi / 2, 50) == pytest.approx(oracle, abs=1e-6)
 
 
+@pytest.mark.parametrize("t", [math.nan, -0.1, [0.5, math.nan]])
+def test_green_kernel_needs_non_negative_time(t):
+    with pytest.raises(ValueError, match="t >= 0"):
+        lh.green_kernel(t, 1.0, 1.0, 8)
+
+
 def test_green_semigroup_quadrature():
     # interior-node rectangle rule is exact for products of the sine modes
     K, M = 200, 1000

@@ -101,6 +101,12 @@ def test_martingale_zero_paths(cp_symmetric):
         assert r.z_score == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+def test_martingale_probe_needs_a_finite_frequency(xi):
+    with pytest.raises(ValueError, match="xi must be finite"):
+        lh.MartingaleProbe(xi, lh.SmoothBump(), 0.25, 0.75)
+
+
 def test_martingale_s_equals_t(cp_symmetric):
     cfg = small_sim(cp_symmetric, 2.0, 0.0, steps=256)
     probe = lh.MartingaleProbe(1.0, lh.SmoothBump(), 0.5, 0.5)
@@ -429,16 +435,18 @@ def test_noise_draws_look_up_simulate_levy_noise_at_call_time(gamma_model, monke
     assert calls == [(gamma_model, 0.1, eta, 1.0, ["atom_cap", "rho_budget"])] * 5
 
 
-def test_terminal_sampler_workers_invariant(gamma_model):
+def test_terminal_sampler_workers_invariant(gamma_model, monkeypatch):
     # ~1000 atoms per path, so the 40 paths span several atom blocks and a
     # path's block depends on the run: its value must not
     eta = lh.eta_for_atom_budget(gamma_model, 0.1, 1.0, 1000.0)
     cfg = small_sim(gamma_model, 0.1, eta, modes=8, collocation=32, steps=64)
     assert 40 * 1000 > 2 * lh.solver._ATOM_BLOCK
     fns = [st.mode_functional(1, 8), st.point_functional(math.pi / 2, 8, name="point")]
-    one = st.collect_terminal_samples(cfg, fns, 40, 5, purpose="atoms", workers=1)
-    two = st.collect_terminal_samples(cfg, fns, 40, 5, purpose="atoms", workers=2)
-    head = st.collect_terminal_samples(cfg, fns, 20, 5, purpose="atoms", workers=1)
+    monkeypatch.setattr(st, "_available_cores", lambda: 1)
+    one = st.collect_terminal_samples(cfg, fns, 40, 5, purpose="atoms")
+    head = st.collect_terminal_samples(cfg, fns, 20, 5, purpose="atoms")
+    monkeypatch.setattr(st, "_available_cores", lambda: 2)
+    two = st.collect_terminal_samples(cfg, fns, 40, 5, purpose="atoms")
     for f in fns:
         assert np.array_equal(one[f.name], two[f.name])
         assert np.array_equal(one[f.name][:20], head[f.name])
@@ -513,8 +521,8 @@ def test_threaded_cell_matches_serial_bitwise(stable_model, executors, monkeypat
     cfg = _stable_cell(stable_model, eta)
     fns = [st.mode_functional(1, 64), st.point_functional(math.pi / 2, 64, name="point")]
     phihat = lh.SmoothBump().sine_coefficients(64)
-    serial = st.collect_terminal_samples(cfg, fns, n_paths, 11, workers=1)
-    monkeypatch.setattr(st, "_available_cores", lambda: 1)  # characteristics_sample takes every core
+    monkeypatch.setattr(st, "_available_cores", lambda: 1)
+    serial = st.collect_terminal_samples(cfg, fns, n_paths, 11)
     quad1, bigs1 = st.characteristics_sample(cfg, phihat, 1.0, n_paths, 11)
     monkeypatch.setattr(st, "_available_cores", lambda: 2)
     assert executors == []
@@ -584,17 +592,10 @@ def test_cells_below_the_gate_run_on_the_calling_thread(gamma_model, executors):
     assert st._expected_atoms(cfg) < st._FAN_OUT_MIN_ATOMS
     gauss = replace(cfg, noise=lh.GaussianNoiseSpec())
     fns = [st.mode_functional(1, 16)]
-    st.collect_terminal_samples(cfg, fns, 8, 1, workers=2)
-    st.collect_terminal_samples(gauss, fns, 8, 1, workers=2)
+    st.collect_terminal_samples(cfg, fns, 8, 1)
+    st.collect_terminal_samples(gauss, fns, 8, 1)
     st.characteristics_sample(cfg, (1.0,), 0.5, 8, 1)
     assert executors == []
-
-
-@pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True])
-def test_workers_must_be_none_or_a_positive_int(gamma_model, workers):
-    cfg = small_sim(gamma_model, 0.1, "atoms:60")
-    with pytest.raises(ValueError, match="workers"):
-        st.collect_terminal_samples(cfg, [st.mode_functional(1, 8)], 2, 1, workers=workers)
 
 
 @pytest.mark.parametrize("k", [0, -1, 9, 1.0])
@@ -638,14 +639,25 @@ def test_terminal_sampler_checks_its_arguments_before_any_path(gamma_model, monk
     assert st.collect_terminal_samples(cfg, [st.mode_functional(1, 8)], 0, 1)["mode1"].shape == (0,)
 
 
-def test_thread_count_is_capped_at_cores_and_paths(monkeypatch):
-    # computed without starting a thread, whatever the requested count
-    monkeypatch.setattr(st, "_available_cores", lambda: 2)
-    assert st._thread_count(10**9, 12) == 2
-    assert st._thread_count(10**9, 1) == 1
-    assert st._thread_count(None, 12) == 2
-    assert st._thread_count(1, 12) == 1
-    assert st._thread_count(None, 0) == 1
+def test_thread_count_is_capped_at_cores_and_paths(stable_model, monkeypatch):
+    # a cell above the gate: one contiguous range per thread; no path is drawn
+    cfg = _stable_cell(stable_model)
+    for cores, n_paths, ranges in [
+        (2, 12, [(0, 6), (6, 12)]),            # capped at the cores
+        (3, 12, [(0, 4), (4, 8), (8, 12)]),
+        (1, 12, [(0, 12)]),
+        (2, 1, [(0, 1)]),                      # capped at the paths
+        (2, 0, [(0, 0)]),                      # at least one thread
+    ]:
+        monkeypatch.setattr(st, "_available_cores", lambda: cores)
+        got, lock = [], threading.Lock()
+
+        def fill(lo, hi, stop):
+            with lock:
+                got.append((lo, hi))
+
+        st._path_blocks(fill, cfg, n_paths)
+        assert sorted(got) == ranges, (cores, n_paths)
 
 
 def test_gaussian_control_ks():
