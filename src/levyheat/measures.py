@@ -752,8 +752,8 @@ def ar_statistic(model: LevyModel, eps: float, kappa: float, method: str = "auto
 
 def delta_statistic(model: LevyModel, eps: float, delta: float, method: str = "auto") -> float:
     """sigma^-(2+delta) int |z|^(2+delta) Q_eps(dz); +inf marks divergence."""
-    if not delta > 0.0:  # NaN fails too
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:  # NaN fails too
+        raise ValueError(f"delta must be positive and finite, got delta={delta!r}")
     var = variance(model, eps, method=method)
     p = 2.0 + delta
     mom = _moment(model, eps, p, 0.0, method)

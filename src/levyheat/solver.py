@@ -23,11 +23,15 @@ phi_k(x) = sqrt(2/pi) sin(kx).  The heat semigroup acts diagonally
   restricted-mean compensator once per step using the step-start field.
   For non-constant f only the active steps are stepped: those that hold an
   atom, or every step when the compensator drift is nonzero. Every other grid
-  row is the last computed state decayed to its time (_decay_fill, which also
-  spreads the additive path's atom states over the grid and, in the same
-  pass, subtracts its compensator drift, whose settled fractions
-  1 - e^{-k^2 t} depend on the grid alone and are built once per grid,
-  _settle_rows).
+  row is the last computed state decayed to its time. One fill does this for
+  both Levy branches (_decay_fill): row by row, grid row a + n of a run that
+  starts at row a is the run's state vector times one row of decay powers
+  e^{-k^2 t_n} (_decay_powers, formed per call only up to the longest run and
+  0 below the smallest normal double). The additive path's vectors are the
+  states of the last atom before each run, decayed to its first instant;
+  its compensator drift, which settles as d_k (1 - e^{-k^2 t}), enters as a
+  shift: u + d decays purely between atoms, so the vectors carry d e^{-k^2 t}
+  and the fill subtracts d.
 
 For constant f the field is linear in the atoms,
 u_k(t) = sum_{t_j <= t} a_j phi_k(x_j) e^{-k^2 (t - t_j)} minus the drift, and
@@ -102,9 +106,12 @@ _ATOM_BLOCK = 2**14
 # largest exponent k^2 (t_i - t_c) inside one scan chunk of _atom_states
 # (e^512 ~ 1e222, far from overflow)
 _SCAN_GROWTH = 512.0
-# modes per block of _decay_fill: it writes the (N+1) x K grid a block of
-# columns at a time, as one strided column at a time is several times slower
-_FILL_MODES = 16
+# grid rows per block of _decay_fill: its temporaries are O(K * _FILL_ROWS) floats
+_FILL_ROWS = 1024
+# log of the smallest normal double: np.exp below it returns a denormal or 0,
+# about 17x (0) and 145x (denormal) slower per element than a normal result
+# (numpy 2.4.6 on AVX-512)
+_EXP_FLOOR = math.log(np.finfo(float).tiny)
 # grid steps per noise draw of the Gaussian Euler branch
 _NOISE_CHUNK = 256
 # 53 ln 2: a mode with k^2 tau above it is damped by e^{-k^2 tau} < 2^-53, below
@@ -263,7 +270,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("modes", "collocation", "steps"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
+            if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
                 raise ValueError(f"{name} must be an int >= 1, got {name}={value!r}")
         if self.modes > self.collocation:
             raise ValueError("need modes <= collocation points")
@@ -586,46 +593,58 @@ def _atom_states(t, x, a, m0) -> np.ndarray:
     return out
 
 
-def _decay_fill(out, states, last, gaps, drift=None) -> None:
-    """out[i, k-1] = states[k-1, last[i]] e^{-k^2 gaps[i]}: a grid trajectory from earlier states.
+def _decay_powers(t, K: int) -> np.ndarray:
+    """e^{-k^2 t_i}, one row per t_i >= 0 and one column per mode k = 1..K.
 
-    Between the given states the field only decays, so each grid instant i
-    takes state last[i], gaps[i] before it. `states` is (K, P) and may be the
-    view out.T (a gap of 0 leaves a row bitwise unchanged). `drift` = (d, settle)
-    also subtracts the settling compensator drift d_k (1 - e^{-k^2 t_i}) (see
-    _drift_modes), with settle[k-1, i] = 1 - e^{-k^2 t_i} from _settle_rows:
-    one multiply and one subtract per mode. Modes are filled _FILL_MODES at a
-    time, so the temporaries are O(_FILL_MODES * len(out)) floats.
+    A power below the smallest normal double (k^2 t_i > -_EXP_FLOOR) is
+    written as 0 without calling np.exp, which is far slower per element
+    where its result is denormal or 0. NaN stays NaN.
     """
-    K = out.shape[1]
-    buf = np.empty((min(_FILL_MODES, K), len(out)))
-    decays = _mode_rows(None, gaps, K)
-    if drift is not None:
-        d, settle = drift
-        tmp = np.empty(len(out))
-    for k0 in range(0, K, _FILL_MODES):
-        part = buf[:K - k0]
-        for k, (row, src) in enumerate(zip(part, states[k0:]), start=k0):
-            np.multiply(src[last], next(decays), out=row)
-            if drift is not None:
-                np.multiply(settle[k], d[k], out=tmp)
-                row -= tmp
-        out[:, k0:k0 + len(part)] = part.T
+    x = np.einsum("i,j->ij", t, -np.arange(1, K + 1, dtype=float) ** 2)
+    if len(t) and not np.max(t) * K * K < -_EXP_FLOOR:  # else no power is below the floor: no mask
+        tiny = x <= _EXP_FLOOR
+        np.exp(x, out=x, where=~tiny)
+        x[tiny] = 0.0
+    else:
+        np.exp(x, out=x)
+    return x
 
 
-@lru_cache(maxsize=4)  # 2.1 MB per entry at K = 64, 4096 steps
-def _settle_rows(T: float, steps: int, K: int) -> np.ndarray:
-    """1 - e^{-k^2 t_i} at the grid instants t_i of (T, steps), one row per mode k = 1..K (read-only).
+def _decay_fill(out, times, first, vectors=None, shift=None) -> None:
+    """out[i] = v_g e^{-k^2 (t_i - t_{first[g]})} - shift: grid rows that only decay from the start of their run.
 
-    The settled fraction of the additive path's compensator drift, which
-    depends on the grid alone; the rows come from the _mode_rows recurrence.
+    Run g covers the rows first[g] <= i < first[g + 1] (first[0] = 0,
+    increasing; the last run ends with the grid). v_g is vectors[g] or, when
+    vectors is None, out's own row first[g], which e^0 = 1 leaves bitwise
+    unchanged. Rows are written _FILL_ROWS at a time: row a + n of a run that
+    is at a in the block is its vector times e^{-k^2 t_n}, one row of decay
+    powers per offset n formed once per call (_decay_powers), and a run that
+    began before the block first decays by e^{-k^2 (t_a - t_{first[g]})}. On a
+    grid whose instants n T / N are doubles t_{a + n} - t_a = t_n; elsewhere
+    the two differ by the rounding of the instants, under an ulp of T. The
+    temporaries are O(_FILL_ROWS * K) floats whatever the run lengths.
     """
-    times = np.linspace(0.0, T, steps + 1)
-    out = np.empty((K, steps + 1))
-    for row, decay in zip(out, _mode_rows(None, times, K)):
-        np.subtract(1.0, decay, out=row)
-    out.flags.writeable = False
-    return out
+    rows, K = out.shape
+    size = -(-rows // -(-rows // _FILL_ROWS))  # equal blocks of at most _FILL_ROWS rows
+    run = np.diff(first, append=rows)
+    start = np.repeat(first, run)  # first row of each row's run
+    picks = start if vectors is None else np.repeat(np.arange(len(first)), run)
+    powers = _decay_powers(times[:min(size, int(run.max()))], K)
+    buf = np.empty((size, K))
+    if shift is not None:
+        shift = np.tile(shift, (size, 1))  # a same-shape operand: a broadcast row costs a loop call per row
+    for lo in range(0, rows, size):
+        dest = out[lo:lo + size]
+        n = len(dest)
+        # mode="clip" (the indices are in range): under the default mode="raise" take buffers `out`
+        np.take(out if vectors is None else vectors, picks[lo:lo + n], axis=0, out=dest, mode="clip")
+        offset = np.arange(lo, lo + n) - np.maximum(start[lo:lo + n], lo)
+        dest *= np.take(powers, offset, axis=0, out=buf[:n], mode="clip")
+        if start[lo] < lo:  # the run goes on from the block before
+            head = dest[:np.searchsorted(start[lo:lo + n], lo)]
+            head *= _decay_powers(times[lo:lo + 1] - times[start[lo]], K)
+        if shift is not None:
+            dest -= shift[:n]
 
 
 def atom_steps(times: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -824,10 +843,15 @@ def _levy_path(config, rng):
 
 def _levy_path_additive(config, real):
     """Constant-f branch: the states right after each atom come from the atom
-    kernel, the grid trajectory decays them to the grid instants, and the
-    compensator drift telescopes to its closed form. The path keeps the
-    states (FieldPath.atom_states), whose projections the martingale replay
-    takes as its right limits at the atoms."""
+    kernel, and each grid row is the state of the last atom before it
+    decayed to its instant (_decay_fill). The compensator drift settles as
+    d_k (1 - e^{-k^2 t}) (_drift_modes), so y = u + d decays purely between
+    atoms: each state that starts a run of grid rows is moved to y and
+    decayed to the run's first instant, and the fill subtracts d. Only the
+    states of the last atom before some grid instant are moved, at most
+    steps + 1 of them. The path keeps the atom states
+    (FieldPath.atom_states), whose projections the martingale replay takes
+    as its right limits at the atoms."""
     sigma_used = real.jump_scale(config.noise.normalization)
     K = config.modes
     times = config.times()
@@ -836,14 +860,22 @@ def _levy_path_additive(config, real):
     J = len(tj)
     # states right after each atom (column 0 = initial state at time 0)
     states = _atom_states(tj, real.x, cval * (real.z / sigma_used), _initial_state(config))
-    # each grid instant takes the last state before it, decayed by the gap
+    # each grid instant takes the last state before it; a run of rows starts where that state changes
     last = np.searchsorted(tj, times, side="right")
-    out = np.empty((len(times), K))
-    drift = None
+    first = np.flatnonzero(np.diff(last, prepend=-1))
+    events = last[first]
+    vectors = states.T[events]
+    vectors *= _decay_powers(times[first] - np.concatenate(([0.0], tj))[events], K)
+    shift = None
     if real.m_restricted != 0.0:
-        drift = (_drift_modes(real.m_restricted / sigma_used * cval, K, config.collocation),
-                 _settle_rows(config.T, config.steps, K))
-    _decay_fill(out, states, last, times - np.concatenate(([0.0], tj))[last], drift)
+        shift = _drift_modes(real.m_restricted / sigma_used * cval, K, config.collocation)
+        settle = _decay_powers(times[first], K)
+        settle *= shift
+        vectors += settle
+    out = np.empty((len(times), K))
+    _decay_fill(out, times, first, vectors, shift)
+    if shift is not None:
+        out[0] = states[:, last[0]]  # no drift has settled at t = 0, and (m + d) - d would round m
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError("non-finite mode in Levy path", operation="simulate_path")
     return FieldPath(times, out, config, real, np.full(J, cval), states)
@@ -860,8 +892,9 @@ def _levy_path_general(config, real):
     """Non-constant-f branch: steps atom by atom through the steps that need work.
 
     A step needs work when it holds an atom, or at every step when the
-    compensator drift is nonzero; the other grid rows are decays of the last
-    computed state (_decay_fill). f(u(t_j-, x_j)) is taken at each atom's left
+    compensator drift is nonzero; the rows between active steps are decays of
+    the last computed row, which the fill of the additive branch writes from
+    that row itself (_decay_fill). f(u(t_j-, x_j)) is taken at each atom's left
     limit, and the drift uses the step-start field. The state is updated in
     place; as a non-finite mode stays non-finite, the written rows are checked
     once, after the last step, and the first bad one names the step.
@@ -914,9 +947,7 @@ def _levy_path_general(config, real):
     if bad.any():
         raise NonFiniteStateError(f"non-finite mode at step {int(np.argmax(bad)) + 1}", operation="simulate_path")
     if len(active) < N:
-        rows = np.concatenate(([0], active + 1))
-        last = rows[np.searchsorted(rows, np.arange(N + 1), side="right") - 1]
-        _decay_fill(out, out.T, last, times - times[last])
+        _decay_fill(out, times, np.concatenate(([0], active + 1)))
     return FieldPath(times, out, config, real, np.array(f_at, dtype=float))
 
 
@@ -982,7 +1013,11 @@ def _mode_x(path: FieldPath, k: int, operation: str):
     rate, g = real.m_restricted / sigma_used, None
     if rate != 0.0:
         _, S = _collocation(path.n_modes, path.config.collocation)
-        g = (path.config.f(path.modes @ S) * (np.pi / path.config.collocation)) @ S[k - 1]
+        f = path.config.f
+        # a constant f gives one g for every instant: project it from row 0 alone
+        rows = path.modes[:1] if f.is_constant else path.modes
+        g = (f(rows @ S) * (np.pi / path.config.collocation)) @ S[k - 1]
+        g = np.broadcast_to(g, times.shape)
         X = X - rate * np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * dt)))
     return dt, jumps, rate, g, X
 
@@ -1065,7 +1100,7 @@ def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, ti
     """
     if not (0.0 < delta < 0.25):
         raise InvalidDeltaError(f"delta must lie in (0, 1/4), got {delta}", operation="factorization_check")
-    if not isinstance(time_nodes, (int, np.integer)) or time_nodes < 1:
+    if isinstance(time_nodes, bool) or not isinstance(time_nodes, (int, np.integer)) or time_nodes < 1:
         raise ValueError(f"time_nodes must be an int >= 1, got {time_nodes!r}")
     x = float(_position(x, "factorization_check"))
     real, sigma_used = jump_log(path, "factorization_check")

@@ -460,7 +460,7 @@ class TerminalFunctional:
 
 def mode_functional(k: int, n_modes: int, name: str | None = None) -> TerminalFunctional:
     """The functional <u_T, phi_k>; ValueError naming k unless 1 <= k <= n_modes."""
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= n_modes):
+    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and 1 <= k <= n_modes):
         raise ValueError(f"mode functional needs an int k with 1 <= k <= n_modes = {n_modes}, got k={k!r}")
     c = np.zeros(n_modes)
     c[k - 1] = 1.0

@@ -8,12 +8,16 @@ in-place solver keeps, so the two agree bitwise); the Gaussian Euler branch
 drawing its noise one step at a time; the exact constant-f Gaussian path
 drawing one convolution sample of K modes per step; the step-by-step
 trapezoidal convolution of `solver.mode_decomposition_check`; the additive
-Levy path's decay fill with the settling drift of each mode run by its own
-recurrence in the same pass; and the factorization check's jump weights W_j
-summed one sub-grid node at a time. The exact Gaussian path and the
-convolution are now scans of `solver._atom_states`; the drift rows come once
-per grid from `solver._settle_rows`; the weights are summed a block of nodes
-at a time by `solver._factorization_weights`.
+Levy path's decay fill mode by mode, each e^{-k^2 t} and the settling drift
+of each mode run by the e^{-(2k-1) t} recurrence; and the factorization
+check's jump weights W_j summed one sub-grid node at a time. The exact
+Gaussian path and the convolution are now scans of `solver._atom_states`;
+the grid rows come from one row of direct decay powers per run offset
+(`solver._decay_fill`); the weights are summed a block of nodes at a time by
+`solver._factorization_weights`.
+
+`long_double_fill` is the accuracy reference of the grid fill: the same
+decays in numpy's long double.
 """
 
 import math
@@ -107,9 +111,7 @@ def levy_path_general_active(config, real):
             raise NonFiniteStateError(f"non-finite mode at step {n + 1}", operation="simulate_path")
         out[n + 1] = m
     if len(active) < N:
-        rows = np.concatenate(([0], active + 1))
-        last = rows[np.searchsorted(rows, np.arange(N + 1), side="right") - 1]
-        solver._decay_fill(out, out.T, last, times - times[last])
+        solver._decay_fill(out, times, np.concatenate(([0], active + 1)))
     return out, f_at
 
 
@@ -160,27 +162,40 @@ def trapezoid_convolution(X, k2, dt):
 
 
 def decay_fill(out, states, last, gaps, drift=None):
-    """`solver._decay_fill` with drift = (d, times): each mode's 1 - e^{-k^2 times[i]} by its own recurrence."""
-    K = out.shape[1]
-    buf = np.empty((min(solver._FILL_MODES, K), len(out)))
-    decays = solver._mode_rows(None, gaps, K)
-    if drift is not None:
-        d, times = drift
-        settles = solver._mode_rows(None, times, K)
-        tmp = np.empty(len(out))
-    for k0 in range(0, K, solver._FILL_MODES):
-        part = buf[:K - k0]
-        for k, (row, src) in enumerate(zip(part, states[k0:]), start=k0):
-            np.multiply(src[last], next(decays), out=row)
-            if drift is not None:
-                np.subtract(1.0, next(settles), out=tmp)
-                tmp *= d[k]
-                row -= tmp
-        out[:, k0:k0 + len(part)] = part.T
+    """out[i, k-1] = states[k-1, last[i]] e^{-k^2 gaps[i]} - d_k (1 - e^{-k^2 t_i}), one mode at a time.
+
+    drift is (d, times) or None.
+
+    Both decays come from the `solver._mode_rows` recurrence, whose rounding
+    grows with k (up to 1.1e-13 of max |grid| at K = 64 on criterion-7 paths).
+    """
+    decays = solver._mode_rows(None, gaps, out.shape[1])
+    settles = None if drift is None else solver._mode_rows(None, drift[1], out.shape[1])
+    for k, src in enumerate(states):
+        row = src[last] * next(decays)
+        if drift is not None:
+            row -= drift[0][k] * (1.0 - next(settles))
+        out[:, k] = row
+
+
+def long_double_fill(states, t_states, times, shift=None):
+    """Grid rows states[:, j] e^{-k^2 (t_i - t_states[j])} - shift_k (1 - e^{-k^2 t_i}) in long double.
+
+    j is the last state at or before t_i (t_states sorted, t_states[0] <= t_0);
+    `states` is (K, P). The instants are taken as the doubles given.
+    """
+    ld = np.longdouble
+    k2 = np.arange(1, states.shape[0] + 1, dtype=ld) ** 2
+    last = np.searchsorted(t_states, times, side="right") - 1
+    gaps = times.astype(ld) - t_states.astype(ld)[last]
+    out = states.T.astype(ld)[last] * np.exp(-np.multiply.outer(gaps, k2))
+    if shift is not None:
+        out += shift.astype(ld) * np.expm1(-np.multiply.outer(times.astype(ld), k2))
+    return out
 
 
 def levy_path_additive(config, real):
-    """Grid modes of the constant-f Levy path, its drift rows recomputed per path in the fill."""
+    """Grid modes of the constant-f Levy path by the recurrence fill (`decay_fill`)."""
     sigma_used = real.jump_scale(config.noise.normalization)
     K = config.modes
     times = config.times()

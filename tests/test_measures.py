@@ -119,6 +119,11 @@ def test_ar_guards_reject_nan_and_non_positive(gamma_model, bad):
         lh.delta_statistic(gamma_model, 0.1, bad)
 
 
+def test_delta_statistic_needs_a_finite_delta(gamma_model):
+    with pytest.raises(ValueError, match=r"delta must be positive and finite, got delta=inf"):
+        lh.delta_statistic(gamma_model, 0.1, math.inf)
+
+
 @pytest.mark.parametrize("eps_grid,kappa_grid,name", [
     ([0.1], [math.nan, 1.0], "kappa"), ([0.1], [1.0, math.inf], "kappa"), ([0.1], [1.0, -1.0], "kappa"),
     ([0.1, math.nan], [1.0], "eps"), ([math.inf], [1.0], "eps"), ([0.1, 0.0], [1.0], "eps"),

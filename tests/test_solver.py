@@ -181,6 +181,19 @@ def test_sim_config_checks_its_arguments(arg, value):
         lh.SimConfig(**{**kw, arg: value})
 
 
+# bool is an int subclass; each count check turns it away with its usual message
+@pytest.mark.parametrize("call,match", [
+    (lambda p: lh.SimConfig(noise=lh.GaussianNoiseSpec(), modes=True), "modes=True"),
+    (lambda p: lh.SimConfig(noise=lh.GaussianNoiseSpec(), steps=True), "steps=True"),
+    (lambda p: lh.mode_functional(True, 8), "k=True"),
+    (lambda p: lh.factorization_check(p, 0.2, 0.5, 1.0, time_nodes=True), "time_nodes"),
+], ids=["modes", "steps", "mode_functional", "time_nodes"])
+def test_counts_reject_bool(cp_symmetric, call, match):
+    path = lh.simulate_path(small_sim(cp_symmetric, 2.0, 0.0), stream(4, 0, "t"))
+    with pytest.raises(ValueError, match=match):
+        call(path)
+
+
 # ---------------------------------------------------------------------------
 # branch agreement and moments
 # ---------------------------------------------------------------------------
@@ -194,7 +207,8 @@ def test_additive_equals_general_branch(gamma_model):
 
 
 def test_additive_drift_fill_matches_per_path_recurrence(gamma_model, stable_model):
-    # two grids; K = 40 leaves a partial fill block; gamma carries a drift, stable none
+    # two grids; gamma carries a drift, stable none. The recurrence fill rounds
+    # more (up to ~1e-13 of max |grid|), so the two agree to a tolerance
     drifts = []
     for modes, steps in ((40, 2048), (32, 1000)):
         initial = tuple(np.linspace(0.5, -0.3, modes) / np.arange(1, modes + 1))
@@ -204,23 +218,64 @@ def test_additive_drift_fill_matches_per_path_recurrence(gamma_model, stable_mod
             cfg = replace(cfg, initial=initial)
             for i in range(2):
                 real = _sorted_noise(cfg, stream(13, i, "drift"))
-                path = lh.simulate_path(cfg, stream(13, i, "drift"))
-                assert np.array_equal(path.modes, loops.levy_path_additive(cfg, real))
+                got = lh.simulate_path(cfg, stream(13, i, "drift")).modes
+                want = loops.levy_path_additive(cfg, real)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
                 drifts.append(real.m_restricted)
     assert drifts[0] != 0.0 and drifts[2] == 0.0 and drifts[4] != 0.0
 
 
-def test_settle_rows_cached_read_only():
-    rows = lh.solver._settle_rows
-    for T, steps, K in ((1.0, 2048, 40), (0.75, 1000, 32)):
-        rows.cache_clear()
-        got = rows(T, steps, K)
-        times = np.linspace(0.0, T, steps + 1)
-        want = [1.0 - decay for decay in lh.solver._mode_rows(None, times, K)]
-        assert got.shape == (K, steps + 1) and np.array_equal(got, want)
-        assert rows(T, steps, K) is got and not got.flags.writeable
-        with pytest.raises(ValueError):
-            got[0, 1] = 0.0
+def _fill_reference(path):
+    """The long-double grid of `path` from the states the fill starts from, and the drift shift d."""
+    real, times = path.atom_log, path.times
+    if path.atom_states is None:  # general branch without a drift: row 0 and each active step's end stay
+        rows = np.concatenate(([0], np.unique(lh.solver.atom_steps(times, real.t)) + 1))
+        return loops.long_double_fill(path.modes[rows].T, times[rows], times), 0.0
+    cfg, shift = path.config, None
+    if real.m_restricted != 0.0:
+        rate = real.m_restricted / real.jump_scale(cfg.noise.normalization)
+        shift = lh.solver._drift_modes(rate * cfg.f.constant_value, cfg.modes, cfg.collocation)
+    want = loops.long_double_fill(path.atom_states, np.concatenate(([0.0], real.t)), times, shift)
+    return want, 0.0 if shift is None else shift
+
+
+@pytest.mark.parametrize("T, steps, modes", [(1.0, 4096, 64), (1.0, 2048, 40), (0.75, 1000, 32)],
+                         ids=["crit7_grid", "dyadic", "rounded_instants"])
+def test_grid_fill_matches_long_double_reference(gamma_model, stable_model, T, steps, modes):
+    # within 4e-15 of max |grid| where the grid instants i T / N are doubles
+    # (the recurrence fill misses this by up to ~30x). Where they are rounded
+    # (0.75 / 1000), the powers e^{-k^2 t_n} stand for e^{-k^2 (t_{a+n} - t_a)},
+    # instants that differ by up to 1.5 ulp of T: k^2 times that of |u + d| more
+    k2 = np.arange(1, modes + 1, dtype=float) ** 2
+    grid_rounding = 0.0 if T == 1.0 else 1.5 * np.spacing(T) * k2
+    initial = tuple(np.linspace(0.5, -0.3, modes) / np.arange(1, modes + 1))
+    # additive paths with and without a drift; general paths (the fill runs
+    # only without a drift) with a few and with many atoms
+    cases = [(gamma_model, "atoms:100", lh.constant_f(1.0))]
+    for eta in ("atoms:300", "atoms:4000"):
+        cases += [(stable_model, eta, lh.constant_f(1.0)), (stable_model, eta, lh.affine_f(0.25, 1.0))]
+    for model, eta, f in cases:
+        cfg = small_sim(model, 0.1, eta, f=f, modes=modes, collocation=4 * modes, steps=steps, rho=1.0)
+        cfg = replace(cfg, T=T, initial=initial)
+        for i in range(2):
+            path = lh.simulate_path(cfg, stream(29, i, "fill"))
+            want, shift = _fill_reference(path)
+            err = np.abs(path.modes - want)
+            assert np.all(err <= 4e-15 * np.max(np.abs(want)) + grid_rounding * np.abs(want + shift))
+
+
+def test_decay_powers_match_exp_and_flush_below_normal():
+    K, tiny = 64, np.finfo(float).tiny
+    t = np.array([0.0, 1e-300, 2.0**-12, 0.1, 0.17, 0.5, 1.0, 700.0, np.inf, np.nan])
+    got = lh.solver._decay_powers(t, K)
+    want = np.exp(-np.multiply.outer(t, np.arange(1, K + 1, dtype=float) ** 2))
+    assert got.shape == (len(t), K)
+    normal = want >= tiny
+    assert np.array_equal(got[normal], want[normal])  # the same np.exp where it is normal
+    assert np.all(got[~normal & ~np.isnan(want)] == 0.0)  # 0, never a denormal
+    assert np.all(np.isnan(got[-1]))
+    # no underflow anywhere: the plain exponential
+    assert np.array_equal(lh.solver._decay_powers(t[:4], K), want[:4])
 
 
 @pytest.mark.parametrize("f", [lh.affine_f(0.25, 1.0), lh.bounded_smooth_f(0.5, 1.0)], ids=["affine", "smooth"])
@@ -329,8 +384,9 @@ def test_general_branch_matches_step_loop(stable_model, gamma_model, cp_symmetri
 
 
 def test_general_branch_memory_bounded_by_grid(stable_model):
-    # the atom-free rows are filled a few modes at a time (peak ~1.4 grids); a
-    # fill through an (N+1) x K decay matrix peaks at ~4 grids
+    # the atom-free rows are filled a block of rows at a time, with decay
+    # powers only up to the block length (peak ~1.3 grids); a fill through an
+    # (N+1) x K decay matrix peaks at ~3 grids
     cfg = small_sim(stable_model, 0.1, "atoms:300", f=lh.affine_f(0.25, 1.0), modes=64, collocation=256,
                     steps=8192, rho=1.0)
     real = _sorted_noise(cfg, stream(10, 0, "memory"))
@@ -339,6 +395,23 @@ def test_general_branch_memory_bounded_by_grid(stable_model):
     tracemalloc.start()
     try:
         path = lh.solver._levy_path_general(cfg, real)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * path.modes.nbytes
+
+
+@pytest.mark.parametrize("eta", ["atoms:300", "atoms:0.5"], ids=["atoms", "almost_none"])
+def test_additive_branch_memory_bounded_by_grid(gamma_model, eta):
+    # the grid, the atom states and block temporaries: no (N+1) x K array of
+    # decays or drift fractions besides the grid (peak ~1.3 grids)
+    cfg = small_sim(gamma_model, 0.1, eta, modes=64, collocation=256, steps=8192, rho=1.0)
+    real = _sorted_noise(cfg, stream(10, 0, "memory"))
+    assert real.m_restricted != 0.0 and len(real) < 400
+    lh.solver._collocation(64, 256)
+    tracemalloc.start()
+    try:
+        path = lh.solver._levy_path_additive(cfg, real)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -20,7 +20,7 @@ The snapshot is one JSON object:
       "workloads": {
         "<workload>": {
           "end_to_end": {"<metric>": {"median": 3.5e6, "unit": "atoms/s",
-                                      "runs": [v1, v2, v3]}, ...},
+                                      "runs": [v1, v2, v3], "spread": 1.04}, ...},
           "per_layer": {"<metric>": {"value": 0.29, "unit": "s"}, ...},
           "runs": [{"seed": 1, "trace": 0, "correct": true, "attempted": 22,
                     "failed": 0}, ...]
@@ -30,7 +30,11 @@ The snapshot is one JSON object:
 
 `end_to_end` holds the medians and the single values of the untraced runs,
 `per_layer` the rows of the traced run, in the units `benchmarks/run.py`
-reports them in.
+reports them in. `spread` is max/min of a metric's untraced runs (null when
+the smallest is not positive). Above SPREAD_WARN (1.25) the script prints a
+warning to stderr and still writes the snapshot: runs that far apart at
+different seeds usually mean the host was loaded while they ran, so the
+median may not be the program's level; run the snapshot again.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import scipy
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 TRACE_SEED = 1
+SPREAD_WARN = 1.25
 
 
 def run(spec: dict, workload: str, seed: int, trace: int) -> dict:
@@ -73,7 +78,12 @@ def snapshot(spec: dict) -> dict:
         end_to_end = {}
         for m in spec["end_to_end"]:
             values = [r["metrics"][m["name"]]["value"] for r in untraced]
-            end_to_end[m["name"]] = {"median": statistics.median(values), "unit": m["unit"], "runs": values}
+            spread = max(values) / min(values) if min(values) > 0 else None
+            if spread is None or spread > SPREAD_WARN:
+                print(f"warning: {name} {m['name']} runs {values} spread {spread} (max/min) "
+                      f"above {SPREAD_WARN}", file=sys.stderr, flush=True)
+            end_to_end[m["name"]] = {"median": statistics.median(values), "unit": m["unit"], "runs": values,
+                                     "spread": spread}
         runs = [{"seed": s, "trace": 0, **status(r)} for s, r in zip(SEEDS, untraced)]
         runs.append({"seed": TRACE_SEED, "trace": 1, **status(traced)})
         workloads[name] = {"end_to_end": end_to_end, "per_layer": traced["metrics"], "runs": runs}
