@@ -36,10 +36,11 @@ phi_k(x) = sqrt(2/pi) sin(kx).  The heat semigroup acts diagonally
 For constant f the field is linear in the atoms,
 u_k(t) = sum_{t_j <= t} a_j phi_k(x_j) e^{-k^2 (t - t_j)} minus the drift, and
 one atom kernel (_mode_rows, _atom_kernel, _atom_states) evaluates it for the
-additive path, the terminal pairings, the martingale replay and, with the
-recorded f(u(t_j-, x_j)) per atom, the jump part of the factorization check
-(whose singular weights W_j are summed a block of sub-grid nodes at a time,
-_factorization_weights).
+additive path, the terminal pairings and, with the recorded f(u(t_j-, x_j))
+per atom, the jump part of the factorization check (whose singular weights
+W_j are summed a block of sub-grid nodes at a time, _factorization_weights).
+The martingale replay calls no kernel: it projects the additive path's kept
+atom states, decayed by _decay_powers to each atom's left limit.
 The kernel's sin(kx) rows start from sin x and 2 cos x, both formed from one
 tangent tan(x/2) per atom (_half_angle): numpy's float64 tan runs as a SIMD
 kernel, its sin and cos as scalar libm calls.
@@ -100,8 +101,9 @@ __all__ = [
     "atom_steps",
 ]
 
-# atoms per block of the atom kernels (_atom_kernel, _atom_states): their
-# temporaries are O(K * _ATOM_BLOCK) floats whatever the atom count
+# atoms per block of the atom kernels (_atom_kernel, _atom_states) and of the
+# martingale replay's limits: their temporaries are O(K * _ATOM_BLOCK) floats
+# whatever the atom count
 _ATOM_BLOCK = 2**14
 # largest exponent k^2 (t_i - t_c) inside one scan chunk of _atom_states
 # (e^512 ~ 1e222, far from overflow)
@@ -851,7 +853,8 @@ def _levy_path_additive(config, real):
     states of the last atom before some grid instant are moved, at most
     steps + 1 of them. The path keeps the atom states
     (FieldPath.atom_states), whose projections the martingale replay takes
-    as its right limits at the atoms."""
+    as its right limits at the atoms and, decayed to the next atom, as its
+    left limits."""
     sigma_used = real.jump_scale(config.noise.normalization)
     K = config.modes
     times = config.times()
@@ -999,11 +1002,12 @@ def _mode_x(path: FieldPath, k: int, operation: str):
     order, the compensator rate r = m / sigma (0 when the measure is
     symmetric), the collocation projection g_n of f(u(t_n)) on phi_k that the
     compensator drift integrates (None when r = 0), and X itself: the jumps
-    minus r times the trapezoidal integral of g.
+    minus r times the trapezoidal integral of g. A ValueError names k unless
+    it is an int (not a bool) with 1 <= k <= K.
     """
     real, sigma_used = jump_log(path, operation)
-    if not (1 <= k <= path.n_modes):
-        raise ValueError(f"mode index {k} outside 1..{path.n_modes}")
+    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and 1 <= k <= path.n_modes):
+        raise ValueError(f"{operation} needs an int mode index k with 1 <= k <= {path.n_modes}, got k={k!r}")
     times = path.times
     dt = times[1] - times[0]
     jumps = path.f_at_atoms * phi_values(k, real.x)[0] * real.z / sigma_used

@@ -263,47 +263,44 @@ def _probe_values(path: FieldPath, probes: Sequence[MartingaleProbe], psis: Sequ
                   coeffs: Sequence[np.ndarray], coeffs_dd: Sequence[np.ndarray]):
     """Per-path (M_t - M_s, <u_s, phi>) for each probe.
 
-    The ds-integral uses trapezoidal quadrature on the stored grid; steps
-    containing atoms are integrated piecewise at the exact jump times, from
-    the left and right limits of <u, phi> and <u, phi''> at the atoms. The
-    right limits are the projections of the path's own atom states
-    (FieldPath.atom_states), less the compensator drift, and the left limits
-    take back each atom's jump through the atom kernel, for all probes at
-    once; as in the solver, a step's compensator drift is subtracted at its
-    end.
+    M_t - M_s = e^{i xi F_t} - e^{i xi F_s} minus the ds-integral over (s, t],
+    which uses trapezoidal quadrature on the stored grid; steps containing
+    atoms are integrated piecewise at the exact jump times, from the left and
+    right limits of <u, phi> and <u, phi''> at the atoms (_atom_limits). Only
+    one window of grid rows lo..hi, from the earliest s to the latest t of
+    the call, is projected, and only the atoms of its steps are taken; each
+    probe sums its own pieces on [i_s, i_t).
     """
     real, sigma_used = jump_log(path, "martingale_residual")
     if path.atom_states is None:
         raise MissingAtomLogError("needs the atom states of an additive Levy path",
                                   operation="martingale_residual")
-    cfg = path.config
     times = path.times
     dt = times[1] - times[0]
+    ends = [(grid_index(path, p.s, "martingale_residual"), grid_index(path, p.t, "martingale_residual"))
+            for p in probes]
+    lo, hi = min(i for i, _ in ends), max(i for _, i in ends)
     proj = np.column_stack([v for c, cd in zip(coeffs, coeffs_dd) for v in (c, cd)])  # (K, 2P)
-    grid = proj.T @ path.modes.T
+    grid = proj.T @ path.modes[lo:hi + 1].T
+    # the atoms of steps lo..hi-1 by the atom_steps rule: times[lo] < t <= times[hi], t = 0 in step 0
     t = real.t
-    if len(t):
-        a = path.f_at_atoms * (real.z / sigma_used)
-        steps = solver_mod.atom_steps(times, t)
-        right = proj.T @ path.atom_states[:, 1:]
-        drift_rate = real.m_restricted / sigma_used
-        if drift_rate != 0.0:
-            # inside step n the state carries the grid drift D(t_n) decayed to t,
-            # D_k(t_n) e^{-k^2 (t - t_n)} = r_k (e^{-k^2 (t - t_n)} - e^{-k^2 t})
-            r = solver_mod._drift_modes(drift_rate * cfg.f.constant_value, path.n_modes, cfg.collocation)
-            decays = solver_mod._atom_kernel(proj.T * r, None, np.concatenate((t - times[steps], t)))
-            right -= decays[:, :len(t)] - decays[:, len(t):]
-        left = right - solver_mod._atom_kernel(proj.T, real.x, None) * a
+    j0 = int(np.searchsorted(t, times[lo], side="right")) if lo else 0
+    j1 = int(np.searchsorted(t, times[hi], side="right")) if hi > lo else j0
+    if j1 > j0:
+        tw = t[j0:j1]
+        steps = solver_mod.atom_steps(times, tw)
+        left, right = _atom_limits(path, proj, j0, j1, steps)
         # trapezoid segments: step start (or previous atom of the step) -> atom,
         # and last atom of a step -> step end
         first = np.concatenate(([True], steps[1:] != steps[:-1]))
         last = np.concatenate((steps[1:] != steps[:-1], [True]))
-        t_from = np.where(first, times[steps], np.concatenate(([0.0], t[:-1])))
-        n_last = steps[last]
-        span_in = 0.5 * (t - t_from)
-        span_out = 0.5 * (times[n_last + 1] - t[last])
+        t_from = np.where(first, times[steps], np.concatenate(([0.0], tw[:-1])))
+        span_in = 0.5 * (tw - t_from)
+        span_out = 0.5 * (times[steps[last] + 1] - tw[last])
+        rows = steps - lo  # the atoms' steps as rows of the window
+        n_last = rows[last]
     out = []
-    for p, (probe, psi) in enumerate(zip(probes, psis)):
+    for p, (probe, psi, (i_s, i_t)) in enumerate(zip(probes, psis, ends)):
         xi = probe.xi
 
         def v(values):
@@ -311,19 +308,57 @@ def _probe_values(path: FieldPath, probes: Sequence[MartingaleProbe], psis: Sequ
 
         vals = v(grid)
         piece = 0.5 * dt * (vals[:-1] + vals[1:])
-        if len(t):
+        if j1 > j0:
             v_right = v(right)
-            v_from = np.where(first, vals[steps], np.concatenate(([0.0], v_right[:-1])))
+            v_from = np.where(first, vals[rows], np.concatenate(([0.0], v_right[:-1])))
             seg = span_in * (v_from + v(left))
             piece[n_last] = (np.add.reduceat(seg, np.flatnonzero(first))
                              + span_out * (v_right[last] + vals[n_last + 1]))
-        cum = np.concatenate(([0.0 + 0.0j], np.cumsum(piece)))
         F = grid[2 * p]
-        i_s = grid_index(path, probe.s, "martingale_residual")
-        i_t = grid_index(path, probe.t, "martingale_residual")
-        M_s = np.exp(1j * xi * F[i_s]) - cum[i_s]
-        M_t = np.exp(1j * xi * F[i_t]) - cum[i_t]
-        out.append((M_t - M_s, F[i_s]))
+        a, b = i_s - lo, i_t - lo
+        out.append((np.exp(1j * xi * F[b]) - np.exp(1j * xi * F[a]) - piece[a:b].sum(), F[a]))
+    return out
+
+
+def _atom_limits(path: FieldPath, proj: np.ndarray, j0: int, j1: int, steps: np.ndarray):
+    """proj.T times the field just before and right after atoms j0..j1-1 (grid steps `steps`).
+
+    Right after atom j the atom field is column j + 1 of FieldPath.atom_states,
+    and just before it the kept state of atom j - 1 decayed to t_j
+    (_states_before). Inside step n the field also carries the grid's
+    compensator drift D(t_n) decayed to t, as the solver subtracts a step's
+    drift at its end: D_k(t_n) e^{-k^2 (t - t_n)} = r_k (e^{-k^2 (t - t_n)} - e^{-k^2 t}).
+    Every decay is a row of solver._decay_powers; the atoms go _ATOM_BLOCK at
+    a time, and each (atoms, K) temporary is contracted before the next is
+    formed, so the temporaries stay O(K * _ATOM_BLOCK) floats.
+    """
+    real, sigma_used = jump_log(path, "martingale_residual")
+    cfg = path.config
+    K = path.n_modes
+    states, times, t = path.atom_states, path.times, real.t
+    drift_rate = real.m_restricted / sigma_used
+    if drift_rate != 0.0:
+        drift_proj = solver_mod._drift_modes(drift_rate * cfg.f.constant_value, K, cfg.collocation)[:, None] * proj
+    left, right = np.empty((2, proj.shape[1], j1 - j0))
+    for lo in range(j0, j1, solver_mod._ATOM_BLOCK):
+        hi = min(lo + solver_mod._ATOM_BLOCK, j1)
+        into = slice(lo - j0, hi - j0)
+        right[:, into] = proj.T @ states[:, lo + 1:hi + 1]
+        left[:, into] = (_states_before(states, t, lo, hi) @ proj).T
+        if drift_rate != 0.0:
+            tb = t[lo:hi]
+            drift = solver_mod._decay_powers(tb - times[steps[into]], K) @ drift_proj
+            drift -= solver_mod._decay_powers(tb, K) @ drift_proj
+            left[:, into] -= drift.T
+            right[:, into] -= drift.T
+    return left, right
+
+
+def _states_before(states: np.ndarray, t: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The atom field just before atoms lo..hi-1, one row per atom: column j of the kept
+    states (the state after atom j - 1) times e^{-k^2 (t_j - t_{j-1})}, t_{-1} = 0."""
+    out = solver_mod._decay_powers(np.diff(t[lo:hi], prepend=t[lo - 1] if lo else 0.0), len(states))
+    out *= states[:, lo:hi].T
     return out
 
 

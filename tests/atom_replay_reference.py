@@ -1,15 +1,20 @@
 """Per-atom loop forms of the three constant-f replays, kept as test references.
 
-These are the loops that the atom kernel (`solver._atom_kernel`,
-`solver._atom_states`) replaced: the per-functional terminal weights, the
-per-atom additive path and the step-by-step martingale replay. The replay
-assigns atoms to steps with `solver.atom_steps`, the rule that the solver's
-general branch uses.
+`terminal_samples` and `additive_modes` are the per-atom loops that the atom
+kernel (`solver._atom_kernel`, `solver._atom_states`) replaced.
+`probe_values` is the step-by-step martingale replay, the oracle of
+`stats._probe_values`: it replays every step that holds atoms from its stored
+start state, over the whole grid, and assigns atoms to steps with
+`solver.atom_steps`, the rule that the solver's general branch uses.
 
-`two_scan_probe_values` is the kernel replay as it was before the additive
-path kept its atom states: it scans the atoms a second time and projects the
-states a block at a time (`projected_states`). It takes e^{i theta} from
-`stats._phasor`, as the kernel replay does, so the two agree bit for bit.
+`two_scan_probe_values` is the whole-grid kernel replay as it was before the
+additive path kept its atom states: it scans the atoms a second time and
+projects the states a block at a time (`projected_states`), takes each
+atom's jump back through the atom kernel for the left limits, and
+differences a whole-grid cumsum. It takes e^{i theta} from `stats._phasor`,
+as `stats._probe_values` does, which integrates only the probe window and
+decays the kept states to the left limits: the two give the same F_s bits,
+and M_t - M_s agrees to rounding.
 """
 
 import numpy as np

@@ -5,11 +5,15 @@ replay) must agree with its loop form to 1e-12 relative to the largest value
 compared, on a gamma cell with three functionals, nonzero initial data and the
 asymmetric compensator, on compound-Poisson paths some of which hold no atom,
 on a 40k-atom stable path and on a run spread over several atom blocks.
-The martingale replay projects the additive path's own atom states; it must
-equal, bit for bit, the replay that scanned the atom log a second time.
+The martingale replay projects the additive path's own atom states over the
+probe window only; it must meet the step-by-step replay on the window's edges
+too, give the F_s bits of the whole-grid replay that scanned the atom log a
+second time and its M_t - M_s to 1e-13, and keep its temporaries to a few
+atom blocks.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -131,12 +135,32 @@ def _replay_case(case):
     return cfg, paths, probes
 
 
-def _row_bytes(row):
-    return row.xi, row.conditioner, row.n_paths, np.array([row.estimate, row.se_re, row.se_im]).tobytes()
+def _long_double_left_limits(path, proj):
+    """proj.T times the field just before each atom, from the kept states decayed in long double,
+    and the scale of its terms, sum_k |proj_k| (|state_k| + |drift terms_k|)."""
+    ld = np.longdouble
+    real, sigma_used = solver.jump_log(path, "test")
+    cfg = path.config
+    k2 = np.arange(1, path.n_modes + 1, dtype=ld) ** 2
+    t = real.t.astype(ld)
+    before = path.atom_states[:, :-1].astype(ld) * np.exp(-np.outer(k2, np.diff(t, prepend=ld(0.0))))
+    size = np.abs(before)
+    rate = real.m_restricted / sigma_used
+    if rate != 0.0:
+        r = solver._drift_modes(rate * cfg.f.constant_value, path.n_modes, cfg.collocation).astype(ld)
+        t_n = path.times[solver.atom_steps(path.times, real.t)].astype(ld)
+        since_step, since_0 = np.exp(-np.outer(k2, t - t_n)), np.exp(-np.outer(k2, t))
+        before -= r[:, None] * (since_step - since_0)
+        size += np.abs(r)[:, None] * (since_step + since_0)
+    return proj.astype(ld).T @ before, np.abs(proj).T @ size
 
 
 @pytest.mark.parametrize("case", ["crit7", "compound", "gamma", "stable"])
 def test_replay_of_kept_states_matches_two_scan_replay(case, monkeypatch):
+    # The windowed replay sums each probe's own pieces on [i_s, i_t) where the
+    # two-scan replay differenced a whole-grid cumsum, and its left limits
+    # decay the kept states where the two-scan replay took each atom's jump
+    # back: dM moves by rounding only (measured up to 1.8e-15 relative).
     cfg, paths, probes = _replay_case(case)
     K = cfg.modes
     sizes = [len(p.atom_log) for p in paths]
@@ -148,15 +172,118 @@ def test_replay_of_kept_states_matches_two_scan_replay(case, monkeypatch):
         assert sizes[0] > 2 * solver._ATOM_BLOCK
     coeffs = [p.coefficients(K) for p in probes]
     coeffs_dd = [-(np.arange(1.0, K + 1.0) ** 2) * c for c in coeffs]
+    proj = np.column_stack([v for c, cd in zip(coeffs, coeffs_dd) for v in (c, cd)])
     psis = [0.1 + 0.3j, -0.2 + 0.05j][:len(probes)]
+    scale = 1.0
     for path in paths:
         got = st._probe_values(path, probes, psis, coeffs, coeffs_dd)
         want = ref.two_scan_probe_values(path, probes, psis, coeffs, coeffs_dd)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        for (dM, F_s), (want_dM, want_F) in zip(got, want):
+            assert np.float64(F_s).tobytes() == np.float64(want_F).tobytes()
+            assert abs(dM - want_dM) <= 1e-13 * max(1.0, abs(dM))
+            scale = max(scale, abs(dM))
+        # the left limits at every atom, against a long-double decay of the same kept states
+        J = len(path.atom_log)
+        left, _ = st._atom_limits(path, proj, 0, J, solver.atom_steps(path.times, path.atom_log.t))
+        want_left, state_scale = _long_double_left_limits(path, proj)
+        assert np.all(np.abs(left - want_left) <= 1e-14 * np.max(state_scale, initial=0.0))
     rows = st.martingale_residual(paths, probes)
     monkeypatch.setattr(st, "_probe_values", ref.two_scan_probe_values)
     want_rows = st.martingale_residual(paths, probes)
-    assert [_row_bytes(r) for r in rows] == [_row_bytes(r) for r in want_rows]
+    # each row is a mean and two standard errors of values that moved by at most 1e-13 * scale
+    for row, want in zip(rows, want_rows, strict=True):
+        assert (row.xi, row.conditioner, row.n_paths) == (want.xi, want.conditioner, want.n_paths)
+        assert abs(row.estimate - want.estimate) <= 1e-13 * scale
+        assert abs(row.se_re - want.se_re) <= 2e-13 * scale
+        assert abs(row.se_im - want.se_im) <= 2e-13 * scale
+
+
+def _window_case(kind, layout):
+    """(config, path) for a replay-window edge case: atoms on the window edges, one ulp
+    either side of them, only outside the window (0.25, 0.75], or none; "symmetric" on a
+    grid of rounded instants (steps = 1000), "gamma" with its compensator drift, f = 1.3
+    and initial data on a binary grid."""
+    if kind == "gamma":
+        cfg = _config("gamma")
+        real = cfg.noise.simulate(cfg.T, stream(14, 0, "window"))
+    else:
+        spec = lh.LevyNoiseSpec(model=lh.LevyModel(lh.CompoundPoisson(((-1.0, 0.5), (1.0, 0.5)))), eps=2.0, eta=0.0)
+        cfg = lh.SimConfig(noise=spec, f=lh.constant_f(1.0), T=1.0, modes=32, collocation=128, steps=1000)
+        real = cfg.noise.simulate(cfg.T, stream(14, 1, "window"))
+        real = replace(real, x=np.random.default_rng(15).uniform(0.0, math.pi, 300),
+                       z=np.random.default_rng(16).choice([-1.0, 1.0], 300))
+    times = cfg.times()
+    N = cfg.steps
+    edges = times[[N // 4, N // 2, 3 * N // 4]]
+    rng = np.random.default_rng(17)
+    if layout == "on_edges":
+        # on each probe edge, each the only atom of the step it closes, and spread between them
+        t = np.concatenate((edges, rng.uniform(0.2, 0.8, 40)))
+    elif layout == "ulps":
+        # one ulp either side of each probe edge, and spread between them
+        t = np.concatenate((np.nextafter(edges, 0.0), np.nextafter(edges, 2.0), rng.uniform(0.2, 0.8, 40)))
+    elif layout == "outside":
+        # on the left edge (the step before the window) and above the right one
+        t = np.concatenate(([edges[0], 0.0], rng.uniform(0.0, edges[0], 20),
+                            [np.nextafter(edges[2], 2.0), 1.0], rng.uniform(edges[2], 1.0, 20)))
+    else:
+        t = np.empty(0)
+    t = np.sort(t)
+    real = replace(real, t=t, x=real.x[:len(t)], z=real.z[:len(t)])
+    assert (real.m_restricted != 0.0) == (kind == "gamma")
+    return cfg, solver._levy_path_additive(cfg, real)
+
+
+@pytest.mark.parametrize("layout", ["on_edges", "ulps", "outside", "none"])
+@pytest.mark.parametrize("kind", ["symmetric", "gamma"])
+def test_replay_window_edges_match_reference(kind, layout):
+    cfg, path = _window_case(kind, layout)
+    K = cfg.modes
+    times, t = path.times, path.atom_log.t
+    inside = (t > 0.25) & (t <= 0.75)
+    assert (len(t) == 0) == (layout == "none") and inside.any() == (layout in ("on_edges", "ulps"))
+    if layout == "on_edges":
+        N = cfg.steps
+        edge_steps = solver.atom_steps(times, times[[N // 4, N // 2, 3 * N // 4]])
+        assert np.all(np.bincount(solver.atom_steps(times, t))[edge_steps] == 1)
+    # one call with windows (0.25, 0.75), (0.25, 0.5), (0.5, 0.75) and the empty (0.5, 0.5)
+    spans = [(0.25, 0.75), (0.25, 0.5), (0.5, 0.75), (0.5, 0.5)]
+    probes = [lh.MartingaleProbe(xi, lh.SmoothBump(), s, u) for (s, u), xi in zip(spans, (0.5, 1.0, 1.5, 1.0))]
+    coeffs = [p.coefficients(K) for p in probes]
+    coeffs_dd = [-(np.arange(1.0, K + 1.0) ** 2) * c for c in coeffs]
+    psis = [0.1 + 0.3j, -0.2 + 0.05j, 0.3 - 0.1j, 0.2j]
+    got = st._probe_values(path, probes, psis, coeffs, coeffs_dd)
+    for (dM, F_s), probe, psi, c, cd in zip(got, probes, psis, coeffs, coeffs_dd):
+        want_dM, want_F = ref.probe_values(path, probe, psi, c, cd)
+        assert abs(dM - want_dM) <= REL * max(1.0, abs(want_dM)), probe
+        assert abs(F_s - want_F) <= REL * max(1.0, abs(want_F)), probe
+        # alone, each probe's window is its own (s, t]
+        [(alone, _)] = st._probe_values(path, [probe], [psi], [c], [cd])
+        assert abs(alone - want_dM) <= REL * max(1.0, abs(want_dM)), probe
+    assert got[3][0] == 0.0
+
+
+def test_replay_temporaries_bounded_by_atom_block():
+    # the 40k-atom stable path of the replay cases; one probe spans all of it,
+    # so the window takes every atom. The left limits are formed _ATOM_BLOCK
+    # atoms at a time, one (atoms, K) array of decay powers each: the peak is
+    # held to 1.5 such blocks (measured 1.23; about 9 MB on the window (0.25, 0.75]
+    # alone, 10.3 MB here), where the whole (K, J) decay would take 2.45
+    cfg, [path], _ = _replay_case("stable")
+    K, J = cfg.modes, len(path.atom_log)
+    block = 8 * K * solver._ATOM_BLOCK
+    assert 8 * K * J > 2.4 * block
+    probes = [lh.MartingaleProbe(0.5, lh.SmoothBump(), 0.25, 0.75), lh.MartingaleProbe(1.0, lh.SmoothBump(), 0.0, 1.0)]
+    coeffs = [p.coefficients(K) for p in probes]
+    coeffs_dd = [-(np.arange(1.0, K + 1.0) ** 2) * c for c in coeffs]
+    st._probe_values(path, probes, [0.1j, 0.2j], coeffs, coeffs_dd)  # warm any first-call caches
+    tracemalloc.start()
+    try:
+        st._probe_values(path, probes, [0.1j, 0.2j], coeffs, coeffs_dd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block
 
 
 def test_only_additive_paths_keep_atom_states(cp_symmetric):

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import re
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -192,6 +193,15 @@ def test_counts_reject_bool(cp_symmetric, call, match):
     path = lh.simulate_path(small_sim(cp_symmetric, 2.0, 0.0), stream(4, 0, "t"))
     with pytest.raises(ValueError, match=match):
         call(path)
+
+
+@pytest.mark.parametrize("check", [lh.mode_decomposition_check, lh.mode_decomposition_budget])
+@pytest.mark.parametrize("k", [True, 2.5, np.float64(1.0), 0, 33], ids=["True", "2.5", "float64", "0", "K+1"])
+def test_mode_decomposition_needs_an_int_mode_index(cp_symmetric, check, k):
+    path = lh.simulate_path(small_sim(cp_symmetric, 2.0, 0.0, modes=32), stream(4, 0, "t"))
+    with pytest.raises(ValueError, match=rf"{check.__name__}.*1 <= k <= 32, got k={re.escape(repr(k))}"):
+        check(path, k)
+    assert check(path, np.int64(1)) == check(path, 1)
 
 
 # ---------------------------------------------------------------------------
