@@ -35,7 +35,6 @@ from .measures import (
     ar_scan,
     ar_statistic,
     delta_statistic,
-    dropped_variance_fraction,
     restricted_mass,
     restricted_mean,
     restricted_moment2,

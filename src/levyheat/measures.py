@@ -83,7 +83,6 @@ __all__ = [
     "restricted_mean",
     "restricted_mass",
     "restricted_moment2",
-    "dropped_variance_fraction",
     "sample_marks",
 ]
 
@@ -178,13 +177,13 @@ class _Rejection:
     """draw(count, rng) by rejection: a proposal r = propose(u) is kept when
     v < accept(r), for independent uniforms u, v.
 
-    `rate` is the exact acceptance probability, the mass of the target over
-    the mass of the envelope. Each round draws the uniforms of n proposals as
-    one (2, n) block, with n = need / rate plus three standard deviations
-    (rounded up), and keeps the first `need` accepted in draw order; the
-    rounds repeat until `count` marks are kept, so the draws depend only on
-    the state of rng and on count. A first round that fills is returned as it
-    is; a count of 0 draws nothing.
+    `rate` is the exact acceptance probability (> 0), the mass of the target
+    over the mass of the envelope. Each round draws the uniforms of n
+    proposals as one (2, n) block, with n = need / rate plus three standard
+    deviations (rounded up), and keeps the first `need` accepted in draw
+    order; the rounds repeat until `count` marks are kept, so the draws
+    depend only on the state of rng and on count. `propose` may overwrite u.
+    A first round that fills is returned as it is; a count of 0 draws nothing.
     """
 
     propose: Callable[[np.ndarray], np.ndarray]
@@ -212,11 +211,20 @@ def _gamma_draw(lo: float, hi: float, mass: float) -> _Rejection:
 
     The proposal is log-uniform, r = hi (lo/hi)^u, whose density
     1 / (r log(hi/lo)) envelopes e^-r / r after scaling by e^-lo log(hi/lo);
-    r is kept with probability e^-(r - lo) >= e^-hi.
+    r is kept with probability e^-(r - lo) >= e^-hi. Both are formed in
+    place: hi * exp(-span * u) in u, exp(lo - r) in one new array.
     """
     span = math.log(hi / lo)
-    return _Rejection(lambda u: hi * np.exp(-span * u), lambda r: np.exp(lo - r),
-                      mass / (math.exp(-lo) * span))
+
+    def propose(u):
+        u *= -span
+        return np.multiply(np.exp(u, out=u), hi, out=u)
+
+    def accept(r):
+        a = np.subtract(lo, r)
+        return np.exp(a, out=a)
+
+    return _Rejection(propose, accept, mass / (math.exp(-lo) * span))
 
 
 def _quadrature_moment(family, eps: float, p: float, a: float) -> float:
@@ -324,8 +332,9 @@ class GammaSubordinator(_Family):
         if floor >= eps:
             return []
         dens = lambda r: np.exp(-r) / r
-        if floor == 0.0:
-            return [_Segment(1.0, floor, eps, dens)]  # infinite mass: the sampler raises
+        if floor == 0.0 or math.isinf(eps):
+            # infinite mass, or no log-uniform proposal on an unbounded piece: the sampler raises
+            return [_Segment(1.0, floor, eps, dens)]
         mass = self.abs_moment(eps, 0.0, floor)
         return [_Segment(1.0, floor, eps, dens, mass=mass, draw=_gamma_draw(floor, eps, mass))]
 
@@ -532,12 +541,15 @@ class _MarkSampler:
     bit for bit and from the same uniforms, without its per-call checks: the
     normalized cumulative probabilities `cdf` are built once, and a uniform u
     picks index #{i < n - 1 : u >= cdf[i]}, which is rng.choice's
-    cdf.searchsorted(u, side="right"). Then one block rng.random(n_u), the
-    same draws as rng.uniform(0, 1, n_u), serves the n_u marks on segments
-    mapped from uniforms, in mark order, and the rejection segments draw
-    their marks after it, segment by segment. When every segment shares one
-    map and has sign +1.0 (gamma), the pick uniforms are drawn and the pick
-    is left out: every index would give the same map and the same sign.
+    cdf.searchsorted(u, side="right"), from the caller's uniforms (`marks`).
+    Then one block rng.random(n_u), the same draws as rng.uniform(0, 1, n_u),
+    serves the n_u marks on segments mapped from uniforms, in mark order, and
+    the rejection segments draw their marks after it, segment by segment.
+    When every segment shares one map and has sign +1.0 (gamma), the pick
+    uniforms are spent and the pick is left out: every index would give the
+    same map and the same sign. A restriction of infinite or no mass, or an
+    unbounded segment without an exact law (gamma at eps = inf), is refused
+    when the sampler is built.
     """
 
     def __init__(self, model: "LevyModel", eps: float, eta: float):
@@ -557,7 +569,8 @@ class _MarkSampler:
             if mark is None:
                 if math.isinf(seg.hi):
                     raise InfiniteActivityError(
-                        "cannot tabulate an unbounded segment", operation="sample_marks"
+                        f"cannot tabulate the unbounded segment ({seg.lo:.3g}, inf] at eps={eps}",
+                        operation="sample_marks",
                     )
                 grid, cdf = _segment_cdf(seg, n_per)
                 mass = cdf[-1]
@@ -609,35 +622,35 @@ class _MarkSampler:
             idx += u >= c
         return idx
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(count)
-        if not self.discrete and self.one_positive_map:
-            # the pick uniforms are drawn and spent, and the product with +1.0 is exact
-            mark = self.maps[0]
-            return mark(count, rng) if self.rejects[0] else mark(rng.random(count, out=u))
-        which = self._pick(u)
+    def marks(self, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """The len(u) marks picked by the caller's uniforms u, the rest drawn from rng, in
+        u's memory unless one map that is a rejection draw or a table makes them all (gamma,
+        a remark cell above eps, a one-sided custom density): then u is spent."""
+        count = len(u)
         if self.discrete:
-            return self.values.take(which, mode="clip")  # the indices are in range
+            return self.values.take(self._pick(u), out=u, mode="clip")  # the indices are in range
+        mark = self.maps[0]
+        if self.one_positive_map:
+            # the pick uniforms are spent, and the product with +1.0 is exact
+            return mark(count, rng) if self.rejects[0] else mark(rng.random(count, out=u))
         if len(self.maps) == 1:
-            # one map for every segment (the stable pair, gamma, a remark cell
-            # above eps): no masks. The spent uniforms take the signs, and as
-            # the signs are +-1.0 the product with them is exact
-            mark = self.maps[0]
-            sign = self.signs.take(which, out=u, mode="clip")
-            del which
-            r = mark(count, rng) if self.rejects[0] else mark(rng.random(count))
+            # one map for every segment (the stable pair, a remark cell above
+            # eps): no masks, and as the signs are +-1.0 the product is exact
+            sign = self.signs.take(self._pick(u), mode="clip")
+            r = mark(count, rng) if self.rejects[0] else mark(rng.random(count, out=u))
             r *= sign
             return r
+        which = self._pick(u)
         groups = self.group[which]
         from_uniform = ~self.rejects[groups]
         u[from_uniform] = rng.random(np.count_nonzero(from_uniform))
-        out = np.empty(count)
+        # each mark overwrites its own uniform, which its group has read
         for g, mark in enumerate(self.maps):
             m = groups == g
             if np.any(m):
                 r = mark(np.count_nonzero(m), rng) if self.rejects[g] else mark(u[m])
-                out[m] = self.signs[which[m]] * r
-        return out
+                u[m] = self.signs[which[m]] * r
+        return u
 
 
 def _choice_cdf(p: np.ndarray) -> np.ndarray:
@@ -704,11 +717,12 @@ class LevyModel:
         object.__setattr__(self, "_lock", threading.RLock())
 
     def memo(self, key: tuple, build: Callable[[], object]):
-        """The value cached for this model under `key`; `build()` runs once per key."""
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = build()
-            return self._cache[key]
+        """The value cached for this model under `key`; `build()` runs once per key, and a hit takes no lock."""
+        if key not in self._cache:
+            with self._lock:
+                if key not in self._cache:
+                    self._cache[key] = build()
+        return self._cache[key]
 
     def sampler(self, eps: float, eta: float) -> _MarkSampler:
         return self.memo(("sampler", eps, eta), lambda: _MarkSampler(self, eps, eta))
@@ -829,24 +843,10 @@ def restricted_moment2(model: LevyModel, eps: float, eta: float) -> float:
     return _moment(model, eps, 2.0, eta)
 
 
-def dropped_variance_fraction(model: LevyModel, eps: float, eta: float) -> float:
-    """Fraction of sigma^2(eps) carried by jumps with |z| <= eta."""
-    var = variance(model, eps)
-    return max(0.0, 1.0 - restricted_moment2(model, eps, eta) / var)
-
-
 def sample_marks(
     model: LevyModel, eps: float, eta: float, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """i.i.d. draws from Q_eps restricted to {|z| > eta}, normalized."""
-    lam = model.memo(("restricted_mass", eps, eta), lambda: restricted_mass(model, eps, eta))
-    if math.isinf(lam):
-        raise InfiniteActivityError(
-            f"restriction above eta={eta} has infinite mass; raise eta",
-            operation="sample_marks",
-        )
-    if lam <= 0.0:
-        raise EmptyRestrictionError(
-            f"restriction above eta={eta} carries no mass", operation="sample_marks"
-        )
-    return model.sampler(eps, eta).sample(count, rng)
+    """i.i.d. draws from Q_eps restricted to {|z| > eta}, normalized: the model's
+    sampler (`_MarkSampler.marks`), which refuses a restriction of infinite or no
+    mass when it is built, picks from the uniforms rng.random(count)."""
+    return model.sampler(eps, eta).marks(rng.random(count), rng)

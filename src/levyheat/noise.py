@@ -2,12 +2,14 @@
 
 The compensated Levy noise is simulated by drop-with-compensation: jumps
 with |z| <= eta are removed together with their compensator (mean preserved,
-variance reduced by an exactly known fraction reported as metadata), never
-replaced by a Gaussian surrogate. Atom times/positions are uniform, marks
-come from the normalized restriction (`measures.sample_marks`): exactly for
-the built-in families, through a closed-form quantile (stable, the remark
-family's inner piece) or by rejection (gamma, the remark log tail), and
-through a tabulated inverse CDF for a custom density.
+variance reduced by an exactly known fraction kept on the cell), never
+replaced by a Gaussian surrogate. The constants of a (model, eps, eta, T)
+cell are resolved once (`noise_cell`); a realization is the atoms of one
+path and its cell. Atom times/positions are uniform, marks come from the
+cell's sampler of the normalized restriction: exactly for the built-in
+families, through a closed-form quantile (stable, the remark family's inner
+piece) or by rejection (gamma, the remark log tail), and through a tabulated
+inverse CDF for a custom density.
 Realizations keep the atoms in draw order; the path solver sorts them by time.
 """
 
@@ -29,7 +31,9 @@ from .errors import (
 from . import measures
 
 __all__ = [
+    "NoiseCell",
     "LevyNoiseRealization",
+    "noise_cell",
     "simulate_levy_noise",
     "auto_inner_cutoff",
     "eta_for_atom_budget",
@@ -37,34 +41,50 @@ __all__ = [
     "load_atoms",
 ]
 
+_OPERATION = "simulate_levy_noise"  # the operation named by the errors of a draw
 
-@dataclass
-class LevyNoiseRealization:
-    """Compensated Poisson atoms plus drift metadata, in draw order.
 
-    Sums over the atoms do not depend on their order; the path solver sorts
-    the atoms by time before it replays them.
-    """
+@dataclass(frozen=True, eq=False)
+class NoiseCell:
+    """The constants of one (model, eps, eta, T) cell, resolved once by `noise_cell`."""
 
-    t: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-    T: float
     eps: float
     eta: float
+    T: float
     sigma: float                      # sigma(eps) of the model
     sigma_retained: float             # sqrt int_{|z|>eta} z^2 Q_eps
     m_restricted: float               # int_{|z|>eta} z Q_eps
-    dropped_variance_fraction: float
     intensity: float                  # lambda = Q_eps({|z| > eta})
-    model_name: str = ""
-
-    def __len__(self) -> int:
-        return len(self.t)
+    expected_atoms: float             # pi T lambda, the mean atom count of a path
+    dropped_variance_fraction: float  # of sigma^2(eps), carried by the jumps with |z| <= eta
+    sampler: measures._MarkSampler | None  # of the marks; None when lambda = 0
 
     def jump_scale(self, normalization: str) -> float:
         """Divisor of the marks: sigma(eps) for "model", sigma_retained for "retained"."""
         return self.sigma if normalization == "model" else self.sigma_retained
+
+
+@dataclass(slots=True)
+class LevyNoiseRealization:
+    """The compensated Poisson atoms of one path, in draw order, and their cell. t and x
+    are rows of one (3, n) block, and z is its third row when the marks overwrite their
+    pick uniforms (`simulate_levy_noise`); the solver sorts the atoms by time."""
+
+    t: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    cell: NoiseCell
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+
+def _check_limits(rho_budget: float, atom_cap: float) -> None:
+    """ValueError naming the argument unless rho_budget >= 0 and atom_cap > 0 (NaN fails both)."""
+    if not rho_budget >= 0:
+        raise ValueError(f"rho_budget must be >= 0, got {rho_budget!r}")
+    if not atom_cap > 0:
+        raise ValueError(f"atom_cap must be > 0, got {atom_cap!r}")
 
 
 def simulate_levy_noise(
@@ -79,72 +99,52 @@ def simulate_levy_noise(
 ) -> LevyNoiseRealization:
     """One realization of the restricted compensated noise; deterministic per stream.
 
-    The moments of the (eps, eta) cell are computed once and kept on the model;
-    the budget and the atom cap are checked on every call.
+    Before any draw, the arguments are checked (`_check_limits`), the cell is
+    looked up (`noise_cell`), and its dropped variance fraction is held to
+    rho_budget, its expected atom count to atom_cap, and its restriction must
+    carry mass. Then n ~ Poisson(pi T lambda) and one block rng.random((3, n)),
+    the doubles of three rng.random(n) calls: the times (scaled by T), the
+    positions (by pi) and the pick uniforms of the marks, which the sampler
+    overwrites with the marks where it can (`measures._MarkSampler.marks`).
     """
-    # each guard is written so that a NaN fails it
+    _check_limits(rho_budget, atom_cap)
+    cell = noise_cell(model, eps, eta, T)
+    if not cell.dropped_variance_fraction <= rho_budget:
+        raise BudgetExceededError(f"dropped variance fraction {cell.dropped_variance_fraction:.3g} exceeds "
+                                  f"rho_budget={rho_budget:.3g}; use a smaller eta", operation=_OPERATION)
+    if not cell.expected_atoms <= atom_cap:
+        raise AtomCapExceededError(f"expected atom count {cell.expected_atoms:.3g} exceeds "
+                                   f"atom_cap={atom_cap:.3g}; use a larger eta", operation=_OPERATION)
+    if cell.sampler is None:
+        raise EmptyRestrictionError(f"restriction above eta={eta} carries no mass", operation=_OPERATION)
+    t, x, u = rng.random((3, int(rng.poisson(cell.expected_atoms))))
+    t *= T
+    x *= math.pi
+    return LevyNoiseRealization(t, x, cell.sampler.marks(u, rng), cell)
+
+
+def noise_cell(model: measures.LevyModel, eps: float, eta: float, T: float) -> NoiseCell:
+    """The cell of (model, eps, eta, T), resolved once and kept on the model. Resolving it
+    raises a ValueError unless T > 0 and eta >= 0 (NaN fails both), and an
+    InfiniteActivityError when the restriction has infinite mass or its marks
+    cannot be drawn (gamma at eps = inf)."""
+    return model.memo(("noise_cell", eps, eta, T), lambda: _resolve_cell(model, eps, eta, T))
+
+
+def _resolve_cell(model: measures.LevyModel, eps: float, eta: float, T: float) -> NoiseCell:
     if not T > 0:
         raise ValueError(f"horizon T must be positive, got {T!r}")
     if not eta >= 0:
         raise ValueError(f"inner cutoff eta must be nonnegative, got {eta!r}")
-    var, lam, retained2, m_restricted = _cell(model, eps, eta)
-    dropped = max(0.0, 1.0 - retained2 / var)
-    if not dropped <= rho_budget:
-        raise BudgetExceededError(
-            f"dropped variance fraction {dropped:.3g} exceeds rho_budget={rho_budget:.3g}; "
-            "use a smaller eta",
-            operation="simulate_levy_noise",
-        )
-    expected = lam * T * math.pi
-    if not expected <= atom_cap:
-        raise AtomCapExceededError(
-            f"expected atom count {expected:.3g} exceeds atom_cap={atom_cap:.3g}; "
-            "use a larger eta",
-            operation="simulate_levy_noise",
-        )
-    if lam <= 0.0:
-        raise EmptyRestrictionError(
-            f"restriction above eta={eta} carries no mass", operation="simulate_levy_noise"
-        )
-    n = int(rng.poisson(expected))
-    # bitwise rng.uniform(0.0, high, n), which computes 0.0 + high * u, without
-    # its parameter handling, scaled in place
-    t = rng.random(n)
-    t *= T
-    x = rng.random(n)
-    x *= math.pi
-    z = measures.sample_marks(model, eps, eta, n, rng) if n else np.empty(0)
-    return LevyNoiseRealization(
-        t=t,
-        x=x,
-        z=z,
-        T=T,
-        eps=eps,
-        eta=eta,
-        sigma=math.sqrt(var),
-        sigma_retained=math.sqrt(retained2),
-        m_restricted=m_restricted,
-        dropped_variance_fraction=dropped,
-        intensity=lam,
-        model_name=model.name,
-    )
-
-
-def _cell(model: measures.LevyModel, eps: float, eta: float) -> tuple[float, float, float, float]:
-    """The moments of the (eps, eta) cell (`_cell_moments`), computed once and kept on the model."""
-    return model.memo(("noise_cell", eps, eta), lambda: _cell_moments(model, eps, eta))
-
-
-def _cell_moments(model: measures.LevyModel, eps: float, eta: float) -> tuple[float, float, float, float]:
-    """sigma^2(eps), lambda, int_{|z|>eta} z^2 Q_eps and int_{|z|>eta} z Q_eps of one cell."""
     var = measures.variance(model, eps)
     lam = measures.restricted_mass(model, eps, eta)
     if math.isinf(lam):
-        raise InfiniteActivityError(
-            f"restriction above eta={eta} has infinite mass; raise eta",
-            operation="simulate_levy_noise",
-        )
-    return var, lam, measures.restricted_moment2(model, eps, eta), measures.restricted_mean(model, eps, eta)
+        raise InfiniteActivityError(f"restriction above eta={eta} has infinite mass; raise eta",
+                                    operation=_OPERATION)
+    retained2 = measures.restricted_moment2(model, eps, eta)
+    return NoiseCell(eps, eta, T, math.sqrt(var), math.sqrt(retained2), measures.restricted_mean(model, eps, eta),
+                     lam, lam * T * math.pi, max(0.0, 1.0 - retained2 / var),
+                     model.sampler(eps, eta) if lam > 0.0 else None)
 
 
 def auto_inner_cutoff(

@@ -220,6 +220,7 @@ class LevyNoiseSpec:
     def __post_init__(self):
         if self.normalization not in ("model", "retained"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
+        noise_mod._check_limits(self.rho_budget, self.atom_cap)
         if isinstance(self.eta, str):
             object.__setattr__(self, "_atom_budget", _atom_count(self.eta))
 
@@ -233,6 +234,10 @@ class LevyNoiseSpec:
         else:
             return float(self.eta)
         return self.model.memo(("eta", self.eps, self.eta, self.rho_budget, self.atom_cap, T), search)
+
+    def cell(self, T: float) -> "noise_mod.NoiseCell":
+        """The noise cell at horizon T and the resolved inner cutoff (`noise.noise_cell`)."""
+        return noise_mod.noise_cell(self.model, self.eps, self.resolve_eta(T), T)
 
     def simulate(self, T: float, rng: np.random.Generator) -> "noise_mod.LevyNoiseRealization":
         """One noise realization on [0, T] at the resolved inner cutoff."""
@@ -429,14 +434,16 @@ def _mode_counts(tau, kmax: int) -> np.ndarray:
     return counts.astype(np.int16 if kmax < 2**15 else np.intp)  # 16-bit keys sort by radix
 
 
-def _atom_kernel(coeffs, x, tau) -> np.ndarray:
+def _atom_kernel(coeffs, x, tau, picks=None) -> np.ndarray:
     """w[p, j] = sum_k coeffs[p, k-1] phi_k(x_j) e^{-k^2 tau_j} for every atom j.
 
     `coeffs` holds one row of sine coefficients per output row; kmax is its
-    highest nonzero column. Passing x or tau as None leaves out phi_k(x) or
-    e^{-k^2 tau}. Atoms are taken _ATOM_BLOCK at a time, so the temporaries
-    are O(rows * _ATOM_BLOCK) floats; coefficients of mode 1 alone (kmax = 1)
-    take whole-array passes instead (`_one_mode_kernel`), with the same bits.
+    highest nonzero column, and `picks` is `_row_picks(coeffs)`, which a
+    caller that passes the same coefficients again may keep. Passing tau as
+    None leaves out e^{-k^2 tau}. Atoms are taken _ATOM_BLOCK at a time, so
+    the temporaries are O(rows * _ATOM_BLOCK) floats; coefficients of mode 1
+    alone (kmax = 1) take whole-array passes instead (`_one_mode_kernel`),
+    with the same bits.
 
     With tau, atom j keeps only its first min(kmax, ceil(sqrt(53 ln 2 / tau_j)))
     modes (_mode_counts; all kmax for tau_j = 0 or non-finite): every
@@ -447,9 +454,8 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
     prefix, and the block is scattered back to the input order. Otherwise
     (a small block, or every tau tiny) every atom runs the block's
     modes in place. What the cut drops from one atom and row is at most
-    2^-53 sqrt(2/pi) max|c| / (1 - e^{-2 * 53 ln 2 / kmax}) (without the
-    sqrt(2/pi) when x is None), about one rounding unit of a weight of size
-    max|c|.
+    2^-53 sqrt(2/pi) max|c| / (1 - e^{-2 * 53 ln 2 / kmax}), about one
+    rounding unit of a weight of size max|c|.
 
     At a mode where only some rows have a nonzero coefficient (every odd
     k >= 3 of mode 1 with a point at pi/2), a block whose x and tau are
@@ -458,22 +464,20 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
     non-finite input adds every row, so 0 * inf and 0 * NaN reach the output.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    n = len(x if tau is None else tau)
+    n = len(x)
     nonzero = coeffs.any(axis=0)
     if not nonzero.any():
         return np.zeros((len(coeffs), n))
     kmax = np.flatnonzero(nonzero)[-1] + 1
     if kmax == 1:
         return _one_mode_kernel(coeffs[:, 0], x, tau)
-    # every nonzero mode has all rows nonzero unless the counts differ
-    picks = None
-    if np.count_nonzero(coeffs) != len(coeffs) * np.count_nonzero(nonzero):
-        picks = _row_picks(coeffs[:, :kmax])
+    if picks is None:
+        picks = _row_picks(coeffs)
     out = np.zeros((len(coeffs), n))
     for lo in range(0, n, _ATOM_BLOCK):
         part = slice(lo, lo + _ATOM_BLOCK)
         block = out[:, part]
-        xb = None if x is None else x[part]
+        xb = x[part]
         tb = None if tau is None else tau[part]
         rows = picks if picks is not None and _finite_block(xb, tb) else None
         kb, sizes, target = kmax, None, block
@@ -483,7 +487,7 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
             if 2 * int(counts.sum()) <= kb * len(tb):
                 order = np.argsort(-counts, kind="stable")
                 sizes = (len(tb) - np.cumsum(np.bincount(counts, minlength=kb + 1))[:kb]).tolist()
-                xb = None if xb is None else xb[order]
+                xb = xb[order]
                 tb = tb[order]
                 target = np.zeros_like(block)
         for k, row in enumerate(_mode_rows(xb, tb, kb, sizes)):
@@ -492,15 +496,17 @@ def _atom_kernel(coeffs, x, tau) -> np.ndarray:
                 target[p, :len(row)] += coeffs[p, k, None] * row
         if sizes is not None:
             block[:, order] = target
-    if x is not None:
-        out *= np.sqrt(2.0 / np.pi)
+    out *= np.sqrt(2.0 / np.pi)
     return out
 
 
-def _row_picks(coeffs) -> list:
+def _row_picks(coeffs) -> list | None:
     """Per mode, the rows of `coeffs` that `_atom_kernel` adds: slice(None) at a
     mode whose rows are all nonzero or all zero, else the nonzero rows, as a
-    slice when they are consecutive."""
+    slice when they are consecutive. None when every mode takes slice(None)."""
+    nonzero = coeffs.any(axis=0)
+    if np.count_nonzero(coeffs) == len(coeffs) * np.count_nonzero(nonzero):
+        return None
     picks = []
     for column in (coeffs != 0).T.tolist():
         rows = [p for p, nonzero in enumerate(column) if nonzero]
@@ -514,8 +520,8 @@ def _row_picks(coeffs) -> list:
 
 
 def _finite_block(x, tau) -> bool:
-    """True when x (or None) is finite and tau (or None) is finite and >= 0."""
-    if x is not None and not np.isfinite(x).all():
+    """True when x is finite and tau (or None) is finite and >= 0."""
+    if not np.isfinite(x).all():
         return False
     return tau is None or bool(np.isfinite(tau).all() and tau.min() >= 0.0)
 
@@ -526,27 +532,22 @@ def _one_mode_kernel(c, x, tau) -> np.ndarray:
     The mode row sin(x_j) e^{-tau_j} is formed in the last output row, and
     each row is scaled from it straight into the output, the last row last;
     the only temporary is one buffer for the half-angle d = 1 + tan^2(x/2)
-    of sin x (_half_angle), which then holds e^{-tau} when both factors are
-    present. The operations are those of the blocked form, so the bits are
-    the same: adding 0.0 stands for its zero-filled accumulator (it turns a
-    -0.0 product into 0.0), and sqrt(2/pi) is applied last.
+    of sin x (_half_angle), which then holds e^{-tau} when tau is given. The
+    operations are those of the blocked form, so the bits are the same:
+    adding 0.0 stands for its zero-filled accumulator (it turns a -0.0
+    product into 0.0), and sqrt(2/pi) is applied last.
     """
-    out = np.empty((len(c), len(x if tau is None else tau)))
+    out = np.empty((len(c), len(x)))
     row = out[-1]
-    if x is not None:
-        buf = np.empty_like(row)
-        _half_angle(x, out=row, scratch=buf, two_cos=False)
-        if tau is not None:
-            np.negative(tau, out=buf)
-            row *= np.exp(buf, out=buf)
-    else:
-        np.negative(tau, out=row)
-        np.exp(row, out=row)
+    buf = np.empty_like(row)
+    _half_angle(x, out=row, scratch=buf, two_cos=False)
+    if tau is not None:
+        np.negative(tau, out=buf)
+        row *= np.exp(buf, out=buf)
     for p, cp in enumerate(c):
         np.multiply(row, cp, out=out[p])
     out += 0.0
-    if x is not None:
-        out *= np.sqrt(2.0 / np.pi)
+    out *= np.sqrt(2.0 / np.pi)
     return out
 
 
@@ -855,7 +856,7 @@ def _levy_path_additive(config, real):
     (FieldPath.atom_states), whose projections the martingale replay takes
     as its right limits at the atoms and, decayed to the next atom, as its
     left limits."""
-    sigma_used = real.jump_scale(config.noise.normalization)
+    sigma_used = real.cell.jump_scale(config.noise.normalization)
     K = config.modes
     times = config.times()
     cval = config.f.constant_value
@@ -870,8 +871,8 @@ def _levy_path_additive(config, real):
     vectors = states.T[events]
     vectors *= _decay_powers(times[first] - np.concatenate(([0.0], tj))[events], K)
     shift = None
-    if real.m_restricted != 0.0:
-        shift = _drift_modes(real.m_restricted / sigma_used * cval, K, config.collocation)
+    if real.cell.m_restricted != 0.0:
+        shift = _drift_modes(real.cell.m_restricted / sigma_used * cval, K, config.collocation)
         settle = _decay_powers(times[first], K)
         settle *= shift
         vectors += settle
@@ -902,13 +903,13 @@ def _levy_path_general(config, real):
     place; as a non-finite mode stays non-finite, the written rows are checked
     once, after the last step, and the first bad one names the step.
     """
-    sigma_used = real.jump_scale(config.noise.normalization)
+    sigma_used = real.cell.jump_scale(config.noise.normalization)
     K, M, N = config.modes, config.collocation, config.steps
     k2 = np.arange(1, K + 1, dtype=float) ** 2
     neg_k2 = -k2
     _, S = _collocation(K, M)
     dx = np.pi / M
-    drift_rate = real.m_restricted / sigma_used
+    drift_rate = real.cell.m_restricted / sigma_used
     times = config.times()
     f = config.f
     if drift_rate != 0.0:
@@ -992,7 +993,7 @@ def jump_log(path: FieldPath, operation: str):
     real = path.atom_log
     if real is None:
         raise MissingAtomLogError("needs a Levy path with an atom log", operation=operation)
-    return real, real.jump_scale(path.config.noise.normalization)
+    return real, real.cell.jump_scale(path.config.noise.normalization)
 
 
 def _mode_x(path: FieldPath, k: int, operation: str):
@@ -1014,7 +1015,7 @@ def _mode_x(path: FieldPath, k: int, operation: str):
     # cumulative jump part of X at grid instants
     idx = np.searchsorted(real.t, times, side="right")
     X = np.concatenate(([0.0], np.cumsum(jumps)))[idx]
-    rate, g = real.m_restricted / sigma_used, None
+    rate, g = real.cell.m_restricted / sigma_used, None
     if rate != 0.0:
         _, S = _collocation(path.n_modes, path.config.collocation)
         f = path.config.f
@@ -1109,7 +1110,7 @@ def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, ti
     x = float(_position(x, "factorization_check"))
     real, sigma_used = jump_log(path, "factorization_check")
     cfg = path.config
-    if real.m_restricted != 0.0 and not cfg.f.is_constant:
+    if real.cell.m_restricted != 0.0 and not cfg.f.is_constant:
         raise ConfigMismatchError(
             "factorization check supports asymmetric compensators only for constant f",
             operation="factorization_check",
@@ -1129,9 +1130,10 @@ def factorization_check(path: FieldPath, delta: float, t: float, x: float, *, ti
     aW = path.f_at_atoms[:J] * real.z[:J] / sigma_used * W
     jump = _atom_kernel(phi_x, real.x[:J], t - real.t[:J])[0] @ aW
     m = path.modes[0] * np.exp(-k2 * t)               # S(t) u0
-    if real.m_restricted != 0.0:
+    if real.cell.m_restricted != 0.0:
         # closed-form compensator part for constant f
         cflat = cfg.f.constant_value * flat_projection(K, cfg.collocation)
-        m -= c_delta * real.m_restricted / sigma_used * cflat * _factorization_compensator(t, delta, time_nodes, K)
+        scale = c_delta * real.cell.m_restricted / sigma_used
+        m -= scale * cflat * _factorization_compensator(t, delta, time_nodes, K)
     recon = c_delta * jump + float(m @ phi_x)
     return abs(recon - evaluate(path, t, x))

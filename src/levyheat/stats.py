@@ -336,7 +336,7 @@ def _atom_limits(path: FieldPath, proj: np.ndarray, j0: int, j1: int, steps: np.
     cfg = path.config
     K = path.n_modes
     states, times, t = path.atom_states, path.times, real.t
-    drift_rate = real.m_restricted / sigma_used
+    drift_rate = real.cell.m_restricted / sigma_used
     if drift_rate != 0.0:
         drift_proj = solver_mod._drift_modes(drift_rate * cfg.f.constant_value, K, cfg.collocation)[:, None] * proj
     left, right = np.empty((2, proj.shape[1], j1 - j0))
@@ -403,7 +403,7 @@ def martingale_residual(
             coeffs_dd = [-(k2) * c for c in coeffs]
             cval = cfg_ref.f.constant_value
             psis = _compensator_psis(
-                cfg_ref.noise.model, real.eps, real.eta,
+                cfg_ref.noise.model, real.cell.eps, real.cell.eta,
                 [lambda x, c=c, xi=p.xi: xi * cval * (c @ phi_values(np.arange(1, K + 1), x)) / sigma_used
                  for p, c in zip(probes, coeffs)])
         elif path.config != cfg_ref:
@@ -469,7 +469,7 @@ def characteristics_sample(
     def fill(lo, hi, stop):
         for first, reals in _levy_batches(config, lo, hi, base_seed, purpose, stop):
             jumps = (cval * solver_mod.sine_series(c, _gather(reals, "x")) * _gather(reals, "z")
-                     / reals[0].jump_scale(spec.normalization))
+                     / reals[0].cell.jump_scale(spec.normalization))
             small = np.abs(jumps) <= h
             ends = np.cumsum([0] + [len(r) for r in reals]).tolist()
             for i, a, b in zip(range(first, first + len(reals)), ends, ends[1:]):
@@ -616,7 +616,8 @@ def _path_blocks(fill: Callable[[int, int, threading.Event], None], config: SimC
     """
     threads = max(1, min(_available_cores(), n_paths))
     stop = threading.Event()
-    if threads == 1 or config.noise.kind != "levy" or _expected_atoms(config) < _FAN_OUT_MIN_ATOMS:
+    if (threads == 1 or config.noise.kind != "levy"
+            or config.noise.cell(config.T).expected_atoms < _FAN_OUT_MIN_ATOMS):
         fill(0, n_paths, stop)
         return
     cuts = [n_paths * j // threads for j in range(threads + 1)]
@@ -635,12 +636,6 @@ def _path_blocks(fill: Callable[[int, int, threading.Event], None], config: SimC
         run(cuts[0], cuts[1])
         for f in futures:
             f.result()
-
-
-def _expected_atoms(config: SimConfig) -> float:
-    """Expected atom count pi T lambda of one path of a Levy configuration."""
-    spec: LevyNoiseSpec = config.noise
-    return noise_mod._cell(spec.model, spec.eps, spec.resolve_eta(config.T))[1] * config.T * math.pi
 
 
 def _available_cores() -> int:
@@ -673,12 +668,13 @@ def _terminal_block(config: SimConfig, functionals: Sequence[TerminalFunctional]
         init_terms = [float(decayed @ c) for c in coeffs]
     # each functional of the drift at T, per unit compensator rate
     drifts = coeffs @ (solver_mod._drift_modes(cval, K, config.collocation) * (1.0 - decay_T))
+    picks = solver_mod._row_picks(coeffs)
     for first, reals in _levy_batches(config, lo, hi, base_seed, purpose, stop):
         # one kernel pass over the batch's atoms, summed per path; every path
         # of the cell has the same jump scale and compensator rate
-        sums = _terminal_sums(reals, coeffs, T)
-        sigma_used = reals[0].jump_scale(config.noise.normalization)
-        rate = reals[0].m_restricted / sigma_used
+        sums = _terminal_sums(reals, coeffs, T, picks)
+        sigma_used = reals[0].cell.jump_scale(config.noise.normalization)
+        rate = reals[0].cell.m_restricted / sigma_used
         for f, s, dr, it in zip(functionals, sums, drifts, init_terms):
             value = out[f.name][first:first + len(reals)]
             np.multiply(s, cval, out=value)
@@ -725,13 +721,14 @@ def _gather(reals, name: str) -> np.ndarray:
     return getattr(reals[0], name) if len(reals) == 1 else np.concatenate([getattr(r, name) for r in reals])
 
 
-def _terminal_sums(reals, coeffs: np.ndarray, T: float) -> np.ndarray:
-    """sum_j w_p(t_j, x_j) z_j per realization, w_p(t, x) = sum_k c_pk e^{-k^2 (T - t)} phi_k(x)."""
+def _terminal_sums(reals, coeffs: np.ndarray, T: float, picks=None) -> np.ndarray:
+    """sum_j w_p(t_j, x_j) z_j per realization, w_p(t, x) = sum_k c_pk e^{-k^2 (T - t)} phi_k(x);
+    `picks` is `solver._row_picks(coeffs)`, kept by a caller that passes the same coefficients again."""
     counts = np.array([len(r) for r in reals])
     sums = np.zeros((len(coeffs), len(reals)))
     if not counts.any():
         return sums
-    w = solver_mod._atom_kernel(coeffs, _gather(reals, "x"), T - _gather(reals, "t"))
+    w = solver_mod._atom_kernel(coeffs, _gather(reals, "x"), T - _gather(reals, "t"), picks)
     w *= _gather(reals, "z")
     filled = counts > 0
     sums[:, filled] = np.add.reduceat(w, (np.cumsum(counts) - counts)[filled], axis=1)

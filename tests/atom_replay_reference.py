@@ -11,16 +11,21 @@ start state, over the whole grid, and assigns atoms to steps with
 additive path kept its atom states: it scans the atoms a second time and
 projects the states a block at a time (`projected_states`), takes each
 atom's jump back through the atom kernel for the left limits, and
-differences a whole-grid cumsum. It takes e^{i theta} from `stats._phasor`,
-as `stats._probe_values` does, which integrates only the probe window and
-decays the kept states to the left limits: the two give the same F_s bits,
-and M_t - M_s agrees to rounding.
+differences a whole-grid cumsum. Its drift decays are the decay-only
+(x = None) form of the atom kernel, which the solver no longer has; they come
+from `levy_route_reference.atom_kernel`, the solver's blocked form bit for
+bit. It takes e^{i theta} from `stats._phasor`, as `stats._probe_values`
+does, which integrates only the probe window and decays the kept states to
+the left limits: the two give the same F_s bits, and M_t - M_s agrees to
+rounding.
 """
 
 import numpy as np
 
 from levyheat import noise, solver, stats
 from levyheat.streams import stream
+
+import levy_route_reference as route_ref
 
 
 def terminal_drift(coeffs, T, collocation):
@@ -58,8 +63,8 @@ def terminal_samples(config, functionals, n_paths, base_seed, purpose="atoms"):
     for i in range(n_paths):
         real = noise.simulate_levy_noise(spec.model, spec.eps, eta, T, stream(base_seed, i, purpose),
                                          rho_budget=spec.rho_budget, atom_cap=spec.atom_cap)
-        sigma_used = real.jump_scale(spec.normalization)
-        rate = real.m_restricted / sigma_used
+        sigma_used = real.cell.jump_scale(spec.normalization)
+        rate = real.cell.m_restricted / sigma_used
         for f, c, dr, it in zip(functionals, coeff_rows, drifts, init_terms):
             w = terminal_kernel_weights(c, T, real.t, real.x)
             out[f.name][i] = it + cval * float(w @ real.z) / sigma_used - rate * dr
@@ -68,7 +73,7 @@ def terminal_samples(config, functionals, n_paths, base_seed, purpose="atoms"):
 
 def additive_modes(config, real):
     """Grid modes of the constant-f path, replaying the atoms one at a time."""
-    sigma_used = real.jump_scale(config.noise.normalization)
+    sigma_used = real.cell.jump_scale(config.noise.normalization)
     K = config.modes
     kvec = np.arange(1, K + 1, dtype=float)
     k2 = kvec ** 2
@@ -85,8 +90,8 @@ def additive_modes(config, real):
     last = np.searchsorted(tj, times, side="right")
     gaps = times - ev_times[last]
     out = states[last] * np.exp(-np.outer(gaps, k2))
-    if real.m_restricted != 0.0:
-        rate = real.m_restricted / sigma_used
+    if real.cell.m_restricted != 0.0:
+        rate = real.cell.m_restricted / sigma_used
         flat = solver.flat_projection(K, config.collocation)
         out = out - rate * cval * flat[None, :] * (1.0 - np.exp(-np.outer(times, k2))) / k2[None, :]
     return out
@@ -103,7 +108,7 @@ def probe_values(path, probe, psi, coeffs, coeffs_dd):
     F = path.modes @ coeffs
     D = path.modes @ coeffs_dd
     fvals = path.f_at_atoms
-    drift_rate = real.m_restricted / sigma_used
+    drift_rate = real.cell.m_restricted / sigma_used
     drift_vec = None
     if drift_rate != 0.0 and cfg.f.is_constant:
         drift_vec = (drift_rate * cfg.f.constant_value
@@ -192,10 +197,10 @@ def two_scan_probe_values(path, probes, psis, coeffs, coeffs_dd):
         a = path.f_at_atoms * (real.z / sigma_used)
         steps = solver.atom_steps(times, t)
         right = projected_states(t, real.x, a, path.modes[0], proj)[:, 1:]
-        drift_rate = real.m_restricted / sigma_used
+        drift_rate = real.cell.m_restricted / sigma_used
         if drift_rate != 0.0:
             r = solver._drift_modes(drift_rate * cfg.f.constant_value, path.n_modes, cfg.collocation)
-            decays = solver._atom_kernel(proj.T * r, None, np.concatenate((t - times[steps], t)))
+            decays = route_ref.atom_kernel(proj.T * r, None, np.concatenate((t - times[steps], t)))
             right -= decays[:, :len(t)] - decays[:, len(t):]
         left = right - solver._atom_kernel(proj.T, real.x, None) * a
         first = np.concatenate(([True], steps[1:] != steps[:-1]))

@@ -22,8 +22,7 @@ from levyheat.streams import stream
 
 def realization_arrays(model, eps, eta, T, rng):
     """(t, x, z) of `noise.simulate_levy_noise(model, eps, eta, T, rng)`, drawn by the earlier code."""
-    _, lam, _, _ = noise._cell(model, eps, eta)
-    n = int(rng.poisson(lam * T * math.pi))
+    n = int(rng.poisson(noise.noise_cell(model, eps, eta, T).intensity * T * math.pi))
     t = T * rng.random(n)
     x = math.pi * rng.random(n)
     z = sample_marks(model.sampler(eps, eta), n, rng) if n else np.empty(0)
@@ -180,7 +179,7 @@ def terminal_samples(config, functionals, n_paths, base_seed, purpose="atoms"):
         return out
     spec = config.noise
     eta = spec.resolve_eta(T)
-    var, _, retained2, m_restricted = noise._cell(spec.model, spec.eps, eta)
+    cell = noise.noise_cell(spec.model, spec.eps, eta, T)
     init_terms = [0.0] * len(coeff_rows)
     if config.initial is not None:
         decayed = np.asarray(config.initial) * np.exp(-k2 * T)
@@ -193,8 +192,8 @@ def terminal_samples(config, functionals, n_paths, base_seed, purpose="atoms"):
     def flush(batch):
         sums = terminal_sums([real for _, real in batch], coeffs, T)
         for (i, real), path_sums in zip(batch, sums.T):
-            sigma_used = math.sqrt(var if spec.normalization == "model" else retained2)
-            rate = m_restricted / sigma_used
+            sigma_used = cell.sigma if spec.normalization == "model" else cell.sigma_retained
+            rate = cell.m_restricted / sigma_used
             for f, s, dr, it in zip(functionals, path_sums, drifts, init_terms):
                 out[f.name][i] = it + cval * float(s) / sigma_used - rate * dr
         batch.clear()

@@ -30,14 +30,14 @@ from levyheat.errors import NonFiniteStateError
 
 def levy_path_general(config, real):
     """(grid modes, f(u(t_j-, x_j)) per atom) of the general branch, every grid step in turn."""
-    sigma_used = real.jump_scale(config.noise.normalization)
+    sigma_used = real.cell.jump_scale(config.noise.normalization)
     K, M, N = config.modes, config.collocation, config.steps
     kvec = np.arange(1, K + 1, dtype=float)
     k2 = kvec ** 2
     decay = np.exp(-k2 * config.dt)
     _, S = solver._collocation(K, M)
     dx = np.pi / M
-    drift_rate = real.m_restricted / sigma_used
+    drift_rate = real.cell.m_restricted / sigma_used
     conv = (1.0 - decay) / k2
     m = solver._initial_state(config)
     out = np.empty((N + 1, K))
@@ -73,13 +73,13 @@ def levy_path_general(config, real):
 
 def levy_path_general_active(config, real):
     """(grid modes, f(u(t_j-, x_j)) per atom) of the general branch, active steps only, allocating per step."""
-    sigma_used = real.jump_scale(config.noise.normalization)
+    sigma_used = real.cell.jump_scale(config.noise.normalization)
     K, M, N = config.modes, config.collocation, config.steps
     kvec = np.arange(1, K + 1, dtype=float)
     k2 = kvec**2
     _, S = solver._collocation(K, M)
     dx = np.pi / M
-    drift_rate = real.m_restricted / sigma_used
+    drift_rate = real.cell.m_restricted / sigma_used
     times = config.times()
     if drift_rate != 0.0:
         conv = (1.0 - np.exp(-k2 * config.dt)) / k2
@@ -196,7 +196,7 @@ def long_double_fill(states, t_states, times, shift=None):
 
 def levy_path_additive(config, real):
     """Grid modes of the constant-f Levy path by the recurrence fill (`decay_fill`)."""
-    sigma_used = real.jump_scale(config.noise.normalization)
+    sigma_used = real.cell.jump_scale(config.noise.normalization)
     K = config.modes
     times = config.times()
     cval = config.f.constant_value
@@ -204,8 +204,8 @@ def levy_path_additive(config, real):
     last = np.searchsorted(real.t, times, side="right")
     out = np.empty((len(times), K))
     drift = None
-    if real.m_restricted != 0.0:
-        drift = solver._drift_modes(real.m_restricted / sigma_used * cval, K, config.collocation), times
+    if real.cell.m_restricted != 0.0:
+        drift = solver._drift_modes(real.cell.m_restricted / sigma_used * cval, K, config.collocation), times
     decay_fill(out, states, last, times - np.concatenate(([0.0], real.t))[last], drift)
     return out
 

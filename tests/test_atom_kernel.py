@@ -102,7 +102,7 @@ def test_additive_path_and_replay_match_reference(case, seeds):
         sizes.append(len(real))
         assert _close(path.modes, ref.additive_modes(cfg, real))
         # the path keeps the states of its own scan, bit for bit
-        a = cfg.f.constant_value * (real.z / real.jump_scale(cfg.noise.normalization))
+        a = cfg.f.constant_value * (real.z / real.cell.jump_scale(cfg.noise.normalization))
         states = solver._atom_states(real.t, real.x, a, solver._initial_state(cfg))
         assert path.atom_states.shape == (K, len(real) + 1)
         assert path.atom_states.tobytes() == states.tobytes()
@@ -145,7 +145,7 @@ def _long_double_left_limits(path, proj):
     t = real.t.astype(ld)
     before = path.atom_states[:, :-1].astype(ld) * np.exp(-np.outer(k2, np.diff(t, prepend=ld(0.0))))
     size = np.abs(before)
-    rate = real.m_restricted / sigma_used
+    rate = real.cell.m_restricted / sigma_used
     if rate != 0.0:
         r = solver._drift_modes(rate * cfg.f.constant_value, path.n_modes, cfg.collocation).astype(ld)
         t_n = path.times[solver.atom_steps(path.times, real.t)].astype(ld)
@@ -230,7 +230,7 @@ def _window_case(kind, layout):
         t = np.empty(0)
     t = np.sort(t)
     real = replace(real, t=t, x=real.x[:len(t)], z=real.z[:len(t)])
-    assert (real.m_restricted != 0.0) == (kind == "gamma")
+    assert (real.cell.m_restricted != 0.0) == (kind == "gamma")
     return cfg, solver._levy_path_additive(cfg, real)
 
 
@@ -311,11 +311,11 @@ def test_replay_without_atom_states_names_the_operation(cp_symmetric):
 # per-atom mode cut of the terminal kernel
 # ---------------------------------------------------------------------------
 
-def _tail_bound(c, with_x=True):
+def _tail_bound(c):
     """The documented bound on the dropped modes of one atom and row (solver._atom_kernel)."""
     kmax = np.flatnonzero(c)[-1] + 1
-    scale = math.sqrt(2.0 / math.pi) if with_x else 1.0
-    return 2.0 ** -53 * scale * np.max(np.abs(c)) / (1.0 - math.exp(-2.0 * solver._HEAT_CUT / kmax))
+    bound = 2.0 ** -53 * math.sqrt(2.0 / math.pi) * np.max(np.abs(c))
+    return bound / (1.0 - math.exp(-2.0 * solver._HEAT_CUT / kmax))
 
 
 def _uncut_kernel(coeffs, x, tau):
@@ -324,7 +324,7 @@ def _uncut_kernel(coeffs, x, tau):
     out = np.zeros((len(coeffs), len(tau)))
     for k, row in enumerate(solver._mode_rows(x, tau, kmax)):
         out += coeffs[:, k, None] * row
-    return out if x is None else out * math.sqrt(2.0 / math.pi)
+    return out * math.sqrt(2.0 / math.pi)
 
 
 def _spread_atoms(n, T, seed=3):
@@ -365,22 +365,6 @@ def test_cut_kernel_matches_untruncated_sum():
         want = ref.terminal_kernel_weights(c, T, t, x)
         assert np.all(np.abs(got[p] - want) <= np.abs(uncut[p] - want) + tol), p
         assert _close(got[p], want), p
-
-
-def test_cut_decay_only_kernel():
-    # the x = None form of the martingale drift: sum_k c_k e^{-k^2 tau}
-    K, T = 64, 1.0
-    t, _ = _spread_atoms(3 * solver._ATOM_BLOCK, T, seed=5)
-    tau = T - t
-    coeffs = _coefficient_rows(K)
-    got = solver._atom_kernel(coeffs, None, tau)
-    uncut = _uncut_kernel(coeffs, None, tau)
-    k = np.arange(1.0, K + 1.0)
-    for p, c in enumerate(coeffs):
-        tol = _tail_bound(c, with_x=False) + 1e-15 * np.max(np.abs(c))
-        assert np.max(np.abs(got[p] - uncut[p])) <= tol, p
-        want = np.array([c @ np.exp(-k * k * s) for s in tau[:2000]])
-        assert _close(got[p, :2000], want), p
 
 
 def test_mode_counts_keep_every_mode_without_a_finite_positive_tau():

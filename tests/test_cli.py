@@ -148,6 +148,21 @@ def test_compare_runs_and_emits_schema(tmp_path):
     assert (tmp_path / "compare.csv").read_bytes() == (again / "compare.csv").read_bytes()
 
 
+@pytest.mark.parametrize("line, code, message", [
+    ("epsilon.grid = inf", 3, ("numeric error: [sample_marks] cannot tabulate the unbounded segment", "eps=inf")),
+    ("budget.rho = nan", 2, ("validation error: rho_budget must be >= 0, got nan",)),
+])
+def test_compare_refuses_a_cell_it_cannot_draw(tmp_path, capsys, line, code, message):
+    # a gamma cell at eps = inf has no mark sampler, and a NaN budget is no
+    # budget: each is refused with a message and no traceback
+    cfg_file = tmp_path / "cmp.cfg"
+    cfg_file.write_text(GAMMA_COMPARE_CFG + line + "\n")
+    assert main(["compare", "--config", str(cfg_file), "--out", str(tmp_path), "--seed", "3"]) == code
+    err = capsys.readouterr().err
+    assert all(part in err for part in message) and "Traceback" not in err
+    assert not (tmp_path / "compare.csv").exists()
+
+
 def test_compare_rejects_non_levy_noise_kind(tmp_path, capsys):
     cfg_file = tmp_path / "cmp.cfg"
     cfg_file.write_text(GAMMA_COMPARE_CFG + "noise.kind = gaussian\n")

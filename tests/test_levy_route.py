@@ -26,9 +26,12 @@ import levy_route_reference as ref
 _CELLS = {
     "stable": (lambda: lh.SymmetricStable(1.5), 0.1, 1e-3, 0.3),
     "gamma": (lambda: lh.GammaSubordinator(), 0.1, 1e-4, 1.0),
+    # about one atom a path: the second path of this stream draws none
+    "gamma_rare": (lambda: lh.GammaSubordinator(), 0.1, 0.05, 0.5),
     "remark": (lambda: lh.RemarkDensityFamily(), 0.1, 1e-3, 4.0),
     "custom": (lambda: lh.CustomDensity(lambda z: np.exp(-np.abs(z)), (-1.0, 0.5)), 1.0, 0.01, 30.0),
     "custom_one_sided": (lambda: lh.CustomDensity(lambda z: np.exp(-z), (0.0, 2.0)), 2.0, 0.01, 30.0),
+    "one_atom": (lambda: lh.CompoundPoisson(((0.5, 1.0),)), 1.0, 0.0, 3.0),  # a discrete sampler of one atom
     "compound_few": (lambda: lh.CompoundPoisson(((0.5, 1.0), (-0.2, 2.0), (0.05, 0.5))), 1.0, 0.0, 3.0),
     "compound_many": (lambda: lh.CompoundPoisson(
         tuple(((-1) ** i * 0.01 * (i + 1), 1.0 + i % 3) for i in range(40))), 1.0, 0.0, 3.0),
@@ -78,11 +81,10 @@ def _coefficient_sets():
 
 
 @pytest.mark.parametrize("rows", list(_coefficient_sets()))
-@pytest.mark.parametrize("factors", ["x_tau", "x", "tau"])
+@pytest.mark.parametrize("factors", ["x_tau", "x"])
 def test_atom_kernel_matches_blocked_form(rows, factors):
     coeffs = _coefficient_sets()[rows]
     x, tau = _kernel_inputs()
-    x = x if "x" in factors else None
     tau = tau if "tau" in factors else None
     with np.errstate(all="ignore"):
         got = solver._atom_kernel(coeffs, x, tau)
@@ -91,7 +93,7 @@ def test_atom_kernel_matches_blocked_form(rows, factors):
 
 
 @pytest.mark.parametrize("gapped", [False, True])
-@pytest.mark.parametrize("factors", ["x_tau", "x", "tau"])
+@pytest.mark.parametrize("factors", ["x_tau", "x"])
 def test_atom_kernel_partial_rows_match_blocked_form(factors, gapped):
     # finite inputs, tau >= 0: each block adds only the nonzero rows of a
     # partial mode, a slice of rows or (gapped) an index array; the second
@@ -102,7 +104,7 @@ def test_atom_kernel_partial_rows_match_blocked_form(factors, gapped):
         coeffs = coeffs[[1, 0, 2]]
     rng = np.random.default_rng(14)
     n = solver._ATOM_BLOCK + 700
-    x = np.pi * rng.random(n) if "x" in factors else None
+    x = np.pi * rng.random(n)
     tau = rng.random(n) if "tau" in factors else None
     if tau is not None:
         tau[:2] = (0.0, -0.0)
@@ -159,9 +161,10 @@ def test_terminal_sums_match_blocked_form(stable_model, rows):
 
 
 def test_every_levy_path_is_drawn_through_the_module_attributes(stable_model, gamma_model, monkeypatch):
-    # wrappers with the signatures of an outside atom and mark counter: five
-    # positional arguments and keywords for the noise, exactly five for the marks
-    draw, marks = noise.simulate_levy_noise, measures.sample_marks
+    # a wrapper with the signature of an outside atom counter: five positional
+    # arguments and keywords. The marks are drawn by the cell's sampler, not
+    # through measures.sample_marks, which a path no longer calls
+    draw = noise.simulate_levy_noise
     lock = threading.Lock()
     atoms, counted = [], []
 
@@ -171,14 +174,12 @@ def test_every_levy_path_is_drawn_through_the_module_attributes(stable_model, ga
             atoms.append(len(real))
         return real
 
-    def count_marks(model, eps, eta, count, rng):
-        with lock:
-            counted.append(count)
-        return marks(model, eps, eta, count, rng)
+    def count_marks(*args):
+        counted.append(args)
 
     cfg = small_sim(stable_model, 1e-3, "atoms:6000", modes=16, collocation=64, steps=64,
                     normalization="retained", rho=1.0)
-    assert st._expected_atoms(cfg) >= st._FAN_OUT_MIN_ATOMS
+    assert cfg.noise.cell(cfg.T).expected_atoms >= st._FAN_OUT_MIN_ATOMS
     fns = [st.mode_functional(1, 16)]
     monkeypatch.setattr(st, "_available_cores", lambda: 1)
     plain = st.collect_terminal_samples(cfg, fns, 6, 4)
@@ -194,13 +195,14 @@ def test_every_levy_path_is_drawn_through_the_module_attributes(stable_model, ga
         atoms.clear(), counted.clear()
         got = st.collect_terminal_samples(cfg, fns, 6, 4)
         assert np.array_equal(got["mode1"], plain["mode1"])
-        assert len(atoms) == 6 and sorted(counted) == sorted(atoms)
-    atoms.clear(), counted.clear()
+        assert len(atoms) == 6
+    atoms.clear()
     got = st.collect_terminal_samples(gamma, gamma_fns, 6, 4)
     assert all(got[f.name].tobytes() == gamma_plain[f.name].tobytes() for f in gamma_fns)
-    assert len(atoms) == 6 and counted == atoms
+    assert len(atoms) == 6
     small = replace(cfg, noise=replace(cfg.noise, eta="atoms:200"))
     for f in (lh.constant_f(1.0), lh.affine_f(0.5, 1.0)):
-        atoms.clear(), counted.clear()
+        atoms.clear()
         path = lh.simulate_path(replace(small, f=f), stream(5, 0, "atoms"))
-        assert atoms == [len(path.atom_log)] == counted
+        assert atoms == [len(path.atom_log)]
+    assert counted == []

@@ -342,7 +342,7 @@ def test_mark_draw_matches_rng_choice(family):
     assert sampler.discrete or sampler.rejects.any() == (family in ("gamma", "remark"))
     for count in (0, 1, 40_001):
         rng, ref = stream(110, count, family), stream(110, count, family)
-        got = sampler.sample(count, rng)
+        got = sampler.marks(rng.random(count), rng)
         assert np.array_equal(got, _choice_reference_marks(sampler, count, ref))
         assert rng.random() == ref.random()  # the same draws were taken
 

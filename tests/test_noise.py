@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import chi2, gamma as gamma_dist
 
 import levyheat as lh
+from levyheat import noise
 from levyheat.errors import (
     AtomCapExceededError,
     BudgetExceededError,
@@ -36,25 +37,29 @@ def test_atom_count_poisson_mean():
 def test_symmetric_model_has_zero_drift():
     model = lh.LevyModel(lh.CompoundPoisson(((-1.0, 0.5), (1.0, 0.5))))
     real = lh.simulate_levy_noise(model, 2.0, 0.0, 1.0, stream(3, 0, "atoms"))
-    assert real.m_restricted == 0.0
+    assert real.cell.m_restricted == 0.0
+
+
+def _refused(error, model, eps, eta, **kw):
+    """Assert that simulate_levy_noise raises `error` and leaves its generator untouched."""
+    rng = stream(1, 0, "atoms")
+    with pytest.raises(error):
+        lh.simulate_levy_noise(model, eps, eta, 1.0, rng, **kw)
+    assert rng.random() == stream(1, 0, "atoms").random()
 
 
 def test_degenerate_cutoff_budget_error(gamma_model):
-    # eta = eps drops everything: dropped fraction 1 -> budget error
-    with pytest.raises(BudgetExceededError):
-        lh.simulate_levy_noise(gamma_model, 0.1, 0.1, 1.0, stream(1, 0, "atoms"))
+    # eta = eps drops everything: dropped fraction 1 -> budget error, and
+    # within a budget of 1 the restriction is refused as empty
+    _refused(BudgetExceededError, gamma_model, 0.1, 0.1)
+    _refused(EmptyRestrictionError, gamma_model, 0.1, 0.1, rho_budget=1.0)
 
 
 def test_atom_cap_error(stable_model):
-    with pytest.raises(AtomCapExceededError):
-        lh.simulate_levy_noise(stable_model, 0.1, 1e-9, 1.0, stream(1, 0, "atoms"),
-                               rho_budget=1.0, atom_cap=1e6)
+    _refused(AtomCapExceededError, stable_model, 0.1, 1e-9, rho_budget=1.0, atom_cap=1e6)
 
 
-@pytest.mark.parametrize("arg,error", [
-    ("T", ValueError), ("eta", ValueError),
-    ("rho_budget", BudgetExceededError), ("atom_cap", AtomCapExceededError),
-])
+@pytest.mark.parametrize("arg,error", [("T", ValueError), ("eta", ValueError)])
 def test_nan_fails_every_guard(stable_model, arg, error):
     # a NaN parameter fails its guard, and the error names it
     kw = dict(model=stable_model, eps=0.1, eta=0.01, T=1.0, rng=stream(1, 0, "atoms"),
@@ -65,44 +70,77 @@ def test_nan_fails_every_guard(stable_model, arg, error):
         lh.simulate_levy_noise(**kw)
 
 
+@pytest.mark.parametrize("arg,value", [
+    ("rho_budget", math.nan), ("rho_budget", -1.0),
+    ("atom_cap", math.nan), ("atom_cap", -1.0), ("atom_cap", 0.0),
+])
+def test_budget_and_cap_arguments_are_checked(stable_model, arg, value):
+    # unless rho_budget >= 0 and atom_cap > 0 (NaN fails both), the spec and
+    # every call raise a ValueError that names the argument, before any draw
+    kw = {"rho_budget": 1.0, "atom_cap": 1e6, arg: value}
+    with pytest.raises(ValueError, match=arg):
+        lh.LevyNoiseSpec(stable_model, 0.1, eta=0.01, **kw)
+    _refused(ValueError, stable_model, 0.1, 0.01, **kw)
+
+
 def test_infinite_activity_error(stable_model):
-    with pytest.raises(InfiniteActivityError):
-        lh.simulate_levy_noise(stable_model, 0.1, 0.0, 1.0, stream(1, 0, "atoms"),
-                               rho_budget=1.0)
+    _refused(InfiniteActivityError, stable_model, 0.1, 0.0, rho_budget=1.0)
+
+
+def test_gamma_at_infinite_eps_is_refused_before_any_draw(gamma_model):
+    # the restriction has finite mass, but its log-uniform proposal needs a
+    # finite eps: the cell is refused when resolved, naming eps
+    eta = lh.eta_for_atom_budget(gamma_model, math.inf, 1.0, 200.0)
+    with pytest.raises(InfiniteActivityError, match=r"\[sample_marks\].*eps=inf"):
+        noise.noise_cell(gamma_model, math.inf, eta, 1.0)
+    _refused(InfiniteActivityError, gamma_model, math.inf, eta, rho_budget=1.0)
 
 
 def test_cell_constants_are_computed_once_per_cell(monkeypatch):
-    # sigma^2, lambda and the restricted moments are kept per (eps, eta) on the
-    # model, so one path evaluates the family's moments as often as six do
-    calls = []
-    moment = lh.GammaSubordinator.abs_moment
+    # the cell of (model, eps, eta, T) is resolved once and kept on the model,
+    # so one path evaluates the family's moments as often as six do
+    calls, resolved = [], []
+    moment, resolve = lh.GammaSubordinator.abs_moment, noise._resolve_cell
 
     def counted(self, *args):
         calls.append(args)
         return moment(self, *args)
 
+    def counted_cell(model, *args):
+        resolved.append(args)
+        return resolve(model, *args)
+
     monkeypatch.setattr(lh.GammaSubordinator, "abs_moment", counted)
+    monkeypatch.setattr(noise, "_resolve_cell", counted_cell)
     eps, eta = 0.5, 1e-3
     counts, firsts = [], []
     for n_paths in (1, 6):
         model = lh.LevyModel(lh.GammaSubordinator())
-        calls.clear()
+        calls.clear(), resolved.clear()
         reals = [lh.simulate_levy_noise(model, eps, eta, 1.0, stream(21, i, "atoms")) for i in range(n_paths)]
         counts.append(len(calls))
         firsts.append(reals[0])
+        assert resolved == [(eps, eta, 1.0)] and all(r.cell is reals[0].cell for r in reals)
     assert counts[0] == counts[1] > 0
+    # another horizon is another cell
+    lh.simulate_levy_noise(model, eps, eta, 2.0, stream(21, 0, "atoms"))
+    assert resolved == [(eps, eta, 1.0), (eps, eta, 2.0)]
     a, b = firsts
     assert np.array_equal(a.t, b.t) and np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z)
     # the kept values are those of the module operations, bit for bit
-    assert b.sigma == math.sqrt(lh.variance(model, eps))
-    assert b.sigma_retained == math.sqrt(lh.restricted_moment2(model, eps, eta))
-    assert b.intensity == lh.restricted_mass(model, eps, eta)
-    assert b.m_restricted == lh.restricted_mean(model, eps, eta) != 0.0
-    # the budget and the atom cap are still checked on every call
-    with pytest.raises(BudgetExceededError):
-        lh.simulate_levy_noise(model, eps, eta, 1.0, stream(21, 0, "atoms"), rho_budget=1e-12)
-    with pytest.raises(AtomCapExceededError):
-        lh.simulate_levy_noise(model, eps, eta, 1.0, stream(21, 0, "atoms"), atom_cap=1.0)
+    cell = b.cell
+    assert (cell.eps, cell.eta, cell.T) == (eps, eta, 1.0)
+    assert cell.sigma == math.sqrt(lh.variance(model, eps))
+    assert cell.sigma_retained == math.sqrt(lh.restricted_moment2(model, eps, eta))
+    assert cell.intensity == lh.restricted_mass(model, eps, eta)
+    assert cell.expected_atoms == cell.intensity * 1.0 * math.pi
+    assert cell.dropped_variance_fraction == (
+        max(0.0, 1.0 - lh.restricted_moment2(model, eps, eta) / lh.variance(model, eps)))
+    assert cell.m_restricted == lh.restricted_mean(model, eps, eta) != 0.0
+    assert cell.sampler is model.sampler(eps, eta)
+    # the budget and the atom cap are still checked on every call, before any draw
+    _refused(BudgetExceededError, model, eps, eta, rho_budget=1e-12)
+    _refused(AtomCapExceededError, model, eps, eta, atom_cap=1.0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 130, 40_000])
@@ -116,7 +154,7 @@ def test_scaled_random_is_bitwise_uniform(n, T):
     model = lh.LevyModel(lh.CompoundPoisson(((1.0, 2.0),)))
     real = lh.simulate_levy_noise(model, 2.0, 0.0, T, stream(17, 1, "atoms"))
     rng = stream(17, 1, "atoms")
-    m = int(rng.poisson(real.intensity * T * math.pi))
+    m = int(rng.poisson(real.cell.intensity * T * math.pi))
     assert rng.uniform(0.0, T, m).tobytes() == real.t.tobytes()
     assert rng.uniform(0.0, math.pi, m).tobytes() == real.x.tobytes()
 
@@ -128,7 +166,7 @@ def test_realization_sorted_and_in_domain(gamma_model):
     assert np.all((real.t >= 0) & (real.t <= 1.0))
     assert np.all((real.x > 0) & (real.x < math.pi))
     assert np.all((np.abs(real.z) > eta) & (np.abs(real.z) <= 0.1))
-    assert real.dropped_variance_fraction <= 1e-3
+    assert real.cell.dropped_variance_fraction <= 1e-3
     path = lh.simulate_path(small_sim(gamma_model, 0.1, eta), stream(5, 2, "atoms"))
     log = path.atom_log
     assert np.all(np.diff(log.t) >= 0)
@@ -148,8 +186,8 @@ def test_compensated_sum_variance(gamma_model):
     vals = np.empty(n_real)
     for i in range(n_real):
         real = lh.simulate_levy_noise(gamma_model, eps, eta, 1.0, stream(21, i, "atoms"))
-        vals[i] = (real.z.sum() - real.m_restricted * 1.0 * math.pi) / real.sigma
-    dropped = lh.dropped_variance_fraction(gamma_model, eps, eta)
+        vals[i] = (real.z.sum() - real.cell.m_restricted * 1.0 * math.pi) / real.cell.sigma
+    dropped = noise.noise_cell(gamma_model, eps, eta, 1.0).dropped_variance_fraction
     target = (1.0 - dropped) * 1.0 * math.pi
     v = vals.var(ddof=1)
     # SE of the sample variance from the sample fourth moment
@@ -173,9 +211,9 @@ def test_position_uniformity_chi_square(gamma_model):
 
 def test_auto_inner_cutoff_budget(gamma_model, stable_model):
     eta = lh.auto_inner_cutoff(gamma_model, 0.1, 1.0, rho_budget=1e-3)
-    assert lh.dropped_variance_fraction(gamma_model, 0.1, eta) <= 1e-3
+    assert noise.noise_cell(gamma_model, 0.1, eta, 1.0).dropped_variance_fraction <= 1e-3
     # just-below-threshold: slightly larger eta violates the budget
-    assert lh.dropped_variance_fraction(gamma_model, 0.1, eta * 1.01) > 1e-3 * 0.9
+    assert noise.noise_cell(gamma_model, 0.1, eta * 1.01, 1.0).dropped_variance_fraction > 1e-3 * 0.9
     with pytest.raises(AtomCapExceededError):
         lh.auto_inner_cutoff(stable_model, 1e-3, 1.0, rho_budget=1e-3, atom_cap=1e6)
 

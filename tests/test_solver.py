@@ -33,9 +33,10 @@ def _sorted_noise(config, rng):
 
 def _realization(t, x, z):
     """Symmetric unit-scale noise with the given atoms (t sorted)."""
-    return noise.LevyNoiseRealization(t=t, x=x, z=z, T=1.0, eps=2.0, eta=0.0, sigma=1.0,
-                                      sigma_retained=1.0, m_restricted=0.0,
-                                      dropped_variance_fraction=0.0, intensity=1.0)
+    cell = noise.NoiseCell(eps=2.0, eta=0.0, T=1.0, sigma=1.0, sigma_retained=1.0, m_restricted=0.0,
+                           intensity=1.0, expected_atoms=math.pi, dropped_variance_fraction=0.0,
+                           sampler=None)
+    return noise.LevyNoiseRealization(t=t, x=x, z=z, cell=cell)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +232,7 @@ def test_additive_drift_fill_matches_per_path_recurrence(gamma_model, stable_mod
                 got = lh.simulate_path(cfg, stream(13, i, "drift")).modes
                 want = loops.levy_path_additive(cfg, real)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-                drifts.append(real.m_restricted)
+                drifts.append(real.cell.m_restricted)
     assert drifts[0] != 0.0 and drifts[2] == 0.0 and drifts[4] != 0.0
 
 
@@ -242,8 +243,8 @@ def _fill_reference(path):
         rows = np.concatenate(([0], np.unique(lh.solver.atom_steps(times, real.t)) + 1))
         return loops.long_double_fill(path.modes[rows].T, times[rows], times), 0.0
     cfg, shift = path.config, None
-    if real.m_restricted != 0.0:
-        rate = real.m_restricted / real.jump_scale(cfg.noise.normalization)
+    if real.cell.m_restricted != 0.0:
+        rate = real.cell.m_restricted / real.cell.jump_scale(cfg.noise.normalization)
         shift = lh.solver._drift_modes(rate * cfg.f.constant_value, cfg.modes, cfg.collocation)
     want = loops.long_double_fill(path.atom_states, np.concatenate(([0.0], real.t)), times, shift)
     return want, 0.0 if shift is None else shift
@@ -370,7 +371,7 @@ def test_general_branch_matches_step_loop(stable_model, gamma_model, cp_symmetri
         cases += [(cfg, _sorted_noise(cfg, stream(8, i, "general"))) for i in range(2)]
     # the same noise under a bounded smooth f
     cases += [(replace(cfg, f=lh.bounded_smooth_f(0.5, 1.0)), real) for cfg, real in cases]
-    assert cases[0][1].m_restricted == 0.0 and cases[-1][1].m_restricted != 0.0
+    assert cases[0][1].cell.m_restricted == 0.0 and cases[-1][1].cell.m_restricted != 0.0
     # no atoms: the whole path is the decay fill of the initial data
     cfg = small_sim(cp_symmetric, 2.0, 0.0, f=f, modes=16, collocation=64, steps=512)
     cfg = replace(cfg, initial=tuple(np.linspace(1.0, 0.1, 16)))
@@ -400,7 +401,7 @@ def test_general_branch_memory_bounded_by_grid(stable_model):
     cfg = small_sim(stable_model, 0.1, "atoms:300", f=lh.affine_f(0.25, 1.0), modes=64, collocation=256,
                     steps=8192, rho=1.0)
     real = _sorted_noise(cfg, stream(10, 0, "memory"))
-    assert real.m_restricted == 0.0 and len(real) > 200
+    assert real.cell.m_restricted == 0.0 and len(real) > 200
     lh.solver._collocation(64, 256)
     tracemalloc.start()
     try:
@@ -417,7 +418,7 @@ def test_additive_branch_memory_bounded_by_grid(gamma_model, eta):
     # decays or drift fractions besides the grid (peak ~1.3 grids)
     cfg = small_sim(gamma_model, 0.1, eta, modes=64, collocation=256, steps=8192, rho=1.0)
     real = _sorted_noise(cfg, stream(10, 0, "memory"))
-    assert real.m_restricted != 0.0 and len(real) < 400
+    assert real.cell.m_restricted != 0.0 and len(real) < 400
     lh.solver._collocation(64, 256)
     tracemalloc.start()
     try:
@@ -548,7 +549,7 @@ def test_mode_decomposition_with_compensator(f, gamma_model):
         ratios = []
         for i in range(8):
             p1 = lh.simulate_path(cfg, stream(seed, i, label))
-            assert p1.atom_log.m_restricted != 0.0
+            assert p1.atom_log.cell.m_restricted != 0.0
             p2 = lh.simulate_path(replace(cfg, steps=2048), stream(seed, i, label)) if label == "md" else None
             for k in (1, 2, 5):
                 r1 = lh.mode_decomposition_check(p1, k)
@@ -667,7 +668,7 @@ def test_factorization_refines(gamma_model):
 
 def _factorization_tensor_reference(path, delta, t, x, time_nodes):
     """The factorization check as one (time_nodes+1) x K x J tensor (the former formula)."""
-    real, sigma = path.atom_log, path.atom_log.sigma
+    real, sigma = path.atom_log, path.atom_log.cell.sigma
     K = path.n_modes
     kvec = np.arange(1, K + 1, dtype=float)
     k2 = kvec ** 2
@@ -681,11 +682,11 @@ def _factorization_tensor_reference(path, delta, t, x, time_nodes):
     sing = np.where(mask, gp ** (-delta), 0.0)
     amp = fj * zj / sigma * phi_values(kvec, xj)
     Y = np.einsum("skj,sj,kj->sk", kern, sing * mask, amp, optimize=True)
-    if real.m_restricted != 0.0:
+    if real.cell.m_restricted != 0.0:
         cflat = path.config.f.constant_value * flat_projection(K, path.config.collocation)
         sc = s_grid[:, None] * k2[None, :]
         part = gamma_fn(1.0 - delta) * gammainc(1.0 - delta, sc) * k2[None, :] ** (delta - 1.0)
-        Y = Y - real.m_restricted / sigma * cflat[None, :] * part
+        Y = Y - real.cell.m_restricted / sigma * cflat[None, :] * part
     a, b = t - s_grid[:-1], t - s_grid[1:]
     g = np.exp(-np.outer(t - s_grid[:-1], k2)) * Y[:-1]
     recon_modes = (math.sin(delta * math.pi) / math.pi) * (((a ** delta - b ** delta) / delta) @ g)
@@ -724,7 +725,7 @@ def test_factorization_compensator_cache(gamma_model):
         got[0] = 0.0
     # the residuals of an asymmetric path do not depend on what the cache holds
     path = lh.simulate_path(small_sim(gamma_model, 0.5, "atoms:120", rho=1.0), stream(14, 0, "crit8"))
-    assert path.atom_log.m_restricted != 0.0
+    assert path.atom_log.cell.m_restricted != 0.0
     points = [(0.75, 1.3, 192), (0.5, 2.0, 384), (0.75, 1.3, 384), (0.875, 0.9, 192)]
     warm = [lh.factorization_check(path, 0.2, t, x, time_nodes=n) for t, x, n in points]
     for (t, x, n), want in zip(points, warm):

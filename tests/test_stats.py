@@ -140,7 +140,7 @@ def test_martingale_second_moment_bounded_across_eps(gamma_model):
         for i in range(60):
             path = lh.simulate_path(cfg, stream(37, i, f"m2:{eps}"))
             [psi] = st._compensator_psis(
-                gamma_model, eps, path.atom_log.eta,
+                gamma_model, eps, path.atom_log.cell.eta,
                 [lambda x: probe.xi * st.phi_values(np.arange(1, 33), x).T @ coeffs])
             [(dM, _)] = st._probe_values(path, [probe], [psi], [coeffs], [cdd])
             vals.append(abs(dM) ** 2)
@@ -312,7 +312,7 @@ def test_characteristics_fast_route_agreement(gamma_model):
         path = lh.simulate_path(cfg, stream(43, i, "atoms"))
         real = path.atom_log
         # the solver's jumps of <u, phi>, in time order
-        jumps = path.f_at_atoms * lh.solver.sine_series(phihat, real.x) * real.z / real.sigma
+        jumps = path.f_at_atoms * lh.solver.sine_series(phihat, real.x) * real.z / real.cell.sigma
         small = np.abs(jumps) <= 0.5
         assert float(np.sum(jumps[small] ** 2)) == pytest.approx(quad[i], abs=1e-10)
         assert int(np.sum(~small)) == bigs[i]
@@ -320,7 +320,7 @@ def test_characteristics_fast_route_agreement(gamma_model):
         # exactly, the solver's in time order and the fast route's in draw order,
         # so the fast route's sum is reproduced bit for bit from them
         drawn = cfg.noise.simulate(cfg.T, stream(43, i, "atoms"))
-        drawn_jumps = lh.solver.sine_series(phihat, drawn.x) * drawn.z / drawn.sigma
+        drawn_jumps = lh.solver.sine_series(phihat, drawn.x) * drawn.z / drawn.cell.sigma
         assert np.array_equal(np.sort(jumps), np.sort(drawn_jumps))
         assert quad[i] == float(np.sum(np.where(np.abs(drawn_jumps) <= 0.5, drawn_jumps**2, 0.0)))
 
@@ -332,7 +332,7 @@ def _per_path_characteristics(cfg, phihat, h, n_paths, seed):
     for i in range(n_paths):
         drawn = cfg.noise.simulate(cfg.T, stream(seed, i, "atoms"))
         jumps = (cfg.f.constant_value * lh.solver.sine_series(c, drawn.x) * drawn.z
-                 / drawn.jump_scale(cfg.noise.normalization))
+                 / drawn.cell.jump_scale(cfg.noise.normalization))
         small = np.abs(jumps) <= h
         quad[i], bigs[i] = float(np.sum(np.where(small, jumps**2, 0.0))), int(np.sum(~small))
     return quad, bigs
@@ -508,7 +508,7 @@ def executors(monkeypatch):
 def _stable_cell(stable_model, eta="atoms:40000"):
     cfg = small_sim(stable_model, 1e-3, eta, modes=64, collocation=256, steps=4096,
                     normalization="retained", rho=1.0)
-    assert st._expected_atoms(cfg) >= st._FAN_OUT_MIN_ATOMS
+    assert cfg.noise.cell(cfg.T).expected_atoms >= st._FAN_OUT_MIN_ATOMS
     return cfg
 
 
@@ -589,7 +589,7 @@ def test_a_failing_block_reaches_the_caller_and_stops_the_other(stable_model, ex
 def test_cells_below_the_gate_run_on_the_calling_thread(gamma_model, executors):
     cfg = small_sim(gamma_model, 1e-3, "atoms:200", modes=16, collocation=64, steps=64,
                     normalization="retained", rho=1.0)
-    assert st._expected_atoms(cfg) < st._FAN_OUT_MIN_ATOMS
+    assert cfg.noise.cell(cfg.T).expected_atoms < st._FAN_OUT_MIN_ATOMS
     gauss = replace(cfg, noise=lh.GaussianNoiseSpec())
     fns = [st.mode_functional(1, 16)]
     st.collect_terminal_samples(cfg, fns, 8, 1)
