@@ -182,14 +182,14 @@ def build_model(cfg: dict) -> LevyModel:
 def build_multiplier(cfg: dict):
     kind = cfg["f.kind"]
     if kind == "constant":
-        return constant_f(cfg.get("f.c", 1.0))
+        return constant_f(cfg["f.c"])
     if kind == "affine":
         if "f.a" not in cfg or "f.b" not in cfg:
             raise ConfigError("affine multiplier needs f.a and f.b")
         return affine_f(cfg["f.a"], cfg["f.b"])
     if kind == "bounded_smooth":
-        if "f.c" not in cfg or "f.d" not in cfg:
-            raise ConfigError("bounded_smooth multiplier needs f.c and f.d")
+        if "f.d" not in cfg:
+            raise ConfigError("bounded_smooth multiplier needs f.d")
         return bounded_smooth_f(cfg["f.c"], cfg["f.d"])
     raise ConfigError(f"unknown f.kind {kind!r}")
 

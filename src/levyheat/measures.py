@@ -277,7 +277,7 @@ class _Family:
 
 @dataclass(frozen=True)
 class CompoundPoisson(_Family):
-    """Finite collection of jump atoms (z_i, weight_i), z_i != 0, weight_i > 0."""
+    """Finite collection of jump atoms (z_i, weight_i), z_i finite and nonzero, 0 < weight_i < inf."""
 
     atoms: tuple[tuple[float, float], ...]
 
@@ -285,8 +285,8 @@ class CompoundPoisson(_Family):
         if not self.atoms:
             raise ValueError("compound Poisson family needs at least one atom")
         for z, w in self.atoms:
-            if z == 0.0 or w <= 0.0:
-                raise ValueError(f"invalid atom (z={z}, weight={w})")
+            if not (math.isfinite(z) and z != 0.0 and 0.0 < w < math.inf):
+                raise ValueError(f"invalid atom (z={z}, weight={w}): need z finite and nonzero, 0 < weight < inf")
 
     label = "compound_poisson"
 

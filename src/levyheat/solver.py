@@ -138,6 +138,8 @@ class MultiplicativeFunction:
     def __post_init__(self):
         if self.kind not in ("constant", "affine", "bounded_smooth"):
             raise ValueError(f"unknown multiplicative kind {self.kind!r}")
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValueError(f"{self.kind} multiplier needs finite params, got {self.params!r}")
         # the params as 0-d arrays for _in_place: numpy converts a Python float
         # operand anew on every ufunc call, which costs more than the operation
         # itself on the few hundred values of one solver step
@@ -434,16 +436,17 @@ def _mode_counts(tau, kmax: int) -> np.ndarray:
     return counts.astype(np.int16 if kmax < 2**15 else np.intp)  # 16-bit keys sort by radix
 
 
-def _atom_kernel(coeffs, x, tau, picks=None) -> np.ndarray:
+def _atom_kernel(coeffs, x, tau) -> np.ndarray:
     """w[p, j] = sum_k coeffs[p, k-1] phi_k(x_j) e^{-k^2 tau_j} for every atom j.
 
-    `coeffs` holds one row of sine coefficients per output row; kmax is its
-    highest nonzero column, and `picks` is `_row_picks(coeffs)`, which a
-    caller that passes the same coefficients again may keep. Passing tau as
-    None leaves out e^{-k^2 tau}. Atoms are taken _ATOM_BLOCK at a time, so
-    the temporaries are O(rows * _ATOM_BLOCK) floats; coefficients of mode 1
-    alone (kmax = 1) take whole-array passes instead (`_one_mode_kernel`),
-    with the same bits.
+    `coeffs` holds one row of sine coefficients per output row; kmax is the
+    highest nonzero column. Passing tau as None leaves out e^{-k^2 tau}. The
+    rows with nothing above mode 1 (zero rows included) take whole-array
+    passes (`_one_mode_kernel`); the others take one blocked pass, _ATOM_BLOCK
+    atoms at a time, so the temporaries are O(rows * _ATOM_BLOCK) floats.
+    On every input a caller passes (x in [0, pi), tau finite and >= 0) each
+    row has the bits of one blocked pass over the whole set: a zero product
+    added to a sum that starts at 0.0 changes no bit.
 
     With tau, atom j keeps only its first min(kmax, ceil(sqrt(53 ln 2 / tau_j)))
     modes (_mode_counts; all kmax for tau_j = 0 or non-finite): every
@@ -456,30 +459,27 @@ def _atom_kernel(coeffs, x, tau, picks=None) -> np.ndarray:
     modes in place. What the cut drops from one atom and row is at most
     2^-53 sqrt(2/pi) max|c| / (1 - e^{-2 * 53 ln 2 / kmax}), about one
     rounding unit of a weight of size max|c|.
-
-    At a mode where only some rows have a nonzero coefficient (every odd
-    k >= 3 of mode 1 with a point at pi/2), a block whose x and tau are
-    finite, tau >= 0, adds only those rows: the others would add a zero
-    product to a sum that starts at 0.0, which changes no bit. A block with a
-    non-finite input adds every row, so 0 * inf and 0 * NaN reach the output.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
     n = len(x)
-    nonzero = coeffs.any(axis=0)
-    if not nonzero.any():
-        return np.zeros((len(coeffs), n))
-    kmax = np.flatnonzero(nonzero)[-1] + 1
-    if kmax == 1:
+    one_mode = ~coeffs[:, 1:].any(axis=1)
+    if one_mode.all():
+        if not coeffs.any():
+            return np.zeros((len(coeffs), n))
         return _one_mode_kernel(coeffs[:, 0], x, tau)
-    if picks is None:
-        picks = _row_picks(coeffs)
+    if one_mode.any():
+        out = np.empty((len(coeffs), n))
+        out[one_mode] = _one_mode_kernel(coeffs[one_mode, 0], x, tau)
+        out[~one_mode] = _atom_kernel(coeffs[~one_mode], x, tau)
+        return out
+    nonzero = coeffs.any(axis=0)
+    kmax = np.flatnonzero(nonzero)[-1] + 1
     out = np.zeros((len(coeffs), n))
     for lo in range(0, n, _ATOM_BLOCK):
         part = slice(lo, lo + _ATOM_BLOCK)
         block = out[:, part]
         xb = x[part]
         tb = None if tau is None else tau[part]
-        rows = picks if picks is not None and _finite_block(xb, tb) else None
         kb, sizes, target = kmax, None, block
         if tb is not None and kmax * len(tb) >= _CUT_MIN_STEPS:
             counts = _mode_counts(tb, kmax)
@@ -492,38 +492,11 @@ def _atom_kernel(coeffs, x, tau, picks=None) -> np.ndarray:
                 target = np.zeros_like(block)
         for k, row in enumerate(_mode_rows(xb, tb, kb, sizes)):
             if nonzero[k]:
-                p = slice(None) if rows is None else rows[k]
-                target[p, :len(row)] += coeffs[p, k, None] * row
+                target[:, :len(row)] += coeffs[:, k, None] * row
         if sizes is not None:
             block[:, order] = target
     out *= np.sqrt(2.0 / np.pi)
     return out
-
-
-def _row_picks(coeffs) -> list | None:
-    """Per mode, the rows of `coeffs` that `_atom_kernel` adds: slice(None) at a
-    mode whose rows are all nonzero or all zero, else the nonzero rows, as a
-    slice when they are consecutive. None when every mode takes slice(None)."""
-    nonzero = coeffs.any(axis=0)
-    if np.count_nonzero(coeffs) == len(coeffs) * np.count_nonzero(nonzero):
-        return None
-    picks = []
-    for column in (coeffs != 0).T.tolist():
-        rows = [p for p, nonzero in enumerate(column) if nonzero]
-        if len(rows) in (0, len(column)):
-            picks.append(slice(None))
-        elif rows[-1] - rows[0] + 1 == len(rows):
-            picks.append(slice(rows[0], rows[-1] + 1))
-        else:
-            picks.append(np.array(rows))
-    return picks
-
-
-def _finite_block(x, tau) -> bool:
-    """True when x is finite and tau (or None) is finite and >= 0."""
-    if not np.isfinite(x).all():
-        return False
-    return tau is None or bool(np.isfinite(tau).all() and tau.min() >= 0.0)
 
 
 def _one_mode_kernel(c, x, tau) -> np.ndarray:

@@ -50,7 +50,6 @@ from .solver import (
     jump_log,
     phi_values,
 )
-from . import noise as noise_mod
 from . import solver as solver_mod
 # `stream` is not called here; it stays an attribute because benchmarks/tracing.py wraps stats.stream
 from .streams import _stream_block, stream  # noqa: F401
@@ -668,11 +667,10 @@ def _terminal_block(config: SimConfig, functionals: Sequence[TerminalFunctional]
         init_terms = [float(decayed @ c) for c in coeffs]
     # each functional of the drift at T, per unit compensator rate
     drifts = coeffs @ (solver_mod._drift_modes(cval, K, config.collocation) * (1.0 - decay_T))
-    picks = solver_mod._row_picks(coeffs)
     for first, reals in _levy_batches(config, lo, hi, base_seed, purpose, stop):
         # one kernel pass over the batch's atoms, summed per path; every path
         # of the cell has the same jump scale and compensator rate
-        sums = _terminal_sums(reals, coeffs, T, picks)
+        sums = _terminal_sums(reals, coeffs, T)
         sigma_used = reals[0].cell.jump_scale(config.noise.normalization)
         rate = reals[0].cell.m_restricted / sigma_used
         for f, s, dr, it in zip(functionals, sums, drifts, init_terms):
@@ -686,22 +684,20 @@ def _terminal_block(config: SimConfig, functionals: Sequence[TerminalFunctional]
 def _levy_batches(config: SimConfig, lo: int, hi: int, base_seed: int, purpose: str, stop: threading.Event):
     """Yield (first path, realizations) for the paths lo..hi-1 of a Levy cell, in path order.
 
-    Path i draws what stream(base_seed, i, purpose) draws, at the inner
-    cutoff, resolved once. Its generator comes from one `_stream_block` over
-    lo..hi-1, which sets one generator's counter per path. Consecutive
+    Path i is `spec.simulate(T, rng)` with the draws of stream(base_seed, i,
+    purpose). Its generator comes from one `_stream_block` over lo..hi-1,
+    which sets one generator's counter per path. Consecutive
     paths share a batch of at most _ATOM_BLOCK atoms; a path is never split,
     and a larger path comes alone. A set `stop` ends the batches before the
     next path. The yielded list is emptied when the generator resumes; only
     the batch's last path lives on into the next draw.
     """
     spec: LevyNoiseSpec = config.noise
-    eta = spec.resolve_eta(config.T)
     batch, n_atoms = [], 0
     for i, rng in enumerate(_stream_block(base_seed, lo, hi, purpose), lo):
         if stop.is_set():
             return
-        real = noise_mod.simulate_levy_noise(spec.model, spec.eps, eta, config.T, rng,
-                                             rho_budget=spec.rho_budget, atom_cap=spec.atom_cap)
+        real = spec.simulate(config.T, rng)
         if batch and n_atoms + len(real) > solver_mod._ATOM_BLOCK:
             yield i - len(batch), batch
             batch.clear()
@@ -721,14 +717,13 @@ def _gather(reals, name: str) -> np.ndarray:
     return getattr(reals[0], name) if len(reals) == 1 else np.concatenate([getattr(r, name) for r in reals])
 
 
-def _terminal_sums(reals, coeffs: np.ndarray, T: float, picks=None) -> np.ndarray:
-    """sum_j w_p(t_j, x_j) z_j per realization, w_p(t, x) = sum_k c_pk e^{-k^2 (T - t)} phi_k(x);
-    `picks` is `solver._row_picks(coeffs)`, kept by a caller that passes the same coefficients again."""
+def _terminal_sums(reals, coeffs: np.ndarray, T: float) -> np.ndarray:
+    """sum_j w_p(t_j, x_j) z_j per realization, w_p(t, x) = sum_k c_pk e^{-k^2 (T - t)} phi_k(x)."""
     counts = np.array([len(r) for r in reals])
     sums = np.zeros((len(coeffs), len(reals)))
     if not counts.any():
         return sums
-    w = solver_mod._atom_kernel(coeffs, _gather(reals, "x"), T - _gather(reals, "t"), picks)
+    w = solver_mod._atom_kernel(coeffs, _gather(reals, "x"), T - _gather(reals, "t"))
     w *= _gather(reals, "z")
     filled = counts > 0
     sums[:, filled] = np.add.reduceat(w, (np.cumsum(counts) - counts)[filled], axis=1)

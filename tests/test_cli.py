@@ -75,6 +75,19 @@ def test_ar_scan_non_finite_grid_exit_2(tmp_path, capsys, grid):
     assert not (tmp_path / "ar_scan.csv").exists()
 
 
+@pytest.mark.parametrize("atoms, message", [
+    ("nan:1, 1:1", "z=nan, weight=1.0"), ("1:1, -inf:2", "z=-inf, weight=2.0"), ("1:inf", "z=1.0, weight=inf"),
+])
+def test_ar_scan_refuses_a_non_finite_atom(tmp_path, capsys, atoms, message):
+    # a NaN atom was once dropped silently: ar-scan wrote a row of the other atom
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"model.family = compound_poisson\nmodel.atoms = {atoms}\n"
+                        "epsilon.grid = 1\nkappa.grid = 1\n")
+    assert main(["ar-scan", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ar_scan.csv").exists()
+
+
 def test_numeric_failure_exit_3(tmp_path):
     # compound Poisson fully truncated away -> ZeroVariance during simulate
     cfg_file = tmp_path / "zero.cfg"
@@ -212,6 +225,74 @@ def test_compare_rejects_bad_functionals_before_running(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert "validation error" in err and message in err
     assert not (tmp_path / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("f.c = nan", "constant multiplier needs finite params, got (nan,)"),
+    ("f.kind = affine\nf.a = 1\nf.b = inf", "affine multiplier needs finite params, got (1.0, inf)"),
+    ("f.kind = bounded_smooth\nf.d = -inf", "bounded_smooth multiplier needs finite params, got (1.0, -inf)"),
+])
+def test_compare_refuses_a_non_finite_multiplier_before_running(tmp_path, capsys, monkeypatch, lines, message):
+    # f.c = nan once simulated every path and then failed in the KS test (exit 3)
+    def no_paths(*args, **kw):
+        raise AssertionError("paths drawn before the multiplier was checked")
+
+    monkeypatch.setattr(lh.noise, "simulate_levy_noise", no_paths)
+    monkeypatch.setattr(lh.stats, "_stream_block", no_paths)
+    cfg_file = tmp_path / "cmp.cfg"
+    cfg_file.write_text(GAMMA_COMPARE_CFG + lines + "\n")
+    assert main(["compare", "--config", str(cfg_file), "--out", str(tmp_path), "--seed", "3"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("lines, f", [
+    ("", lh.constant_f(1.0)),
+    ("f.c = -0.5", lh.constant_f(-0.5)),
+    ("f.kind = affine\nf.a = 0.5\nf.b = -1", lh.affine_f(0.5, -1.0)),
+    ("f.kind = bounded_smooth\nf.d = 0.25", lh.bounded_smooth_f(1.0, 0.25)),  # f.c defaults to 1.0
+    ("f.kind = bounded_smooth\nf.c = 2\nf.d = 0.25", lh.bounded_smooth_f(2.0, 0.25)),
+])
+def test_multiplier_keys(tmp_path, lines, f):
+    cfg = parse_config(lines + "\n")
+    assert cli.build_multiplier(cfg) == f
+    if f.is_constant:
+        return
+    # a path of the general Levy branch, written by simulate as the library draws it
+    sim_cfg = ("model.family = compound_poisson\nmodel.atoms = 1:2, -1:2\nepsilon.grid = 2\n"
+               "solver.modes = 4\nsolver.collocation = 16\nsolver.steps = 16\nnoise.eta = 0.0\n")
+    cfg_file = tmp_path / "sim.cfg"
+    cfg_file.write_text(sim_cfg + lines + "\n")
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path), "--seed", "5"]) == 0
+    spec = lh.LevyNoiseSpec(model=lh.LevyModel(lh.CompoundPoisson(((1.0, 2.0), (-1.0, 2.0)))), eps=2.0, eta=0.0)
+    path = lh.simulate_path(lh.SimConfig(noise=spec, f=f, modes=4, collocation=16, steps=16),
+                            lh.streams.stream(5, 0, "simulate"))
+    rows = (tmp_path / "path_0.csv").read_text().splitlines()[2:]
+    assert [float(r.split(",")[2]) for r in rows] == path.modes.ravel().tolist()
+    assert np.ptp(path.modes[-1]) > 0.0
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("f.kind = affine\nf.a = 1", "affine multiplier needs f.a and f.b"),
+    ("f.kind = bounded_smooth", "bounded_smooth multiplier needs f.d"),
+    ("f.kind = linear", "unknown f.kind 'linear'"),
+])
+def test_multiplier_keys_missing_exit_2(tmp_path, capsys, lines, message):
+    cfg_file = tmp_path / "cmp.cfg"
+    cfg_file.write_text(GAMMA_COMPARE_CFG + lines + "\n")
+    assert main(["compare", "--config", str(cfg_file), "--out", str(tmp_path), "--seed", "3"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_compare_bump_functional(tmp_path):
+    cfg_file = tmp_path / "cmp.cfg"
+    cfg_file.write_text(GAMMA_COMPARE_CFG + "paths = 50\ncompare.functionals = mode1, bump\n")
+    bump, = [f for f in cli._functional_battery(parse_config(cfg_file.read_text())) if f.name == "bump"]
+    assert bump.coefficients == lh.stats.bump_functional(lh.SmoothBump(), 16).coefficients
+    assert main(["compare", "--config", str(cfg_file), "--out", str(tmp_path), "--seed", "3"]) == 0
+    rows = [line.split(",") for line in (tmp_path / "compare.csv").read_text().splitlines()[2:]]
+    assert [r[4] for r in rows] == ["mode1", "bump"]
+    assert all(0.0 < float(r[5]) < 1.0 for r in rows)
 
 
 def test_compare_threaded_stable_cell_matches_serial(tmp_path, monkeypatch):

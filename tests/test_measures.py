@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -429,6 +430,43 @@ def test_rejection_marks_follow_the_exact_law(cell):
     assert abs(accepted - draw.rate) <= 4.0 * se
 
 
+def _documented_rounds(draw, count, rng):
+    """The rounds of measures._Rejection as its docstring states them, one mark at a time."""
+    kept = []
+    while len(kept) < count:
+        need = count - len(kept)
+        u, v = rng.random((2, int((need + 3.0 * math.sqrt(need)) / draw.rate) + 1))
+        r = draw.propose(u)
+        kept.extend(r[v < draw.accept(r)][:need].tolist())
+    return np.array(kept)
+
+
+def test_rejection_refill_rounds():
+    # a stated rate of 1 against the true ~0.74 of a gamma draw on (1e-3, 5]:
+    # the first round falls short, and the refill rounds complete the count
+    lo, hi = 1e-3, 5.0
+    true = measures._gamma_draw(lo, hi, lh.GammaSubordinator().abs_moment(hi, 0.0, lo))
+    assert 0.7 < true.rate < 0.8
+    rounds = []
+
+    def propose(u):
+        rounds.append(u.shape[-1])
+        return true.propose(u)
+
+    draw = replace(true, propose=propose, rate=1.0)
+    for count in (200, 5000):
+        rounds.clear()
+        rng, again, ref = (stream(113, count, "refill") for _ in range(3))
+        marks = draw(count, rng)
+        assert len(rounds) >= 2 and rounds[0] == int(count + 3.0 * math.sqrt(count)) + 1
+        assert marks.shape == (count,) and np.all((marks > lo) & (marks <= hi))
+        # the marks depend only on the generator state and the count
+        assert draw(count, again).tobytes() == marks.tobytes()
+        assert _documented_rounds(draw, count, ref).tobytes() == marks.tobytes()
+        assert rng.random() == again.random() == ref.random()  # the same uniforms were taken
+    assert draw(0, stream(113, 0, "refill")).size == 0
+
+
 def test_finite_mass_segment_at_the_origin_samples():
     model = lh.LevyModel(lh.CustomDensity(lambda z: np.exp(-z), (0.0, 1.0)))
     marks = lh.sample_marks(model, 1.0, 0.0, 100_000, stream(109, 0, "marks"))
@@ -461,6 +499,17 @@ def test_model_validation():
         lh.SymmetricStable(2.5)
     with pytest.raises(ValueError):
         lh.CompoundPoisson(((0.0, 1.0),))
+
+
+@pytest.mark.parametrize("atom", [
+    (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -1.0),
+])
+def test_compound_poisson_refuses_non_finite_atoms(atom):
+    # a NaN atom once passed construction and was dropped from every cell
+    z, w = atom
+    with pytest.raises(ValueError, match=re.escape(f"(z={z}, weight={w})")):
+        lh.CompoundPoisson((atom, (1.0, 1.0)))
+    assert lh.CompoundPoisson(((1e260, 1e260),)).atoms == ((1e260, 1e260),)
 
 
 def test_mark_table_build_is_thread_safe(gamma_model):

@@ -763,6 +763,46 @@ def test_eta_resolved_once_per_spec(monkeypatch):
     assert len(calls) == 1
 
 
+def test_auto_eta_is_the_variance_budget_search_resolved_once(monkeypatch):
+    # eta=None (noise.eta = auto in a config) takes the largest eta whose
+    # dropped-variance fraction stays within the spec's rho budget
+    calls = []
+    search = noise.auto_inner_cutoff
+
+    def counted(*args, **kw):
+        calls.append((args, kw))
+        return search(*args, **kw)
+
+    monkeypatch.setattr(noise, "auto_inner_cutoff", counted)
+    model = lh.LevyModel(lh.GammaSubordinator())
+    spec = lh.LevyNoiseSpec(model=model, eps=0.1, rho_budget=0.05, atom_cap=1e6)
+    assert spec.eta is None
+    eta = spec.resolve_eta(1.0)
+    assert calls == [((model, 0.1, 1.0), {"rho_budget": 0.05, "atom_cap": 1e6})]
+    assert eta == search(lh.LevyModel(lh.GammaSubordinator()), 0.1, 1.0, rho_budget=0.05, atom_cap=1e6)
+    dropped = 1.0 - lh.restricted_moment2(model, 0.1, eta) / lh.variance(model, 0.1)
+    assert 0.0 < dropped <= 0.05
+    cell = spec.cell(1.0)
+    assert cell.eta == eta and cell.dropped_variance_fraction == pytest.approx(dropped, rel=1e-12)
+    assert spec.simulate(1.0, stream(5, 0, "auto")).cell.eta == eta
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make, params", [
+    (lh.constant_f, (math.nan,)),
+    (lh.constant_f, (math.inf,)),
+    (lh.affine_f, (1.0, math.nan)),
+    (lh.affine_f, (-math.inf, 0.0)),
+    (lh.bounded_smooth_f, (math.nan, 1.0)),
+    (lh.bounded_smooth_f, (1.0, math.inf)),
+])
+def test_multiplier_refuses_non_finite_params(make, params):
+    # a NaN f once simulated every path and failed only in the KS test
+    with pytest.raises(ValueError, match=re.escape(repr(tuple(map(float, params))))):
+        make(*params)
+    assert make(*(1e260 for _ in params)).params == (1e260,) * len(params)
+
+
 def test_atom_steps_shared_at_grid_times(cp_symmetric):
     # steps = 1000: t / dt rounds across an integer for some grid times, where
     # the former replay rule ceil(t / dt) - 1 picked the neighbouring step

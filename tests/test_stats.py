@@ -244,6 +244,20 @@ def _martingale_paths(gamma_model, n):
     return [lh.simulate_path(cfg, stream(53, i, "psi")) for i in range(n)]
 
 
+def test_martingale_probe_of_sine_coefficients_matches_the_bump(gamma_model):
+    # phi as a tuple of sine coefficients, zero-padded past the path's modes
+    # and then cut to them, gives the rows of the bump it was taken from
+    paths = _martingale_paths(gamma_model, 4)
+    bump = lh.SmoothBump()
+    coeffs = tuple(bump.sine_coefficients(paths[0].n_modes)) + (0.0,) * 8
+    rows = lh.martingale_residual(paths, lh.MartingaleProbe(1.0, bump, 0.25, 0.75))
+    got = lh.martingale_residual(paths, lh.MartingaleProbe(1.0, coeffs, 0.25, 0.75))
+    assert len(got) == len(rows) == 3
+    for g, r in zip(got, rows):
+        assert g.conditioner == r.conditioner and g.n_paths == r.n_paths
+        assert np.array([g.estimate, g.se_re, g.se_im]).tobytes() == np.array([r.estimate, r.se_re, r.se_im]).tobytes()
+
+
 def test_martingale_zero_frequency_probe(gamma_model):
     probe = lh.MartingaleProbe(0.0, lh.SmoothBump(), 0.25, 0.75)
     assert st._compensator_psis(gamma_model, 0.1, 1e-4, [lambda x: 0.0 * x])[0] == 0.0
